@@ -8,6 +8,9 @@ raw = scale * X + offset with X vacuum-distributed (sigma = 1/2), so
 These moment estimators are exact for a Gaussian.  An optional histogram
 stage refits (scale, offset) by least squares against the analytic vacuum
 density; it is a cross-check, not the default.
+
+scipy.optimize is imported only by the histogram fit, so importing the
+package does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import NumericsError, ValidationError
 from .states import VACUUM_STD, marginal_density
@@ -89,6 +91,8 @@ def fit_vacuum(values, method: str = "moments",
             method="moments",
         )
     if method == "histogram":
+        from scipy import optimize
+
         sol = optimize.least_squares(
             lambda p: _histogram_residuals(values, p[0], p[1]),
             x0=[scale0, offset0],

@@ -228,21 +228,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Invalid input, including a missing, unreadable or non-text file (report,
+    # budget, factor table, config), exits 3; a numerical failure exits 4.
     try:
         config = _load_env_config()
         return _COMMANDS[args.command](args, config)
-    except (DatasetFormatError,) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValidationError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
+        return EXIT_NUMERICS if isinstance(exc, NumericsError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -22,6 +22,10 @@ with U = sqrt(X_max^2 - R^2), and the integrand at R = 0, u = 0 tends to
 pr''(0) because the density is even.  A composite Simpson rule on a fixed
 node count then converges fast; the marginal beyond X_max is treated as
 zero, which for X_max >= 4 contributes less than 1e-6 in absolute value.
+
+scipy.optimize and scipy.interpolate are imported inside the functions that
+use them, so importing the package (and running `focktomo simulate`) does
+not pay for loading them.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
-from scipy.interpolate import CubicSpline
 
 from .errors import NumericsError, ValidationError
 from .patterns import MAX_ORDER, pattern_function
@@ -297,6 +299,8 @@ def abel_inverse(x, density=None, *, r_max: float = 4.0,
     if n_radii < 2:
         raise ValidationError("n_radii must be >= 2")
 
+    from scipy.interpolate import CubicSpline
+
     # Even density: clamp pr'(0) = 0.
     spl = CubicSpline(xs, fs, bc_type=((1, 0.0), "not-a-knot"))
     d1 = spl.derivative(1)
@@ -328,6 +332,8 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     X^2); the profile is taken as zero beyond its largest radius.  Used as a
     forward-consistency check on reconstructions.
     """
+    from scipy.interpolate import CubicSpline
+
     xq = np.atleast_1d(np.asarray(x, dtype=float))
     r_max = float(profile.radii[-1])
     spl = CubicSpline(profile.radii, profile.values, bc_type=((1, 0.0), "not-a-knot"))
@@ -439,6 +445,8 @@ def fit_efficiency(values, method: str = "mle",
         )
     if not np.all(np.isfinite(values)):
         raise ValidationError("values contain non-finite entries")
+
+    from scipy import optimize
 
     x2 = values * values
     t = 4.0 * x2 - 1.0

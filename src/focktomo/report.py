@@ -195,7 +195,10 @@ def parse_budget_kv(text: str) -> dict:
         data[key.strip()] = value.strip()
     if "budget_format_version" not in data:
         raise DatasetFormatError("budget file missing budget_format_version")
-    version = int(data["budget_format_version"])
+    try:
+        version = int(data["budget_format_version"])
+    except ValueError as exc:
+        raise DatasetFormatError(f"unparseable budget_format_version: {exc}") from exc
     if version != BUDGET_FORMAT_VERSION:
         raise DatasetFormatError(
             f"unsupported budget_format_version {version}, expected {BUDGET_FORMAT_VERSION}"
@@ -218,6 +221,10 @@ def merge_reports(recon: dict, budget: dict | None,
     When both are present the budget prediction is compared with the fitted
     efficiency at two combined standard deviations.
     """
+    if not isinstance(recon, dict):
+        raise ValidationError(
+            f"reconstruction report must be a JSON object, got {type(recon).__name__}"
+        )
     version = recon.get("report_version")
     if version != REPORT_VERSION:
         raise DatasetFormatError(
@@ -232,6 +239,8 @@ def merge_reports(recon: dict, budget: dict | None,
             continue
         if name == "provenance":
             continue
+        if not isinstance(body, dict):
+            raise ValidationError(f"report section {name!r} must be a JSON object")
         sections[name] = dict(body)
 
     if budget is not None:

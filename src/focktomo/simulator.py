@@ -8,15 +8,19 @@ is statistically identical to lowering the efficiency to eta * (1 - d); the
 simulator still draws them event-by-event so datasets carry the effect at the
 sample level.
 
+Quadratures are drawn by inverse-CDF sampling from the closed-form marginal:
+each quantile uniform is mapped through states.marginal_ppf, a safeguarded
+Newton iteration on the closed-form CDF.
+
 Reproducibility: one integer seed is split with numpy's SeedSequence into two
-independent PCG64 streams (vacuum block, signal block).  Each stream consumes,
-in order: phase uniforms, dark-count uniforms (signal stream only), then one
-quantile uniform per sample.
+independent PCG64 streams (vacuum block, signal block).  Each stream draws one
+phase uniform (plus one dark-count uniform on the signal stream) and one
+quantile uniform per sample, consumed in that order block by block: all phase
+uniforms, then the dark-count uniforms, then the quantile uniforms.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -170,52 +174,56 @@ _HEADER_INT_KEYS = ("format_version", "seed", "n_vacuum", "n_fock")
 
 def write_dataset(dataset: HomodyneDataset, path) -> None:
     """Write a run as text: '# key=value' header lines, then one line per
-    sample with fields 'source phase raw_value'."""
+    sample with fields 'source phase raw_value'.  Floats are written with
+    repr, the shortest string that reads back to the same double."""
     spec = dataset.spec
-    buf = io.StringIO()
-    buf.write(f"# format_version={dataset.format_version}\n")
-    buf.write(f"# rng={dataset.rng_name}\n")
-    buf.write(f"# seed={spec.seed}\n")
-    buf.write(f"# eta_true={spec.eta_true!r}\n")
-    buf.write(f"# scale={spec.detector.scale!r}\n")
-    buf.write(f"# offset={spec.detector.offset!r}\n")
-    buf.write(f"# dark_fraction={spec.detector.dark_fraction!r}\n")
-    buf.write(f"# n_vacuum={spec.n_vacuum}\n")
-    buf.write(f"# n_fock={spec.n_fock}\n")
-    for s, p, v in zip(dataset.source, dataset.phase, dataset.raw_value):
-        buf.write(f"{s} {float(p)!r} {float(v)!r}\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    header = (
+        f"# format_version={dataset.format_version}\n"
+        f"# rng={dataset.rng_name}\n"
+        f"# seed={spec.seed}\n"
+        f"# eta_true={spec.eta_true!r}\n"
+        f"# scale={spec.detector.scale!r}\n"
+        f"# offset={spec.detector.offset!r}\n"
+        f"# dark_fraction={spec.detector.dark_fraction!r}\n"
+        f"# n_vacuum={spec.n_vacuum}\n"
+        f"# n_fock={spec.n_fock}\n"
+    )
+    rows = zip(
+        np.asarray(dataset.source).tolist(),
+        np.asarray(dataset.phase, dtype=float).tolist(),
+        np.asarray(dataset.raw_value, dtype=float).tolist(),
+    )
+    body = "".join([f"{s} {p!r} {v!r}\n" for s, p, v in rows])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        fh.write(body)
+
+
+# One sample line.  The source field is two characters wide so that a longer
+# token such as "VX" is read whole and rejected, not truncated to "V".
+_SAMPLE_DTYPE = np.dtype([("source", "U2"), ("phase", float), ("raw_value", float)])
 
 
 def read_dataset(path) -> HomodyneDataset:
     """Read a dataset written by write_dataset, validating header and body."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"dataset is not UTF-8 text: {exc}") from exc
     header: dict[str, str] = {}
-    sources: list[str] = []
-    phases: list[str] = []
-    values: list[str] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise DatasetFormatError(f"line {lineno}: malformed header line {line!r}")
-                key, _, value = body.partition("=")
-                header[key.strip()] = value.strip()
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DatasetFormatError(
-                    f"line {lineno}: expected 'source phase raw_value', got {line!r}"
-                )
-            if parts[0] not in (SOURCE_VACUUM, SOURCE_FOCK):
-                raise DatasetFormatError(f"line {lineno}: unknown source {parts[0]!r}")
-            sources.append(parts[0])
-            phases.append(parts[1])
-            values.append(parts[2])
+    body: list[str] = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, eq, value = line[1:].partition("=")
+            if not eq:
+                raise DatasetFormatError(f"line {lineno}: malformed header line {line!r}")
+            header[key.strip()] = value.strip()
+        else:
+            body.append(line)
 
     missing = [k for k in (*_HEADER_INT_KEYS, *_HEADER_FLOAT_KEYS, "rng") if k not in header]
     if missing:
@@ -231,18 +239,24 @@ def read_dataset(path) -> HomodyneDataset:
         )
 
     try:
-        phase = np.array(phases, dtype=float)
-        raw = np.array(values, dtype=float)
+        rows = (np.loadtxt(body, dtype=_SAMPLE_DTYPE, comments=None, ndmin=1)
+                if body else np.empty(0, dtype=_SAMPLE_DTYPE))
     except ValueError as exc:
-        raise DatasetFormatError(f"unparseable numeric field: {exc}") from exc
-    source = np.array(sources, dtype="U1")
+        raise DatasetFormatError(
+            f"expected sample lines 'source phase raw_value' with numeric fields: {exc}"
+        ) from exc
+    source, phase, raw = rows["source"], rows["phase"], rows["raw_value"]
+    unknown = (source != SOURCE_VACUUM) & (source != SOURCE_FOCK)
+    if np.any(unknown):
+        row = int(np.argmax(unknown))
+        raise DatasetFormatError(f"sample {row + 1}: unknown source {str(source[row])!r}")
     if not np.all(np.isfinite(phase)) or not np.all(np.isfinite(raw)):
         raise DatasetFormatError("non-finite sample values")
     if np.any((phase < 0.0) | (phase >= _TWO_PI)):
         raise DatasetFormatError("phase outside [0, 2*pi)")
 
-    n_v = int(np.sum(source == SOURCE_VACUUM))
-    n_f = int(np.sum(source == SOURCE_FOCK))
+    n_v = int(np.count_nonzero(source == SOURCE_VACUUM))
+    n_f = source.size - n_v
     if n_v != ints["n_vacuum"] or n_f != ints["n_fock"]:
         raise DatasetFormatError(
             f"sample counts (V={n_v}, F={n_f}) disagree with header "
@@ -262,9 +276,9 @@ def read_dataset(path) -> HomodyneDataset:
     )
     return HomodyneDataset(
         spec=spec,
-        source=source,
-        phase=phase,
-        raw_value=raw,
+        source=source.astype("U1"),
+        phase=np.ascontiguousarray(phase),
+        raw_value=np.ascontiguousarray(raw),
         rng_name=header["rng"],
         format_version=ints["format_version"],
     )

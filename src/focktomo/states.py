@@ -92,10 +92,10 @@ def marginal_cdf(eta, x):
 
 
 def marginal_ppf(eta, u, tol: float = 1e-13, max_iter: int = 80):
-    """Quantile function of pr_eta via bracketed bisection.
+    """Quantile function of pr_eta via safeguarded Newton iteration.
 
     Solves CDF_eta(x) = u on [-PPF_BRACKET, PPF_BRACKET] to within `tol` on x.
-    `u` outside (0, 1) is rejected; values of u extremely close to 0 or 1 are
+    `u` outside [0, 1] is rejected; values of u extremely close to 0 or 1 are
     clipped so the root stays inside the bracket (the neglected tail mass is
     below 1e-18).
 
@@ -103,7 +103,16 @@ def marginal_ppf(eta, u, tol: float = 1e-13, max_iter: int = 80):
     problem is solved instead: there the target value 1 - u is exact (the
     subtraction is exact for u >= 1/2) and the left-tail CDF retains full
     relative precision, so quantiles deep in either tail are resolved to the
-    bisection tolerance rather than to the ulp of a CDF value near 1.
+    iteration tolerance rather than to the ulp of a CDF value near 1.
+
+    On the lower half the root lies in [-PPF_BRACKET, 0] because CDF(0) = 1/2.
+    Newton starts from 0.5 * ndtri(u), the exact root for eta = 0, and steps
+    with the closed-form density.  Every CDF evaluation narrows a bracket
+    [lo, hi] around the root; an iterate that leaves it is replaced by the
+    bracket midpoint (`rtsafe` in Press et al., Numerical Recipes), which
+    keeps the eta = 1 marginal, whose density vanishes at X = 0, convergent.
+    An element stops once its Newton step or its bracket is below `tol`;
+    only the elements still moving are iterated.
     """
     eta = _check_eta(eta)
     u = np.asarray(u, dtype=float)
@@ -112,22 +121,30 @@ def marginal_ppf(eta, u, tol: float = 1e-13, max_iter: int = 80):
     u_eff = np.clip(u, 1e-18, 1.0 - 2.0 ** -53)
 
     eta_b, u_b = np.broadcast_arrays(eta, u_eff)
-    if u_b.size == 0:
-        return np.asarray(np.full(u_b.shape, -PPF_BRACKET))
     flip = u_b > 0.5
-    u_low = np.where(flip, 1.0 - u_b, u_b)
-    # The mirrored root lies in [-PPF_BRACKET, 0] because CDF(0) = 1/2.
-    lo = np.full(u_b.shape, -PPF_BRACKET)
-    hi = np.zeros(u_b.shape)
+    u_low = np.where(flip, 1.0 - u_b, u_b).ravel()
+    eta_low = eta_b.ravel()
+    x = 0.5 * special.ndtri(u_low)
+    lo = np.full(x.shape, -PPF_BRACKET)
+    hi = np.zeros(x.shape)
+    active = np.arange(x.size)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        below = marginal_cdf(eta_b, mid) < u_low
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < tol:
+        if active.size == 0:
             break
-    root = 0.5 * (lo + hi)
-    out = np.asarray(np.where(flip, -root, root))
+        xa, ea = x[active], eta_low[active]
+        f = marginal_cdf(ea, xa) - u_low[active]
+        below = f < 0.0
+        lo_a = np.where(below, xa, lo[active])
+        hi_a = np.where(below, hi[active], xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(f == 0.0, 0.0, f / marginal_density(ea, xa))
+        x_new = xa - step
+        outside = ~((lo_a <= x_new) & (x_new <= hi_a))
+        x_new[outside] = 0.5 * (lo_a[outside] + hi_a[outside])
+        done = (np.abs(x_new - xa) <= tol) | (hi_a - lo_a <= tol)
+        x[active], lo[active], hi[active] = x_new, lo_a, hi_a
+        active = active[~done]
+    out = np.asarray(np.where(flip, -x.reshape(u_b.shape), x.reshape(u_b.shape)))
     return _maybe_scalar(out)
 
 

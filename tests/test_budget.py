@@ -13,7 +13,8 @@ from focktomo.budget import (
     load_factors,
     parse_factors,
 )
-from focktomo.errors import ValidationError
+from focktomo.errors import DatasetFormatError, ValidationError
+from focktomo.report import merge_reports, parse_budget_kv
 
 # 0.83^2 * 0.95 * 0.90 * 0.98 and its first-order error, computed by hand
 ETA_PREDICTED = 0.57722931
@@ -140,3 +141,16 @@ def test_load_factors(tmp_path):
     factors = load_factors(path)
     assert [f.name for f in factors] == ["a", "b"]
     assert combine(factors).eta_predicted == pytest.approx(0.9 * 0.64, rel=1e-12)
+
+
+def test_parse_budget_rejects_non_integer_version():
+    text = "budget_format_version=x\neta_predicted=0.5\neta_uncertainty=0.01\n"
+    with pytest.raises(DatasetFormatError, match="budget_format_version"):
+        parse_budget_kv(text)
+
+
+def test_merge_reports_rejects_non_object_report():
+    with pytest.raises(ValidationError, match="JSON object"):
+        merge_reports([1, 2, 3], None)
+    with pytest.raises(ValidationError, match="section 'efficiency'"):
+        merge_reports({"report_version": 1, "efficiency": [0.5]}, None)

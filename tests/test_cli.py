@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,16 @@ def test_budget_version_mismatch(tmp_path, capsys):
     assert "budget_format_version" in capsys.readouterr().err
 
 
+def test_budget_unparseable_version_is_validation_error(tmp_path, capsys):
+    recon = tmp_path / "report.json"
+    recon.write_text(json.dumps({"report_version": 1}))
+    budget_file = tmp_path / "budget.txt"
+    budget_file.write_text("budget_format_version=x\neta_predicted=0.5\neta_uncertainty=0.01\n")
+    code = main(["report", "--reconstruction", str(recon),
+                 "--budget", str(budget_file), "-o", str(tmp_path / "m")])
+    assert code == EXIT_VALIDATION
+    assert "budget_format_version" in capsys.readouterr().err
+
 def test_missing_dataset_is_validation_error(tmp_path, capsys):
     code = main(["reconstruct", str(tmp_path / "nope.txt"), "-o", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
@@ -245,3 +259,55 @@ def test_default_run_parameters(tmp_path):
     assert ds.spec.seed == 42
     assert ds.spec.detector.scale == 1.0
     assert ds.spec.detector.dark_fraction == 0.0
+
+
+def test_reconstruct_directory_is_validation_error(tmp_path, capsys):
+    code = main(["reconstruct", str(tmp_path), "-o", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_report_directory_is_validation_error(tmp_path, capsys):
+    code = main(["report", "--reconstruction", str(tmp_path), "-o", str(tmp_path / "m")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_binary_dataset_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "run.txt"
+    path.write_bytes(bytes(range(256)) * 4)
+    code = main(["reconstruct", str(path), "-o", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err
+
+
+def test_binary_factor_table_is_validation_error(tmp_path, capsys):
+    factors = tmp_path / "factors.txt"
+    factors.write_bytes(b"a 0.5 0 direct\n\xff\xfe\n")
+    code = main(["budget", "--factors", str(factors)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "decode" in err
+
+def test_report_json_list_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "report.json"
+    bad.write_text("[1, 2, 3]")
+    code = main(["report", "--reconstruction", str(bad), "-o", str(tmp_path / "m")])
+    assert code == EXIT_VALIDATION
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_import_leaves_optimize_and_interpolate_unloaded():
+    # `focktomo simulate` needs only numpy and scipy.special
+    code = ("import sys, focktomo.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.interpolate'))))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -257,3 +257,102 @@ def test_read_rejects_unparseable_number(tmp_path):
     path = _write_and_edit(tmp_path, edit)
     with pytest.raises(DatasetFormatError):
         read_dataset(path)
+
+
+def test_read_rejects_two_letter_source(tmp_path):
+    # "VX" must not be truncated to the valid token "V"
+    def edit(ls):
+        parts = ls[9].split()
+        ls[9] = "VX " + " ".join(parts[1:])
+    path = _write_and_edit(tmp_path, edit)
+    with pytest.raises(DatasetFormatError, match="source"):
+        read_dataset(path)
+
+
+def test_read_rejects_extra_field(tmp_path):
+    path = _write_and_edit(tmp_path, lambda ls: ls.__setitem__(9, ls[9] + " 1.0"))
+    with pytest.raises(DatasetFormatError):
+        read_dataset(path)
+
+
+def test_read_rejects_malformed_header_line(tmp_path):
+    path = _write_and_edit(tmp_path, lambda ls: ls.insert(3, "# no equals sign"))
+    with pytest.raises(DatasetFormatError, match="malformed header"):
+        read_dataset(path)
+
+
+def test_read_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "run.bin"
+    path.write_bytes(b"# format_version=1\n\xff\xfe\x00\x81 binary\n")
+    with pytest.raises(DatasetFormatError, match="UTF-8"):
+        read_dataset(path)
+
+
+def test_read_skips_blank_lines_and_surrounding_whitespace(tmp_path):
+    def edit(ls):
+        ls[9] = "  \t" + ls[9] + "   "
+        ls.insert(10, "")
+        ls.insert(11, "   ")
+    path = _write_and_edit(tmp_path, edit)
+    ds = read_dataset(path)
+    assert ds.n_samples == 10
+
+
+def test_written_bytes_are_frozen(tmp_path):
+    # shortest-repr floats, one 'source phase raw_value' line per sample
+    spec = RunSpec(eta_true=0.553, n_vacuum=2, n_fock=1, seed=7,
+                   detector=DetectorModel(scale=1.5, offset=-0.25, dark_fraction=0.1))
+    ds = HomodyneDataset(
+        spec=spec,
+        source=np.array(["V", "V", "F"]),
+        phase=np.array([0.0, 0.1, 6.283185307179586]),
+        raw_value=np.array([-0.0, 1e-300, -123456.789]),
+    )
+    path = tmp_path / "run.txt"
+    write_dataset(ds, path)
+    assert path.read_bytes() == (
+        b"# format_version=1\n# rng=numpy-pcg64\n# seed=7\n# eta_true=0.553\n"
+        b"# scale=1.5\n# offset=-0.25\n# dark_fraction=0.1\n# n_vacuum=2\n# n_fock=1\n"
+        b"V 0.0 -0.0\nV 0.1 1e-300\nF 6.283185307179586 -123456.789\n"
+    )
+
+
+def test_writer_matches_per_row_reference(tmp_path):
+    # the batched writer must produce the bytes of a plain per-sample loop
+    det = DetectorModel(scale=2.5, offset=-0.7, dark_fraction=0.3)
+    ds = generate_run(RunSpec(eta_true=0.9, n_vacuum=700, n_fock=500, detector=det, seed=4))
+    path = tmp_path / "run.txt"
+    write_dataset(ds, path)
+    lines = path.read_text().splitlines(keepends=True)
+    expected = [f"{s} {float(p)!r} {float(v)!r}\n"
+                for s, p, v in zip(ds.source, ds.phase, ds.raw_value)]
+    assert lines[9:] == expected
+
+def test_roundtrip_with_dark_counts_is_bit_exact(tmp_path):
+    det = DetectorModel(scale=0.8, offset=1.1, dark_fraction=0.3)
+    spec = RunSpec(eta_true=0.7, n_vacuum=3000, n_fock=2000, detector=det, seed=12)
+    ds = generate_run(spec)
+    path = tmp_path / "run.txt"
+    write_dataset(ds, path)
+    back = read_dataset(path)
+    assert back.spec == spec
+    assert back.source.dtype == ds.source.dtype
+    assert np.array_equal(back.source, ds.source)
+    assert np.array_equal(back.phase.view(np.uint64), ds.phase.view(np.uint64))
+    assert np.array_equal(back.raw_value.view(np.uint64), ds.raw_value.view(np.uint64))
+    path2 = tmp_path / "again.txt"
+    write_dataset(back, path2)
+    assert path2.read_bytes() == path.read_bytes()
+
+
+def test_seed_42_stream_is_frozen():
+    # one phase uniform, then (signal stream) one dark-count uniform, then one
+    # quantile uniform per sample; values pinned to the quantile tolerance
+    det = DetectorModel(dark_fraction=0.4)
+    ds = generate_run(RunSpec(eta_true=0.553, n_vacuum=3, n_fock=3, detector=det, seed=42))
+    assert ds.source.tolist() == ["V", "V", "V", "F", "F", "F"]
+    assert ds.phase.tolist() == [5.760073421191729, 5.7238980451164725, 5.507793145348336,
+                                 2.937331199835341, 0.2918470237010983, 3.741699742572823]
+    expected = [-0.24889162777427032, 0.8458902022507857, -0.4671112234766781,
+                0.4871695360361912, -0.9979981810896277, 0.32345887010521324]
+    assert np.max(np.abs(ds.raw_value - expected)) <= 1e-13

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -113,6 +114,44 @@ def test_ppf_roundtrip_tail_stays_bounded(eta):
     x = np.linspace(3.0, 4.0, 50)
     back = marginal_ppf(eta, marginal_cdf(eta, x))
     assert np.max(np.abs(back - x)) < 0.02
+
+
+def _ppf_oracle(eta: float, u: float) -> float:
+    """Root of CDF_eta(x) = u at 40 significant digits, for the exact
+    binary values of eta and u."""
+    if u == 0.5:
+        return 0.0  # CDF(0) = 1/2 for every eta
+    with mpmath.workdps(40):
+        e, target = mpmath.mpf(eta), mpmath.mpf(u)
+
+        def residual(x):
+            return (mpmath.erfc(-mpmath.sqrt(2) * x) / 2
+                    - e * mpmath.sqrt(2 / mpmath.pi) * x * mpmath.exp(-2 * x * x) - target)
+
+        # start from the vacuum quantile, as the float64 iteration does
+        x0 = mpmath.erfinv(2 * target - 1) / mpmath.sqrt(2)
+        return float(mpmath.findroot(residual, x0))
+
+
+_ORACLE_U = [1e-18, 1e-15, 1e-10, 1e-6, 0.01, 0.2, 0.45, 0.5, 0.55, 0.8, 0.99,
+             1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 2.0 ** -50]
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.553, 1.0])
+def test_ppf_matches_high_precision_root(eta):
+    u = np.array(_ORACLE_U)
+    x = marginal_ppf(eta, u)
+    expected = np.array([_ppf_oracle(eta, ui) for ui in _ORACLE_U])
+    assert np.max(np.abs(x - expected)) <= 1e-13
+
+
+def test_ppf_per_event_eta_matches_high_precision_root():
+    eta = np.array([0.0, 0.553, 0.0, 1.0, 0.0, 0.3, 0.0, 0.9])
+    u = np.array([1e-12, 0.3, 0.5, 0.97, 1.0 - 1e-12, 1e-17, 0.7, 0.5])
+    x = marginal_ppf(eta, u)
+    expected = np.array([_ppf_oracle(e, ui) for e, ui in zip(eta, u)])
+    assert np.max(np.abs(x - expected)) <= 1e-13
+    assert x[2] == 0.0 and x[7] == 0.0
 
 
 def test_ppf_vectorized_and_clipped():

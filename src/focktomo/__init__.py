@@ -30,7 +30,6 @@ from .reconstruction import (
 from .simulator import (
     DetectorModel,
     HomodyneDataset,
-    QuadratureSample,
     RunSpec,
     generate_run,
     read_dataset,
@@ -53,7 +52,6 @@ __all__ = [
     "HomodyneDataset",
     "MarginalHistogram",
     "NumericsError",
-    "QuadratureSample",
     "RadialWignerProfile",
     "ReconstructionConfig",
     "ReconstructionSummary",

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
+from .reconstruction import _scott_density
 from .states import VACUUM_STD, marginal_density
 
 MIN_CALIBRATION_SAMPLES = 1000
@@ -40,20 +41,11 @@ class CalibrationResult:
             raise ValidationError("offset_hat must be finite")
 
 
-def _histogram_residuals(values: np.ndarray, scale: float, offset: float) -> np.ndarray:
-    # Scott's rule bin width on the raw values; range wide enough that
-    # essentially no vacuum mass is clipped.
-    n = values.size
-    std = float(np.std(values, ddof=1))
-    width = 3.49 * std * n ** (-1.0 / 3.0)
-    lo = float(np.mean(values)) - 5.0 * std
-    hi = float(np.mean(values)) + 5.0 * std
-    n_bins = max(int(np.ceil((hi - lo) / width)), 4)
-    counts, edges = np.histogram(values, bins=n_bins, range=(lo, hi))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    density = counts / (n * (edges[1] - edges[0]))
-    model = marginal_density(0.0, (centers - offset) / scale) / scale
-    return density - model
+def _vacuum_residuals(centers: np.ndarray, density: np.ndarray,
+                      scale: float, offset: float) -> np.ndarray:
+    # Binned empirical density minus the vacuum model mapped through the
+    # affine detector response.
+    return density - marginal_density(0.0, (centers - offset) / scale) / scale
 
 
 def fit_vacuum(values, method: str = "moments",
@@ -80,9 +72,10 @@ def fit_vacuum(values, method: str = "moments",
     if std == 0.0:
         raise NumericsError("vacuum block has zero variance; cannot calibrate")
     scale0 = std / VACUUM_STD
+    centers, density = _scott_density(values)
 
     if method == "moments":
-        resid = _histogram_residuals(values, scale0, offset0)
+        resid = _vacuum_residuals(centers, density, scale0, offset0)
         return CalibrationResult(
             scale_hat=scale0,
             offset_hat=offset0,
@@ -94,7 +87,7 @@ def fit_vacuum(values, method: str = "moments",
         from scipy import optimize
 
         sol = optimize.least_squares(
-            lambda p: _histogram_residuals(values, p[0], p[1]),
+            lambda p: _vacuum_residuals(centers, density, p[0], p[1]),
             x0=[scale0, offset0],
             bounds=([1e-6 * scale0, -np.inf], [1e6 * scale0, np.inf]),
         )

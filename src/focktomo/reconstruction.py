@@ -22,6 +22,10 @@ with U = sqrt(X_max^2 - R^2), and the integrand at R = 0, u = 0 tends to
 pr''(0) because the density is even.  A composite Simpson rule on a fixed
 node count then converges fast; the marginal beyond X_max is treated as
 zero, which for X_max >= 4 contributes less than 1e-6 in absolute value.
+One such rule per radius is evaluated for all radii at once, as a single
+matrix-vector product, by a chord-integral helper that wigner_to_marginal
+shares: the forward projection pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv
+is the same integral over a chord of the disc of radius R_max.
 
 scipy.optimize and scipy.interpolate are imported inside the functions that
 use them, so importing the package (and running `focktomo simulate`) does
@@ -48,6 +52,9 @@ MIN_FIT_SAMPLES = 1000
 MIN_SMOOTH_SAMPLES = 1000
 
 _SIMPSON_NODES = 401
+_SIMPSON_WEIGHTS = np.ones(_SIMPSON_NODES)
+_SIMPSON_WEIGHTS[1:-1:2] = 4.0
+_SIMPSON_WEIGHTS[2:-2:2] = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +136,20 @@ def bin_samples(values, bin_edges=None, *, n_bins: int = 1200,
     )
 
 
+def _scott_density(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Empirical density on Scott's-rule bins over mean +- 5 std, wide enough
+    # that essentially no Gaussian mass is clipped; at least 8 bins.  Returns
+    # (bin centers, density).  Callers check the spread is non-zero.
+    n = values.size
+    std = float(np.std(values, ddof=1))
+    width = 3.49 * std * n ** (-1.0 / 3.0)
+    mean = float(np.mean(values))
+    lo, hi = mean - 5.0 * std, mean + 5.0 * std
+    n_bins = max(int(np.ceil((hi - lo) / width)), 8)
+    counts, edges = np.histogram(values, bins=n_bins, range=(lo, hi))
+    return 0.5 * (edges[:-1] + edges[1:]), counts / (n * (edges[1] - edges[0]))
+
+
 # ---------------------------------------------------------------------------
 # Kernel density smoothing
 
@@ -144,9 +165,6 @@ class GridDensity:
     @property
     def spacing(self) -> float:
         return float(self.x[1] - self.x[0])
-
-    def at(self, xq):
-        return np.interp(np.asarray(xq, dtype=float), self.x, self.density)
 
 
 def silverman_bandwidth(hist: MarginalHistogram) -> float:
@@ -255,8 +273,21 @@ def _fold_even(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[k:].copy(), 0.5 * (f[k:] + f[k::-1])
 
 
-def _simpson(g: np.ndarray, h: float) -> float:
-    return (h / 3.0) * (g[0] + g[-1] + 4.0 * np.sum(g[1:-1:2]) + 2.0 * np.sum(g[2:-2:2]))
+def _chord_integral(points: np.ndarray, length: float, g) -> np.ndarray:
+    # integral_0^sqrt(length^2 - p^2) g(sqrt(p^2 + v^2)) dv for every point p
+    # at once: one composite Simpson rule per point on _SIMPSON_NODES nodes,
+    # 0 where |p| >= length.  The nodes are those np.linspace(0, span, n)
+    # returns, built for all rows in one broadcast.
+    out = np.zeros(points.shape)
+    span_sq = length * length - points * points
+    inside = span_sq > 0.0
+    span = np.sqrt(span_sq[inside])
+    h = span / (_SIMPSON_NODES - 1)
+    v = np.arange(_SIMPSON_NODES) * h[:, None]
+    v[:, -1] = span
+    p = points[inside, None]
+    out[inside] = (h / 3.0) * (g(np.sqrt(p * p + v * v)) @ _SIMPSON_WEIGHTS)
+    return out
 
 
 def abel_inverse(x, density=None, *, r_max: float = 4.0,
@@ -277,6 +308,8 @@ def abel_inverse(x, density=None, *, r_max: float = 4.0,
         f = np.asarray(density, dtype=float)
     if grid.ndim != 1 or grid.shape != f.shape or grid.size < 9:
         raise ValidationError("grid and density must be matching 1-d arrays (>= 9 points)")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(f))):
+        raise ValidationError("grid and density must be finite")
     spacing = np.diff(grid)
     if np.any(spacing <= 0) or not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValidationError("marginal grid must be uniform and increasing")
@@ -306,22 +339,13 @@ def abel_inverse(x, density=None, *, r_max: float = 4.0,
     d1 = spl.derivative(1)
     d2 = spl.derivative(2)
 
+    def integrand(xq: np.ndarray) -> np.ndarray:
+        # -pr'(X) / X, continued by its limit -pr''(0) at X = 0.  Negating
+        # here rather than the sum keeps W = +0.0 where the chord is empty.
+        return np.divide(-d1(xq), xq, out=np.full(xq.shape, -float(d2(0.0))), where=xq > 0.0)
+
     radii = np.linspace(0.0, r_max, n_radii)
-    values = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        u_max_sq = x_max * x_max - r * r
-        if u_max_sq <= 0.0:
-            values[i] = 0.0
-            continue
-        u = np.linspace(0.0, np.sqrt(u_max_sq), _SIMPSON_NODES)
-        xq = np.sqrt(r * r + u * u)
-        if r > 1e-12:
-            g = d1(xq) / xq
-        else:
-            g = np.empty_like(u)
-            g[1:] = d1(xq[1:]) / xq[1:]
-            g[0] = d2(0.0)
-        values[i] = -_simpson(g, u[1] - u[0]) / np.pi
+    values = _chord_integral(radii, x_max, integrand) / np.pi
     return RadialWignerProfile(radii=radii, values=values)
 
 
@@ -335,16 +359,11 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     from scipy.interpolate import CubicSpline
 
     xq = np.atleast_1d(np.asarray(x, dtype=float))
+    if not all(np.all(np.isfinite(a)) for a in (profile.radii, profile.values, xq)):
+        raise ValidationError("profile and x must be finite")
     r_max = float(profile.radii[-1])
     spl = CubicSpline(profile.radii, profile.values, bc_type=((1, 0.0), "not-a-knot"))
-    out = np.zeros_like(xq)
-    for i, xi in enumerate(xq):
-        v_max_sq = r_max * r_max - xi * xi
-        if v_max_sq <= 0.0:
-            continue
-        v = np.linspace(0.0, np.sqrt(v_max_sq), _SIMPSON_NODES)
-        rr = np.sqrt(xi * xi + v * v)
-        out[i] = 2.0 * _simpson(spl(rr), v[1] - v[0])
+    out = 2.0 * _chord_integral(xq, r_max, spl)
     if np.ndim(x) == 0:
         return float(out[0])
     return out
@@ -475,17 +494,9 @@ def fit_efficiency(values, method: str = "mle",
         )
 
     if method == "hist":
-        n = values.size
-        std = float(np.std(values, ddof=1))
-        if std == 0.0:
+        if np.std(values, ddof=1) == 0.0:
             raise NumericsError("signal block has zero variance; cannot fit")
-        width = 3.49 * std * n ** (-1.0 / 3.0)
-        mean = float(np.mean(values))
-        lo_r, hi_r = mean - 5.0 * std, mean + 5.0 * std
-        n_bins = max(int(np.ceil((hi_r - lo_r) / width)), 8)
-        counts, edges = np.histogram(values, bins=n_bins, range=(lo_r, hi_r))
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        density = counts / (n * (edges[1] - edges[0]))
+        centers, density = _scott_density(values)
 
         def sse(eta: float) -> float:
             return float(np.sum((density - marginal_density(eta, centers)) ** 2))
@@ -501,7 +512,7 @@ def fit_efficiency(values, method: str = "mle",
             objective=float(sol.fun),
             method="hist",
             at_boundary=bool(eta_hat < 1e-6 or eta_hat > 1.0 - 1e-6),
-            n_used=n,
+            n_used=values.size,
         )
 
     raise ValidationError(f"unknown fit method {method!r}")

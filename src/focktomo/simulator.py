@@ -22,7 +22,6 @@ uniforms, then the dark-count uniforms, then the quantile uniforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -55,21 +54,6 @@ class DetectorModel:
             raise ValidationError(
                 f"dark_fraction must lie in [0, 1), got {self.dark_fraction}"
             )
-
-
-@dataclass(frozen=True)
-class QuadratureSample:
-    """One recorded homodyne event."""
-
-    raw_value: float
-    phase: float
-    source: str
-
-    def __post_init__(self) -> None:
-        if self.source not in (SOURCE_VACUUM, SOURCE_FOCK):
-            raise ValidationError(f"source must be 'V' or 'F', got {self.source!r}")
-        if not (0.0 <= self.phase < _TWO_PI):
-            raise ValidationError(f"phase must lie in [0, 2*pi), got {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -117,10 +101,6 @@ class HomodyneDataset:
     @property
     def n_samples(self) -> int:
         return int(self.raw_value.size)
-
-    def samples(self) -> Iterator[QuadratureSample]:
-        for s, p, v in zip(self.source, self.phase, self.raw_value):
-            yield QuadratureSample(raw_value=float(v), phase=float(p), source=str(s))
 
 
 def sample_quadrature(eta, size, rng) -> np.ndarray:

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 
 from focktomo.errors import NumericsError, ValidationError
 from focktomo.patterns import pattern_function
 from focktomo.reconstruction import (
     ABEL_MAX_SPACING,
     ABEL_MIN_RANGE,
+    _SIMPSON_NODES,
     GridDensity,
     abel_inverse,
     bin_samples,
@@ -122,7 +124,7 @@ def test_explicit_bandwidth_honored_single_sample():
     dens = smooth_marginal(hist, bandwidth=0.5)
     assert dens.bandwidth == 0.5
     peak = 1.0 / (0.5 * np.sqrt(2.0 * np.pi))
-    assert dens.at(0.0) == pytest.approx(peak, abs=1e-3)
+    assert np.interp(0.0, dens.x, dens.density) == pytest.approx(peak, abs=1e-3)
 
 
 def test_rule_based_bandwidth_needs_samples():
@@ -196,7 +198,7 @@ def test_forward_inverse_consistency_smoothed_data():
     profile = abel_inverse(dens)
     xq = np.linspace(0.0, 3.0, 301)
     back = wigner_to_marginal(profile, xq)
-    assert np.max(np.abs(back - dens.at(xq))) < 2e-3
+    assert np.max(np.abs(back - np.interp(xq, dens.x, dens.density))) < 2e-3
 
 
 def test_abel_grid_too_coarse():
@@ -229,6 +231,122 @@ def test_abel_validation():
         abel_inverse(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
     with pytest.raises(ValidationError):
         abel_inverse(x, pr, n_radii=1)
+
+
+def test_abel_rejects_non_finite_input():
+    x = np.linspace(0.0, 6.0, 2001)
+    pr = marginal_density(0.5, x)
+    for bad in (np.nan, np.inf):
+        f = pr.copy()
+        f[100] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            abel_inverse(x, f)
+        g = x.copy()
+        g[-1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            abel_inverse(g, pr)
+
+
+def test_forward_rejects_non_finite_x():
+    x = np.linspace(0.0, 6.0, 2001)
+    profile = abel_inverse(x, marginal_density(0.5, x))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            wigner_to_marginal(profile, [0.0, bad])
+        with pytest.raises(ValidationError, match="finite"):
+            wigner_to_marginal(profile, bad)
+
+
+# ---------------------------------------------------------------------------
+# Chord quadrature against the per-point reference loops
+
+
+def _loop_simpson(g, h):
+    return (h / 3.0) * (g[0] + g[-1] + 4.0 * np.sum(g[1:-1:2]) + 2.0 * np.sum(g[2:-2:2]))
+
+
+def _loop_abel_inverse(xs, fs, r_max, n_radii=401):
+    # Reference: one np.linspace and one Simpson sum per radius, on a
+    # one-sided grid xs starting at 0.
+    spl = CubicSpline(xs, fs, bc_type=((1, 0.0), "not-a-knot"))
+    d1, d2 = spl.derivative(1), spl.derivative(2)
+    x_max = float(xs[-1])
+    radii = np.linspace(0.0, r_max, n_radii)
+    values = np.zeros_like(radii)
+    for i, r in enumerate(radii):
+        u_max_sq = x_max * x_max - r * r
+        if u_max_sq <= 0.0:
+            continue
+        u = np.linspace(0.0, np.sqrt(u_max_sq), _SIMPSON_NODES)
+        xq = np.sqrt(r * r + u * u)
+        if r > 1e-12:
+            g = d1(xq) / xq
+        else:
+            g = np.empty_like(u)
+            g[1:] = d1(xq[1:]) / xq[1:]
+            g[0] = d2(0.0)
+        values[i] = -_loop_simpson(g, u[1] - u[0]) / np.pi
+    return values
+
+
+def _loop_wigner_to_marginal(profile, xq):
+    # Reference: one np.linspace and one Simpson sum per point.
+    r_max = float(profile.radii[-1])
+    spl = CubicSpline(profile.radii, profile.values, bc_type=((1, 0.0), "not-a-knot"))
+    out = np.zeros_like(xq)
+    for i, xi in enumerate(xq):
+        v_max_sq = r_max * r_max - xi * xi
+        if v_max_sq <= 0.0:
+            continue
+        v = np.linspace(0.0, np.sqrt(v_max_sq), _SIMPSON_NODES)
+        out[i] = 2.0 * _loop_simpson(spl(np.sqrt(xi * xi + v * v)), v[1] - v[0])
+    return out
+
+
+def _forward_points(r_max):
+    # Negative, zero, interior, on the edge and beyond the largest radius.
+    return np.concatenate([np.linspace(-1.5 * r_max, 1.5 * r_max, 601),
+                           [0.0, -r_max, r_max, np.nextafter(r_max, 0.0)]])
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.553, 1.0])
+@pytest.mark.parametrize("r_max", [4.0, 6.0])  # 6.0 == x_max: last chord is empty
+def test_chord_quadrature_matches_loop_analytic(eta, r_max):
+    x = np.linspace(0.0, 6.0, 2001)
+    pr = marginal_density(eta, x)
+    profile = abel_inverse(x, pr, r_max=r_max)
+    reference = _loop_abel_inverse(x, pr, r_max)
+    assert np.max(np.abs(profile.values - reference)) <= 1e-13
+    assert abs(profile.values[0] - reference[0]) <= 1e-13  # R = 0 row
+    if r_max == 6.0:
+        assert profile.values[-1] == 0.0
+    xq = _forward_points(r_max)
+    back = wigner_to_marginal(profile, xq)
+    assert np.max(np.abs(back - _loop_wigner_to_marginal(profile, xq))) <= 1e-13
+    assert np.all(back[np.abs(xq) >= r_max] == 0.0)
+
+
+def test_chord_quadrature_matches_loop_smoothed_data():
+    dens = smooth_marginal(bin_samples(_draws(0.553, 20_000, 7)))
+    k = (dens.x.size - 1) // 2
+    xs, fs = dens.x[k:], 0.5 * (dens.density[k:] + dens.density[k::-1])
+    profile = abel_inverse(dens)
+    assert np.max(np.abs(profile.values - _loop_abel_inverse(xs, fs, 4.0))) <= 1e-13
+    xq = _forward_points(4.0)
+    back = wigner_to_marginal(profile, xq)
+    assert np.max(np.abs(back - _loop_wigner_to_marginal(profile, xq))) <= 1e-13
+
+
+def test_chord_quadrature_scalar_and_deterministic():
+    dens = smooth_marginal(bin_samples(_draws(0.553, 20_000, 7)))
+    profile = abel_inverse(dens)
+    assert np.array_equal(profile.values, abel_inverse(dens).values)
+    xq = _forward_points(4.0)
+    assert np.array_equal(wigner_to_marginal(profile, xq), wigner_to_marginal(profile, xq))
+    for xi in (0.3, -0.3, 4.0, 5.0):
+        value = wigner_to_marginal(profile, xi)
+        assert type(value) is float
+        assert value == wigner_to_marginal(profile, np.array([xi]))[0]
 
 
 def test_reconstruct_profile_matches_manual_chain():

@@ -7,7 +7,6 @@ from focktomo.simulator import (
     FORMAT_VERSION,
     DetectorModel,
     HomodyneDataset,
-    QuadratureSample,
     RunSpec,
     generate_run,
     read_dataset,
@@ -155,22 +154,6 @@ def test_run_spec_validation():
         RunSpec(eta_true=0.5, n_vacuum=0, n_fock=0)
     with pytest.raises(ValidationError):
         RunSpec(eta_true=0.5, n_vacuum=10, n_fock=10, seed=-1)
-
-
-def test_sample_validation():
-    with pytest.raises(ValidationError):
-        QuadratureSample(raw_value=0.0, phase=0.0, source="X")
-    with pytest.raises(ValidationError):
-        QuadratureSample(raw_value=0.0, phase=7.0, source="V")
-
-
-def test_samples_iterator():
-    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=3, n_fock=2, seed=9))
-    samples = list(ds.samples())
-    assert len(samples) == 5
-    assert samples[0].source == "V"
-    assert samples[-1].source == "F"
-    assert samples[0].raw_value == ds.raw_value[0]
 
 
 def test_roundtrip(tmp_path):

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .kvtext import content_lines
 
 KINDS = ("direct", "visibility_squared")
 
@@ -114,8 +115,10 @@ def check_agreement(budget: BudgetResult, eta_fitted: float,
     """Two-combined-sigma consistency between prediction and fit."""
     if not (0.0 <= eta_fitted <= 1.0):
         raise ValidationError(f"eta_fitted must lie in [0, 1], got {eta_fitted}")
-    if eta_fitted_stderr < 0.0:
-        raise ValidationError("eta_fitted_stderr must be >= 0")
+    if not (0.0 <= eta_fitted_stderr < np.inf):
+        raise ValidationError(
+            f"eta_fitted_stderr must be finite and >= 0, got {eta_fitted_stderr}"
+        )
     diff = abs(budget.eta_predicted - eta_fitted)
     tol = 2.0 * float(np.hypot(budget.eta_uncertainty, eta_fitted_stderr))
     return AgreementCheck(difference=diff, tolerance=tol, passed=bool(diff <= tol))
@@ -125,14 +128,11 @@ def parse_factors(text: str) -> list[EfficiencyFactor]:
     """Parse a factor table: one factor per line, fields
     'name value uncertainty kind', '#' comments and blank lines ignored."""
     factors = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if len(parts) != 4:
             raise ValidationError(
-                f"factor line {lineno}: expected 'name value uncertainty kind', got {raw!r}"
+                f"factor line {lineno}: expected 'name value uncertainty kind', got {line!r}"
             )
         name, value_s, unc_s, kind = parts
         try:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .budget import combine, default_factors, load_factors
 from .errors import DatasetFormatError, NumericsError, ValidationError
+from .kvtext import content_lines, parse_kv
 from .pipeline import ReconstructionConfig, reconstruct_dataset
 from .report import (
     budget_to_kv,
@@ -59,27 +60,13 @@ def _load_env_config() -> dict:
     path = os.environ.get(ENV_CONFIG)
     if not path:
         return {}
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
-    config: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_SCHEMA:
-            raise ValidationError(f"config line {lineno}: unknown key {key!r}")
-        caster = _CONFIG_SCHEMA[key][0]
-        try:
-            config[key] = caster(value.strip())
-        except ValueError as exc:
-            raise ValidationError(f"config line {lineno}: {exc}") from exc
+    with open(path) as fh:
+        text = fh.read()
+    types = {key: caster for key, (caster, _) in _CONFIG_SCHEMA.items()}
+    config = parse_kv(content_lines(text), types, "config")
+    unknown = [key for key in config if key not in _CONFIG_SCHEMA]
+    if unknown:
+        raise DatasetFormatError(f"config file {path!r}: unknown key {unknown[0]!r}")
     return config
 
 

@@ -359,10 +359,14 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     from scipy.interpolate import CubicSpline
 
     xq = np.atleast_1d(np.asarray(x, dtype=float))
-    if not all(np.all(np.isfinite(a)) for a in (profile.radii, profile.values, xq)):
+    radii, values = np.asarray(profile.radii, dtype=float), np.asarray(profile.values, dtype=float)
+    if not all(np.all(np.isfinite(a)) for a in (radii, values, xq)):
         raise ValidationError("profile and x must be finite")
-    r_max = float(profile.radii[-1])
-    spl = CubicSpline(profile.radii, profile.values, bc_type=((1, 0.0), "not-a-knot"))
+    if (radii.ndim != 1 or radii.size < 2 or values.shape != radii.shape
+            or np.any(np.diff(radii) <= 0.0)):
+        raise ValidationError("profile needs one value per radius on >= 2 increasing radii")
+    r_max = float(radii[-1])
+    spl = CubicSpline(radii, values, bc_type=((1, 0.0), "not-a-knot"))
     out = 2.0 * _chord_integral(xq, r_max, spl)
     if np.ndim(x) == 0:
         return float(out[0])

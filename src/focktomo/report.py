@@ -18,19 +18,12 @@ import numpy as np
 from . import __version__
 from .budget import BUDGET_FORMAT_VERSION, AgreementCheck, BudgetResult, check_agreement
 from .errors import DatasetFormatError, ValidationError
+from .kvtext import content_lines, format_kv, parse_kv, write_table
 from .pipeline import ReconstructionSummary
 from .reconstruction import MarginalHistogram, RadialWignerProfile
 from .simulator import HomodyneDataset
 
 REPORT_VERSION = 1
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -43,12 +36,9 @@ class RunReport:
         return {"report_version": REPORT_VERSION, **self.sections}
 
     def to_text(self) -> str:
-        lines = [f"report_version={REPORT_VERSION}"]
+        lines = format_kv({"report_version": REPORT_VERSION})
         for name, body in self.sections.items():
-            lines.append("")
-            lines.append(f"[{name}]")
-            for key, value in body.items():
-                lines.append(f"{key}={_fmt(value)}")
+            lines += ["", f"[{name}]", *format_kv(body)]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -135,34 +125,18 @@ def build_report(summary: ReconstructionSummary, dataset: HomodyneDataset,
 
 def write_profile_table(profile: RadialWignerProfile, path, header: dict | None = None) -> None:
     """Two- or three-column text table of the radial Wigner profile."""
-    lines = []
-    for key, value in (header or {}).items():
-        lines.append(f"# {key}={_fmt(value)}")
-    if profile.stderr is None:
-        lines.append("# columns=radius wigner")
-        for r, wv in zip(profile.radii, profile.values):
-            lines.append(f"{float(r)!r} {float(wv)!r}")
-    else:
-        lines.append("# columns=radius wigner stderr")
-        for r, wv, s in zip(profile.radii, profile.values, profile.stderr):
-            lines.append(f"{float(r)!r} {float(wv)!r} {float(s)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns, names = [profile.radii, profile.values], "radius wigner"
+    if profile.stderr is not None:
+        columns.append(profile.stderr)
+        names += " stderr"
+    write_table(path, {**(header or {}), "columns": names}, columns)
 
 
 def write_histogram_table(hist: MarginalHistogram, path, header: dict | None = None) -> None:
     """Three-column text table: bin_left bin_right count."""
-    lines = []
-    for key, value in (header or {}).items():
-        lines.append(f"# {key}={_fmt(value)}")
-    lines.append(f"# n_total={hist.n_total}")
-    lines.append(f"# underflow={hist.underflow}")
-    lines.append(f"# overflow={hist.overflow}")
-    lines.append("# columns=bin_left bin_right count")
-    for left, right, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-        lines.append(f"{float(left)!r} {float(right)!r} {int(c)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, {**(header or {}), "n_total": hist.n_total, "underflow": hist.underflow,
+                       "overflow": hist.overflow, "columns": "bin_left bin_right count"},
+                (hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -171,47 +145,33 @@ def write_histogram_table(hist: MarginalHistogram, path, header: dict | None = N
 
 def budget_to_kv(result: BudgetResult, factors) -> str:
     """Budget result as parseable key=value text."""
-    lines = [
-        f"budget_format_version={BUDGET_FORMAT_VERSION}",
-        f"eta_predicted={float(result.eta_predicted)!r}",
-        f"eta_uncertainty={float(result.eta_uncertainty)!r}",
-        f"n_factors={result.n_factors}",
-    ]
+    fields = {"budget_format_version": BUDGET_FORMAT_VERSION,
+              "eta_predicted": float(result.eta_predicted),
+              "eta_uncertainty": float(result.eta_uncertainty), "n_factors": result.n_factors}
     for i, f in enumerate(factors):
-        lines.append(f"factor_{i}={f.name} {float(f.value)!r} {float(f.uncertainty)!r} {f.kind}")
-    return "\n".join(lines) + "\n"
+        fields[f"factor_{i}"] = f"{f.name} {float(f.value)!r} {float(f.uncertainty)!r} {f.kind}"
+    return "\n".join(format_kv(fields)) + "\n"
+
+
+_BUDGET_TYPES = {"budget_format_version": int, "eta_predicted": float,
+                 "eta_uncertainty": float, "n_factors": int}
 
 
 def parse_budget_kv(text: str) -> dict:
-    """Parse budget key=value text back into a dict, checking the version."""
-    data: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DatasetFormatError(f"malformed budget line {raw!r}")
-        key, _, value = line.partition("=")
-        data[key.strip()] = value.strip()
-    if "budget_format_version" not in data:
-        raise DatasetFormatError("budget file missing budget_format_version")
-    try:
-        version = int(data["budget_format_version"])
-    except ValueError as exc:
-        raise DatasetFormatError(f"unparseable budget_format_version: {exc}") from exc
+    """Parse budget key=value text back into a dict, checking the version and
+    the values; other keys, such as the factor_<i> lines, are ignored."""
+    parsed = parse_kv(content_lines(text), _BUDGET_TYPES, "budget",
+                      required=("budget_format_version", "eta_predicted", "eta_uncertainty"))
+    data = {key: parsed.get(key, 0) for key in _BUDGET_TYPES}
+    version, eta, sigma, n_factors = data.values()
     if version != BUDGET_FORMAT_VERSION:
         raise DatasetFormatError(
             f"unsupported budget_format_version {version}, expected {BUDGET_FORMAT_VERSION}"
         )
-    try:
-        return {
-            "budget_format_version": version,
-            "eta_predicted": float(data["eta_predicted"]),
-            "eta_uncertainty": float(data["eta_uncertainty"]),
-            "n_factors": int(data.get("n_factors", 0)),
-        }
-    except (KeyError, ValueError) as exc:
-        raise DatasetFormatError(f"incomplete budget file: {exc}") from exc
+    if not (0.0 < eta <= 1.0 and 0.0 <= sigma < np.inf and n_factors >= 0):
+        raise DatasetFormatError("budget needs 0 < eta_predicted <= 1, a finite eta_uncertainty"
+                                 f" >= 0 and n_factors >= 0; got {eta}, {sigma}, {n_factors}")
+    return data
 
 
 def merge_reports(recon: dict, budget: dict | None,

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetFormatError, ValidationError
+from .kvtext import format_kv, parse_kv
 from .states import marginal_ppf
 
 FORMAT_VERSION = 1
@@ -148,26 +149,23 @@ def generate_run(spec: RunSpec) -> HomodyneDataset:
     return HomodyneDataset(spec=spec, source=source, phase=phase, raw_value=raw)
 
 
-_HEADER_FLOAT_KEYS = ("eta_true", "scale", "offset", "dark_fraction")
-_HEADER_INT_KEYS = ("format_version", "seed", "n_vacuum", "n_fock")
+# Header keys, all required when reading, with their types.
+_HEADER_TYPES = {"format_version": int, "rng": str, "seed": int, "eta_true": float,
+                 "scale": float, "offset": float, "dark_fraction": float,
+                 "n_vacuum": int, "n_fock": int}
 
 
 def write_dataset(dataset: HomodyneDataset, path) -> None:
     """Write a run as text: '# key=value' header lines, then one line per
     sample with fields 'source phase raw_value'.  Floats are written with
     repr, the shortest string that reads back to the same double."""
-    spec = dataset.spec
-    header = (
-        f"# format_version={dataset.format_version}\n"
-        f"# rng={dataset.rng_name}\n"
-        f"# seed={spec.seed}\n"
-        f"# eta_true={spec.eta_true!r}\n"
-        f"# scale={spec.detector.scale!r}\n"
-        f"# offset={spec.detector.offset!r}\n"
-        f"# dark_fraction={spec.detector.dark_fraction!r}\n"
-        f"# n_vacuum={spec.n_vacuum}\n"
-        f"# n_fock={spec.n_fock}\n"
-    )
+    spec, det = dataset.spec, dataset.spec.detector
+    header = format_kv({
+        "format_version": dataset.format_version, "rng": dataset.rng_name,
+        "seed": spec.seed, "eta_true": spec.eta_true, "scale": det.scale,
+        "offset": det.offset, "dark_fraction": det.dark_fraction,
+        "n_vacuum": spec.n_vacuum, "n_fock": spec.n_fock,
+    }, prefix="# ")
     rows = zip(
         np.asarray(dataset.source).tolist(),
         np.asarray(dataset.phase, dtype=float).tolist(),
@@ -175,7 +173,7 @@ def write_dataset(dataset: HomodyneDataset, path) -> None:
     )
     body = "".join([f"{s} {p!r} {v!r}\n" for s, p, v in rows])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
+        fh.write("\n".join(header) + "\n")
         fh.write(body)
 
 
@@ -191,31 +189,19 @@ def read_dataset(path) -> HomodyneDataset:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"dataset is not UTF-8 text: {exc}") from exc
-    header: dict[str, str] = {}
+    header_lines: list[tuple[int, str]] = []
     body: list[str] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            key, eq, value = line[1:].partition("=")
-            if not eq:
-                raise DatasetFormatError(f"line {lineno}: malformed header line {line!r}")
-            header[key.strip()] = value.strip()
-        else:
+            header_lines.append((lineno, line[1:]))
+        elif line:
             body.append(line)
-
-    missing = [k for k in (*_HEADER_INT_KEYS, *_HEADER_FLOAT_KEYS, "rng") if k not in header]
-    if missing:
-        raise DatasetFormatError(f"header missing keys: {', '.join(missing)}")
-    try:
-        ints = {k: int(header[k]) for k in _HEADER_INT_KEYS}
-        floats = {k: float(header[k]) for k in _HEADER_FLOAT_KEYS}
-    except ValueError as exc:
-        raise DatasetFormatError(f"unparseable header value: {exc}") from exc
-    if ints["format_version"] != FORMAT_VERSION:
+    # Unknown header keys are ignored.
+    header = parse_kv(header_lines, _HEADER_TYPES, "header", required=_HEADER_TYPES)
+    if header["format_version"] != FORMAT_VERSION:
         raise DatasetFormatError(
-            f"unsupported format_version {ints['format_version']}, expected {FORMAT_VERSION}"
+            f"unsupported format_version {header['format_version']}, expected {FORMAT_VERSION}"
         )
 
     try:
@@ -237,22 +223,17 @@ def read_dataset(path) -> HomodyneDataset:
 
     n_v = int(np.count_nonzero(source == SOURCE_VACUUM))
     n_f = source.size - n_v
-    if n_v != ints["n_vacuum"] or n_f != ints["n_fock"]:
+    if n_v != header["n_vacuum"] or n_f != header["n_fock"]:
         raise DatasetFormatError(
             f"sample counts (V={n_v}, F={n_f}) disagree with header "
-            f"(V={ints['n_vacuum']}, F={ints['n_fock']})"
+            f"(V={header['n_vacuum']}, F={header['n_fock']})"
         )
 
     spec = RunSpec(
-        eta_true=floats["eta_true"],
-        n_vacuum=ints["n_vacuum"],
-        n_fock=ints["n_fock"],
-        detector=DetectorModel(
-            scale=floats["scale"],
-            offset=floats["offset"],
-            dark_fraction=floats["dark_fraction"],
-        ),
-        seed=ints["seed"],
+        eta_true=header["eta_true"], n_vacuum=header["n_vacuum"], n_fock=header["n_fock"],
+        detector=DetectorModel(scale=header["scale"], offset=header["offset"],
+                               dark_fraction=header["dark_fraction"]),
+        seed=header["seed"],
     )
     return HomodyneDataset(
         spec=spec,
@@ -260,5 +241,5 @@ def read_dataset(path) -> HomodyneDataset:
         phase=np.ascontiguousarray(phase),
         raw_value=np.ascontiguousarray(raw),
         rng_name=header["rng"],
-        format_version=ints["format_version"],
+        format_version=header["format_version"],
     )

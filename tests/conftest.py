@@ -5,4 +5,12 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Selected with --hypothesis-profile=ci: a fixed example sequence, so a CI
+# failure reproduces, and five times the default number of examples.
+settings.register_profile(
+    "ci",
+    settings.get_profile("default"),
+    derandomize=True,
+    max_examples=500,
+)
 settings.load_profile("default")

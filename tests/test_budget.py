@@ -91,6 +91,9 @@ def test_agreement_validation():
         check_agreement(result, eta_fitted=1.2, eta_fitted_stderr=0.01)
     with pytest.raises(ValidationError):
         check_agreement(result, eta_fitted=0.5, eta_fitted_stderr=-0.01)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="eta_fitted_stderr"):
+            check_agreement(result, eta_fitted=0.5, eta_fitted_stderr=bad)
 
 
 def test_factor_validation():
@@ -154,3 +157,32 @@ def test_merge_reports_rejects_non_object_report():
         merge_reports([1, 2, 3], None)
     with pytest.raises(ValidationError, match="section 'efficiency'"):
         merge_reports({"report_version": 1, "efficiency": [0.5]}, None)
+
+
+_BUDGET = "budget_format_version=1\neta_predicted=0.5\neta_uncertainty=0.01\nn_factors=2\n"
+
+
+def test_parse_budget_accepts_trailing_comments():
+    text = _BUDGET.replace("eta_uncertainty=0.01", "eta_uncertainty=0.01  # from the bench")
+    assert parse_budget_kv(text) == {"budget_format_version": 1, "eta_predicted": 0.5,
+                                     "eta_uncertainty": 0.01, "n_factors": 2}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("eta_predicted", "nan"), ("eta_predicted", "inf"), ("eta_predicted", "0"),
+    ("eta_predicted", "1.5"), ("eta_predicted", "-0.2"),
+    ("eta_uncertainty", "nan"), ("eta_uncertainty", "inf"), ("eta_uncertainty", "-1"),
+    ("n_factors", "-1"),
+])
+def test_parse_budget_rejects_out_of_range_values(key, value):
+    text = "".join(f"{key}={value}\n" if line.startswith(key + "=") else line + "\n"
+                   for line in _BUDGET.splitlines())
+    with pytest.raises(DatasetFormatError, match="budget needs"):
+        parse_budget_kv(text)
+
+
+def test_parse_budget_rejects_empty_key_and_missing_value():
+    with pytest.raises(DatasetFormatError, match="line 5: malformed budget line"):
+        parse_budget_kv(_BUDGET + "=0.3\n")
+    with pytest.raises(DatasetFormatError, match="eta_uncertainty"):
+        parse_budget_kv("budget_format_version=1\neta_predicted=0.5\n")

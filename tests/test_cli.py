@@ -178,6 +178,19 @@ def test_budget_unparseable_version_is_validation_error(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert "budget_format_version" in capsys.readouterr().err
 
+def test_budget_with_nan_prediction_is_validation_error(tmp_path, capsys):
+    recon = tmp_path / "report.json"
+    recon.write_text(json.dumps({"report_version": 1,
+                                 "efficiency": {"eta_hat": 0.5, "eta_stderr": 0.01}}))
+    budget_file = tmp_path / "budget.txt"
+    budget_file.write_text("budget_format_version=1\neta_predicted=nan\neta_uncertainty=-1\n")
+    code = main(["report", "--reconstruction", str(recon),
+                 "--budget", str(budget_file), "-o", str(tmp_path / "m")])
+    assert code == EXIT_VALIDATION
+    assert "eta_predicted" in capsys.readouterr().err
+    assert not (tmp_path / "m" / "merged_report.json").exists()
+
+
 def test_missing_dataset_is_validation_error(tmp_path, capsys):
     code = main(["reconstruct", str(tmp_path / "nope.txt"), "-o", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
@@ -247,6 +260,25 @@ def test_env_config_rejects_unknown_key(tmp_path, monkeypatch, capsys):
     code = main(["simulate", "-o", str(tmp_path / "x.txt")])
     assert code == EXIT_VALIDATION
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("=0.6\n", "line 1: malformed config line"),
+    ("eta=0.6\nseed=x\n", "line 2: unparseable config value for 'seed'"),
+    ("eta\n", "line 1: malformed config line"),
+])
+def test_env_config_format_errors(tmp_path, monkeypatch, capsys, text, message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    monkeypatch.setenv("FOCKTOMO_CONFIG", str(cfg))
+    assert main(["simulate", "-o", str(tmp_path / "x.txt")]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_env_config_missing_file_is_validation_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FOCKTOMO_CONFIG", str(tmp_path / "nope.cfg"))
+    assert main(["budget"]) == EXIT_VALIDATION
+    assert "nope.cfg" in capsys.readouterr().err
 
 
 def test_default_run_parameters(tmp_path):

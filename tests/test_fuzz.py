@@ -1,0 +1,66 @@
+"""Fuzz tests of the four text readers: whatever a file holds, a reader
+returns or raises a ValidationError subclass, and the CLI exits 0 or 3."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from focktomo.budget import parse_factors
+from focktomo.cli import EXIT_OK, EXIT_VALIDATION, main
+from focktomo.errors import ValidationError
+from focktomo.report import parse_budget_kv
+from focktomo.simulator import read_dataset
+
+# Lines close to what the readers accept, so that examples get past the
+# first check more often than random text does.
+_NEAR_VALID_LINES = st.sampled_from([
+    "# format_version=1", "# rng=numpy-pcg64", "# seed=3", "# eta_true=0.5",
+    "# scale=1.0", "# offset=0.0", "# dark_fraction=0.0", "# n_vacuum=1", "# n_fock=1",
+    "# n_fock=-1", "# format_version=2", "# eta_true=nan", "# =5", "#", "# seed=1.5",
+    "V 0.5 0.1", "F 1.0 -0.2", "F 7.0 0.1", "V 0.5 nan", "VX 0.1 0.1", "F 1.0",
+    "budget_format_version=1", "eta_predicted=0.5", "eta_uncertainty=0.01",
+    "n_factors=2", "eta_predicted=nan", "eta_uncertainty=-1", "n_factors=x",
+    "eta=0.6  # note", "seed=-1", "fit_method=hist", "grid_points=3", "bogus=1",
+    "vis 0.83 0.01 visibility_squared", "a 0.9 0 direct", "b 1.5 0 direct",
+    "c 0.5 nan direct", "=", "key=", "a=b=c", "",
+])
+_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.one_of(_NEAR_VALID_LINES, st.text(max_size=12)), max_size=16).map("\n".join),
+)
+_CONTENT = st.one_of(st.binary(), _TEXT.map(lambda text: text.encode("utf-8")))
+
+
+@given(_CONTENT)
+def test_read_dataset_returns_or_raises_validation_error(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz_dataset.txt"
+    path.write_bytes(content)
+    try:
+        read_dataset(path)
+    except ValidationError:
+        pass
+
+
+@given(_TEXT)
+def test_parse_factors_returns_or_raises_validation_error(text):
+    try:
+        parse_factors(text)
+    except ValidationError:
+        pass
+
+
+@given(_TEXT)
+def test_parse_budget_returns_or_raises_validation_error(text):
+    try:
+        parse_budget_kv(text)
+    except ValidationError:
+        pass
+
+
+@given(_CONTENT)
+def test_any_config_file_exits_0_or_3(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz_config.cfg"
+    path.write_bytes(content)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FOCKTOMO_CONFIG", str(path))
+        assert main(["budget"]) in (EXIT_OK, EXIT_VALIDATION)

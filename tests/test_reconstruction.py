@@ -12,6 +12,7 @@ from focktomo.reconstruction import (
     ABEL_MIN_RANGE,
     _SIMPSON_NODES,
     GridDensity,
+    RadialWignerProfile,
     abel_inverse,
     bin_samples,
     bootstrap_profile,
@@ -255,6 +256,18 @@ def test_forward_rejects_non_finite_x():
             wigner_to_marginal(profile, [0.0, bad])
         with pytest.raises(ValidationError, match="finite"):
             wigner_to_marginal(profile, bad)
+
+
+@pytest.mark.parametrize("radii,values", [
+    ([0.0], [0.3]),                                # fewer than two radii
+    ([0.0, 0.5, 0.5, 1.0], [0.3, 0.2, 0.1, 0.0]),  # a repeated radius
+    ([0.0, 1.0, 0.5], [0.3, 0.0, 0.1]),            # radii out of order
+    ([0.0, 0.5, 1.0], [0.3, 0.1]),                 # one value short
+])
+def test_forward_rejects_malformed_profile(radii, values):
+    profile = RadialWignerProfile(radii=np.array(radii), values=np.array(values))
+    with pytest.raises(ValidationError, match="radii"):
+        wigner_to_marginal(profile, [0.0, 0.2])
 
 
 # ---------------------------------------------------------------------------

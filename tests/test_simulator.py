@@ -172,6 +172,18 @@ def test_roundtrip(tmp_path):
     assert np.array_equal(back.raw_value, ds.raw_value)
 
 
+def test_roundtrip_of_numpy_scalar_spec(tmp_path):
+    # numpy scalars must be written as plain numbers, not as np.float64(...)
+    det = DetectorModel(scale=np.float64(1.25), offset=np.float64(-0.1),
+                        dark_fraction=np.float64(0.02))
+    spec = RunSpec(eta_true=np.float64(0.553), n_vacuum=np.int64(30), n_fock=np.int64(20),
+                   detector=det, seed=np.int64(9))
+    path = tmp_path / "run.txt"
+    write_dataset(generate_run(spec), path)
+    assert read_dataset(path).spec == spec
+    assert "# eta_true=0.553\n" in path.read_text()
+
+
 def _write_and_edit(tmp_path, edit):
     spec = RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8)
     path = tmp_path / "run.txt"
@@ -262,6 +274,17 @@ def test_read_rejects_malformed_header_line(tmp_path):
     path = _write_and_edit(tmp_path, lambda ls: ls.insert(3, "# no equals sign"))
     with pytest.raises(DatasetFormatError, match="malformed header"):
         read_dataset(path)
+
+
+def test_read_rejects_empty_header_key(tmp_path):
+    path = _write_and_edit(tmp_path, lambda ls: ls.insert(3, "# =5"))
+    with pytest.raises(DatasetFormatError, match="line 4: malformed header"):
+        read_dataset(path)
+
+
+def test_read_ignores_unknown_header_key(tmp_path):
+    path = _write_and_edit(tmp_path, lambda ls: ls.insert(3, "# operator=someone"))
+    assert read_dataset(path).spec.seed == 8
 
 
 def test_read_rejects_non_utf8_bytes(tmp_path):

@@ -186,9 +186,13 @@ def cmd_budget(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
+def _reject_constant(name: str):
+    raise DatasetFormatError(f"{name} is not a valid JSON number")
+
+
 def cmd_report(args: argparse.Namespace, config: dict) -> int:
     try:
-        recon = json.loads(Path(args.reconstruction).read_text())
+        recon = json.loads(Path(args.reconstruction).read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"cannot parse {args.reconstruction!r}: {exc}") from exc
     budget = None

@@ -23,9 +23,9 @@ pr''(0) because the density is even.  A composite Simpson rule on a fixed
 node count then converges fast; the marginal beyond X_max is treated as
 zero, which for X_max >= 4 contributes less than 1e-6 in absolute value.
 One such rule per radius is evaluated for all radii at once, as a single
-matrix-vector product, by a chord-integral helper that wigner_to_marginal
-shares: the forward projection pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv
-is the same integral over a chord of the disc of radius R_max.
+matrix-vector product on chord nodes that wigner_to_marginal shares: the
+forward projection pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv is the same
+integral over a chord of the disc of radius R_max.
 
 scipy.optimize and scipy.interpolate are imported inside the functions that
 use them, so importing the package (and running `focktomo simulate`) does
@@ -104,6 +104,11 @@ def bin_samples(values, bin_edges=None, *, n_bins: int = 1200,
     `hi`) build them.  Out-of-range samples are tallied, never dropped
     silently.
     """
+    return _tally(*_bin_positions(values, bin_edges, n_bins=n_bins, lo=lo, hi=hi))
+
+
+def _bin_positions(values, bin_edges, *, n_bins, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    # Validated (searchsorted position of every value, bin edges).
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValidationError("expected a 1-d array of values")
@@ -120,20 +125,14 @@ def bin_samples(values, bin_edges=None, *, n_bins: int = 1200,
         widths = np.diff(bin_edges)
         if not np.allclose(widths, widths[0], rtol=1e-9, atol=0.0):
             raise ValidationError("bin_edges must be uniform")
+    return np.searchsorted(bin_edges, values, side="right"), bin_edges
 
-    idx = np.searchsorted(bin_edges, values, side="right") - 1
-    n_bins_eff = bin_edges.size - 1
-    underflow = int(np.sum(idx < 0))
-    overflow = int(np.sum(idx >= n_bins_eff))
-    in_range = idx[(idx >= 0) & (idx < n_bins_eff)]
-    counts = np.bincount(in_range, minlength=n_bins_eff)
-    return MarginalHistogram(
-        bin_edges=bin_edges,
-        counts=counts,
-        n_total=values.size,
-        underflow=underflow,
-        overflow=overflow,
-    )
+
+def _tally(pos: np.ndarray, bin_edges: np.ndarray) -> MarginalHistogram:
+    # Position 0 is underflow, position k the bin k - 1, the last overflow.
+    tally = np.bincount(pos, minlength=bin_edges.size + 1)
+    return MarginalHistogram(bin_edges=bin_edges, counts=tally[1:-1], n_total=pos.size,
+                             underflow=int(tally[0]), overflow=int(tally[-1]))
 
 
 def _scott_density(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +197,9 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     Kernels are centred on the histogram bins (weights = counts), evaluated
     on a symmetric uniform grid, symmetrized exactly via
     (f(x) + f(-x)) / 2, and renormalized to unit integral on the grid.
+    The kernel sum is one convolution when the edges lie on a lattice of a
+    whole number of grid spacings spanning fewer nodes than the grid (the
+    default 1200 bins on 2401 points), else a dense grid x bins product.
 
     With bandwidth=None the Silverman rule scaled by `bandwidth_scale` is
     used and at least MIN_SMOOTH_SAMPLES in-range samples are required; an
@@ -223,17 +225,32 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
         raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
 
     grid = np.linspace(-grid_max, grid_max, grid_points)
-    mask = hist.counts > 0
-    centers = hist.centers[mask]
-    weights = hist.counts[mask]
-    z = (grid[:, None] - centers[None, :]) / bandwidth
-    kern = np.exp(-0.5 * z * z)
-    f = kern @ weights / (n_in * bandwidth * np.sqrt(2.0 * np.pi))
+    f = _kernel_sum(hist, grid, bandwidth) / (n_in * bandwidth * np.sqrt(2.0 * np.pi))
     f = 0.5 * (f + f[::-1])
     norm = np.trapezoid(f, grid)
     if norm <= 0.0:
         raise NumericsError("smoothed density integrates to zero")
     return GridDensity(x=grid, density=f / norm, bandwidth=float(bandwidth))
+
+
+def _kernel_sum(hist: MarginalHistogram, grid: np.ndarray, bandwidth: float) -> np.ndarray:
+    # sum_j counts_j exp(-((grid_i - c_j) / bandwidth)^2 / 2).  On a lattice of m
+    # grid steps (to linspace rounding) grid_i - c_j depends only on i - m*j: the
+    # m-upsampled counts convolved with the kernel at fewer than 2 * grid.size lags.
+    counts, edges = hist.counts, hist.bin_edges
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    m = round(hist.bin_width / step)
+    span = m * (counts.size - 1)
+    lattice = edges[0] + m * step * np.arange(edges.size)
+    atol = 8.0 * np.finfo(float).eps * np.abs(edges).max()
+    if m >= 1 and span < grid.size and np.allclose(edges, lattice, rtol=0.0, atol=atol):
+        z = ((grid[0] - hist.centers[0]) + step * np.arange(-span, grid.size)) / bandwidth
+        upsampled = np.zeros(span + 1)
+        upsampled[::m] = counts
+        return np.convolve(upsampled, np.exp(-0.5 * z * z), mode="valid")
+    mask = counts > 0
+    z = (grid[:, None] - hist.centers[mask][None, :]) / bandwidth
+    return np.exp(-0.5 * z * z) @ counts[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +290,10 @@ def _fold_even(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[k:].copy(), 0.5 * (f[k:] + f[k::-1])
 
 
-def _chord_integral(points: np.ndarray, length: float, g) -> np.ndarray:
-    # integral_0^sqrt(length^2 - p^2) g(sqrt(p^2 + v^2)) dv for every point p
-    # at once: one composite Simpson rule per point on _SIMPSON_NODES nodes,
-    # 0 where |p| >= length.  The nodes are those np.linspace(0, span, n)
-    # returns, built for all rows in one broadcast.
-    out = np.zeros(points.shape)
+def _chord_nodes(points: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Simpson nodes of integral_0^sqrt(length^2 - p^2) g(sqrt(p^2 + v^2)) dv:
+    # the mask of points p with |p| < length, their node spacings h and the
+    # radii sqrt(p^2 + v^2), v as np.linspace(0, span, n) builds them.
     span_sq = length * length - points * points
     inside = span_sq > 0.0
     span = np.sqrt(span_sq[inside])
@@ -286,8 +301,35 @@ def _chord_integral(points: np.ndarray, length: float, g) -> np.ndarray:
     v = np.arange(_SIMPSON_NODES) * h[:, None]
     v[:, -1] = span
     p = points[inside, None]
-    out[inside] = (h / 3.0) * (g(np.sqrt(p * p + v * v)) @ _SIMPSON_WEIGHTS)
+    return inside, h, np.sqrt(p * p + v * v)
+
+
+def _chord_sum(inside: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    out = np.zeros(inside.shape)
+    out[inside] = (h / 3.0) * (g @ _SIMPSON_WEIGHTS)
     return out
+
+
+def _abel_nodes(xs: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, ...]:
+    # The inversion's chord nodes plus each node's spline interval and offset
+    # in it, as PPoly finds them; shared by every marginal on the grid xs.
+    inside, h, nodes = _chord_nodes(radii, float(xs[-1]))
+    cell = np.clip(np.searchsorted(xs, nodes, side="right") - 1, 0, xs.size - 2)
+    return inside, h, nodes, cell, nodes - xs[cell]
+
+
+def _abel_values(abel_nodes: tuple[np.ndarray, ...], xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    # W at the radii of abel_nodes for the even marginal fs on xs.  The spline
+    # clamps pr'(0) = 0; pr' at the nodes is summed as PPoly.derivative(1) does.
+    from scipy.interpolate import CubicSpline
+
+    inside, h, nodes, cell, s = abel_nodes
+    c = CubicSpline(xs, fs, bc_type=((1, 0.0), "not-a-knot")).c
+    d1 = np.take(c[2], cell) + np.take(2.0 * c[1], cell) * s + np.take(3.0 * c[0], cell) * (s * s)
+    # -pr'(X) / X, continued by its limit -pr''(0) = -2 c1 at X = 0.
+    # Negating here rather than the sum keeps W = +0.0 where the chord is empty.
+    g = np.divide(-d1, nodes, out=np.full(nodes.shape, -2.0 * c[1, 0]), where=nodes > 0.0)
+    return _chord_sum(inside, h, g) / np.pi
 
 
 def abel_inverse(x, density=None, *, r_max: float = 4.0,
@@ -332,21 +374,8 @@ def abel_inverse(x, density=None, *, r_max: float = 4.0,
     if n_radii < 2:
         raise ValidationError("n_radii must be >= 2")
 
-    from scipy.interpolate import CubicSpline
-
-    # Even density: clamp pr'(0) = 0.
-    spl = CubicSpline(xs, fs, bc_type=((1, 0.0), "not-a-knot"))
-    d1 = spl.derivative(1)
-    d2 = spl.derivative(2)
-
-    def integrand(xq: np.ndarray) -> np.ndarray:
-        # -pr'(X) / X, continued by its limit -pr''(0) at X = 0.  Negating
-        # here rather than the sum keeps W = +0.0 where the chord is empty.
-        return np.divide(-d1(xq), xq, out=np.full(xq.shape, -float(d2(0.0))), where=xq > 0.0)
-
     radii = np.linspace(0.0, r_max, n_radii)
-    values = _chord_integral(radii, x_max, integrand) / np.pi
-    return RadialWignerProfile(radii=radii, values=values)
+    return RadialWignerProfile(radii=radii, values=_abel_values(_abel_nodes(xs, radii), xs, fs))
 
 
 def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
@@ -367,7 +396,8 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
         raise ValidationError("profile needs one value per radius on >= 2 increasing radii")
     r_max = float(radii[-1])
     spl = CubicSpline(radii, values, bc_type=((1, 0.0), "not-a-knot"))
-    out = 2.0 * _chord_integral(xq, r_max, spl)
+    inside, h, nodes = _chord_nodes(xq, r_max)
+    out = 2.0 * _chord_sum(inside, h, spl(nodes))
     if np.ndim(x) == 0:
         return float(out[0])
     return out
@@ -386,24 +416,34 @@ def reconstruct_profile(values, *, n_bins: int = 1200, lo: float = -6.0, hi: flo
     return hist, dens, profile
 
 
-def bootstrap_profile(values, n_boot: int = 32, seed: int = 0,
-                      **reconstruct_kwargs) -> RadialWignerProfile:
-    """Radial profile with pointwise bootstrap standard errors.
-
-    Resamples the calibrated values with replacement `n_boot` times, reruns
-    the full bin/smooth/invert chain on each replicate, and fills stderr
-    with the per-radius standard deviation across replicates.
+def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 1200,
+                      lo: float = -6.0, hi: float = 6.0, bandwidth: float | None = None,
+                      bandwidth_scale: float = 1.0, grid_max: float = 6.0,
+                      grid_points: int = 2401, r_max: float = 4.0,
+                      n_radii: int = 401) -> RadialWignerProfile:
+    """reconstruct_profile's profile (same keywords) with pointwise bootstrap
+    standard errors: the per-radius standard deviation over `n_boot` replicates,
+    each resampling the values with replacement and rerunning bin -> smooth ->
+    invert.  With bandwidth=None each replicate re-estimates its Silverman
+    bandwidth, so the band includes bandwidth variability; an explicit
+    bandwidth makes the band conditional on it (Silverman 1986).
     """
-    if n_boot < 2:
-        raise ValidationError("n_boot must be >= 2")
-    values = np.asarray(values, dtype=float)
-    _, _, base = reconstruct_profile(values, **reconstruct_kwargs)
+    for name, value, least in (("n_boot", n_boot, 2), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    pos, edges = _bin_positions(values, None, n_bins=n_bins, lo=lo, hi=hi)
+    smooth = dict(bandwidth=bandwidth, bandwidth_scale=bandwidth_scale,
+                  grid_max=grid_max, grid_points=grid_points)
+    dens = smooth_marginal(_tally(pos, edges), **smooth)
+    base = abel_inverse(dens, r_max=r_max, n_radii=n_radii)
+    xs = _fold_even(dens.x, dens.density)[0]
+    nodes = _abel_nodes(xs, base.radii)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     stack = np.empty((n_boot, base.values.size))
-    for b in range(n_boot):
-        resampled = values[rng.integers(0, values.size, size=values.size)]
-        _, _, prof = reconstruct_profile(resampled, **reconstruct_kwargs)
-        stack[b] = prof.values
+    for row in stack:
+        rep = smooth_marginal(_tally(pos[rng.integers(0, pos.size, size=pos.size)], edges),
+                              **smooth)
+        row[:] = _abel_values(nodes, xs, _fold_even(rep.x, rep.density)[1])
     return replace(base, stderr=np.std(stack, axis=0, ddof=1))
 
 

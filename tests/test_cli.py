@@ -293,6 +293,18 @@ def test_default_run_parameters(tmp_path):
     assert ds.spec.detector.dark_fraction == 0.0
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_report_non_finite_constant_is_validation_error(tmp_path, capsys, constant):
+    # json.loads accepts these by default; they are not JSON and would be
+    # copied into merged_report.json.
+    recon = tmp_path / "report.json"
+    recon.write_text('{"report_version": 1, "calibration": {"scale_hat": %s}}' % constant)
+    code = main(["report", "--reconstruction", str(recon), "-o", str(tmp_path / "m")])
+    assert code == EXIT_VALIDATION
+    assert constant in capsys.readouterr().err
+    assert not (tmp_path / "m" / "merged_report.json").exists()
+
+
 def test_reconstruct_directory_is_validation_error(tmp_path, capsys):
     code = main(["reconstruct", str(tmp_path), "-o", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION

@@ -12,6 +12,7 @@ from focktomo.reconstruction import (
     ABEL_MIN_RANGE,
     _SIMPSON_NODES,
     GridDensity,
+    MarginalHistogram,
     RadialWignerProfile,
     abel_inverse,
     bin_samples,
@@ -147,6 +148,50 @@ def test_smooth_validation():
         smooth_marginal(hist, bandwidth_scale=0.0)
     with pytest.raises(ValidationError):
         smooth_marginal(hist, grid_max=-1.0)
+
+
+def _dense_smooth_marginal(hist, bandwidth, grid_max=6.0, grid_points=2401):
+    # Reference: the grid x occupied-bins kernel matrix, then symmetrize and
+    # normalize, as smooth_marginal did before the convolution path.
+    grid = np.linspace(-grid_max, grid_max, grid_points)
+    mask = hist.counts > 0
+    z = (grid[:, None] - hist.centers[mask][None, :]) / bandwidth
+    f = np.exp(-0.5 * z * z) @ hist.counts[mask] / (
+        hist.n_in_range * bandwidth * np.sqrt(2.0 * np.pi))
+    f = 0.5 * (f + f[::-1])
+    return f / np.trapezoid(f, grid)
+
+
+@pytest.mark.parametrize("bins,grid_points,convolved", [
+    (dict(n_bins=1200), 2401, True),                 # the default: m = 2
+    (dict(n_bins=1200), 1201, True),                 # m = 1
+    (dict(n_bins=800), 2401, True),                  # m = 3
+    (dict(n_bins=600, lo=-3.0, hi=3.0), 2401, True),  # bins narrower than the grid
+    (dict(n_bins=1200), 2001, False),                # width not a whole number of steps
+    (dict(n_bins=4000), 2401, False),                # bins finer than the grid
+    (dict(n_bins=1200, lo=-12.0, hi=12.0), 2401, False),  # bins span more than the grid
+])
+def test_smoothing_matches_dense_kernel_sum(bins, grid_points, convolved):
+    hist = bin_samples(_draws(0.553, 12_000, 21), **bins)
+    for bandwidth in (None, 0.03):
+        dens = smooth_marginal(hist, bandwidth=bandwidth, grid_points=grid_points)
+        reference = _dense_smooth_marginal(hist, dens.bandwidth, grid_points=grid_points)
+        if convolved:
+            assert np.max(np.abs(dens.density - reference)) <= 1e-13 * np.max(reference)
+        else:
+            assert np.array_equal(dens.density, reference)
+
+
+@pytest.mark.parametrize("edges", [
+    np.concatenate([[-6.0, -1.0, 0.0], np.linspace(0.5, 6.0, 12)]),  # grossly uneven
+    np.linspace(-6.0, 6.0, 1201) + np.where(np.arange(1201) == 600, 3e-3, 0.0),  # one edge moved
+])
+def test_smoothing_non_uniform_edges_uses_dense_sum(edges):
+    rng = np.random.Generator(np.random.PCG64(22))
+    hist = MarginalHistogram(bin_edges=edges, counts=rng.integers(0, 50, edges.size - 1),
+                             n_total=0, underflow=0, overflow=0)
+    dens = smooth_marginal(hist, bandwidth=0.2)
+    assert np.array_equal(dens.density, _dense_smooth_marginal(hist, 0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +429,29 @@ def test_bootstrap_profile_stderr():
     assert np.array_equal(prof.stderr, again.stderr)
     with pytest.raises(ValidationError):
         bootstrap_profile(x, n_boot=1)
+    for bad in ({"n_boot": 2.5}, {"n_boot": "3"}, {"n_boot": True}, {"n_boot": np.float64(3.0)},
+                {"seed": -1}, {"seed": 1.5}, {"seed": "0"}, {"seed": False}):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            bootstrap_profile(x, **{"bandwidth": 0.15, **bad})
+    numpy_ints = bootstrap_profile(x, n_boot=np.int64(6), seed=np.int32(3), bandwidth=0.15)
+    assert np.array_equal(numpy_ints.stderr, prof.stderr)
+
+
+def _loop_bootstrap_stderr(values, n_boot, seed, **kwargs):
+    # Reference: the whole reconstruct_profile chain on every resampled array.
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    stack = [reconstruct_profile(values[rng.integers(0, values.size, size=values.size)],
+                                 **kwargs)[2].values for _ in range(n_boot)]
+    return np.std(stack, axis=0, ddof=1)
+
+
+@pytest.mark.parametrize("bandwidth", [None, 0.15])
+def test_bootstrap_profile_matches_replicate_loop(bandwidth):
+    x = _draws(0.553, 12_000, 23)
+    prof = bootstrap_profile(x, n_boot=8, seed=4, bandwidth=bandwidth)
+    assert np.array_equal(prof.values, reconstruct_profile(x, bandwidth=bandwidth)[2].values)
+    reference = _loop_bootstrap_stderr(x, 8, 4, bandwidth=bandwidth)
+    assert np.max(np.abs(prof.stderr - reference)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

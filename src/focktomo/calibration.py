@@ -9,8 +9,8 @@ These moment estimators are exact for a Gaussian.  An optional histogram
 stage refits (scale, offset) by least squares against the analytic vacuum
 density; it is a cross-check, not the default.
 
-scipy.optimize is imported only by the histogram fit, so importing the
-package does not pay for loading it.
+The moment estimators need numpy alone.  The histogram fit imports
+scipy.optimize (least_squares) when it runs; no command line path uses it.
 """
 
 from __future__ import annotations

@@ -14,21 +14,97 @@ irregular solutions of the oscillator Schroedinger equation at energy n + 1/2
 against every Fock-state marginal pr_m.  Closed forms below are expressed
 with the Dawson function D(q) = exp(-q^2) integral_0^q exp(t^2) dt and the
 scaled coordinate q = sqrt(2) X fixed by the convention var_vacuum(X) = 1/4.
+
+D is evaluated with numpy alone: a Maclaurin series for |q| < 0.2, Rybicki's
+exponential sum for larger |q| (Rybicki, Computers in Physics 3, 85 (1989);
+Numerical Recipes, section 6.10) and 1/(2q) beyond 1e8, where the next term
+of the asymptotic series is below half an ulp.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special
+
+from .errors import ValidationError
 
 MAX_ORDER = 3
 
+# Rybicki: D(q) = (1/sqrt(pi)) sum over odd n of exp(-(q - n h)^2) / n, to
+# ~exp(-(pi / 2h)^2) for step h.  The sum is taken around the even n0 nearest
+# q / h, 15 odd offsets each side, whose weights exp(-((2k - 1) h)^2) fall
+# below 1e-16 of the result before the sum is cut.
+_RYBICKI_STEP = 0.2
+_RYBICKI_WEIGHTS = np.exp(-((2.0 * np.arange(1, 16) - 1.0) * _RYBICKI_STEP) ** 2).tolist()
+# D(q) = sum_k (-2)^k q^(2k+1) / (2k+1)!!; ten terms reach 1e-16 for |q| < 0.2.
+_SERIES_MAX = 0.2
+_SERIES = np.cumprod([1.0] + [-2.0 / (2 * k + 1) for k in range(1, 10)]).tolist()
+_ASYMPTOTIC_MIN = 1e8
 
-def _kernel_scaled(n: int, q: np.ndarray) -> np.ndarray:
-    # pi * f_nn(X) expressed in q = sqrt(2) X; polynomial parts grow like
-    # q^(2n) while the Dawson terms cancel the growth, so evaluation is
-    # stable over the |X| <= 8 range used elsewhere in the package.
-    d = special.dawsn(q)
+
+def _dawson_series(a):
+    a2 = a * a
+    poly = _SERIES[-1]
+    for coef in _SERIES[-2::-1]:
+        poly = poly * a2 + coef
+    return a * poly
+
+
+def _dawson_rybicki(a):
+    n0 = 2.0 * np.floor(0.5 * a / _RYBICKI_STEP + 0.5)
+    xp = a - n0 * _RYBICKI_STEP
+    # Term k pairs the offsets n0 +- (2k - 1); exp(2 (2k - 1) xp h) is built
+    # by repeated multiplication with exp(4 xp h).
+    e1 = np.exp(2.0 * _RYBICKI_STEP * xp)
+    e2 = e1 * e1
+    up, down = n0 + 1.0, n0 - 1.0
+    total = 0.0
+    for weight in _RYBICKI_WEIGHTS:
+        total += weight * (e1 / up + 1.0 / (down * e1))
+        up += 2.0
+        down -= 2.0
+        e1 *= e2
+    return np.exp(-xp * xp) * total / np.sqrt(np.pi)
+
+
+def _dawson(q: np.ndarray):
+    """Dawson's integral D(q) elementwise, odd in q, to ~2e-15 relative;
+    a float for 0-d input.  Beyond the series and the sum, D = 1/(2|q|)
+    with the sign of q, which also keeps NaN."""
+    if q.ndim == 0:  # integrate.quad and friends call with one point at a time
+        a = abs(float(q))
+        if a < _SERIES_MAX:
+            d = _dawson_series(a)
+        elif a < _ASYMPTOTIC_MIN:
+            d = float(_dawson_rybicki(a))
+        else:
+            d = 0.5 / a
+        return math.copysign(d, q)
+    a = np.abs(q)
+    small = a < _SERIES_MAX
+    mid = (a >= _SERIES_MAX) & (a < _ASYMPTOTIC_MIN)
+    big = ~(small | mid)
+    out = np.empty(a.shape)
+    out[small] = _dawson_series(a[small])
+    out[mid] = _dawson_rybicki(a[mid])
+    out[big] = 0.5 / a[big]
+    return np.copysign(out, q)
+
+
+def _check_order(n) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValidationError("pattern order must be an integer")
+    if n < 0 or n > MAX_ORDER:
+        raise ValidationError(f"pattern order must be in 0..{MAX_ORDER}, got {n}")
+    return int(n)
+
+
+def _kernel_scaled(n: int, q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # pi * f_nn(X) expressed in q = sqrt(2) X, given d = D(q).  Polynomial parts
+    # grow like q^(2n) while the Dawson terms cancel the growth, so at large q
+    # the result keeps only part of D's precision (f_33: about 2e-11 relative
+    # at X = 3, 2e-7 at X = 8).
     q2 = q * q
     if n == 0:
         return 2.0 * (1.0 - 2.0 * q * d)
@@ -36,21 +112,24 @@ def _kernel_scaled(n: int, q: np.ndarray) -> np.ndarray:
         return 8.0 * q * (1.0 - q2) * d + 4.0 * q2 - 2.0
     if n == 2:
         return 2.0 * q * (2.0 * q2 - 1.0) * (5.0 - 2.0 * q2) * d + 4.0 * q2 * q2 - 10.0 * q2 + 2.0
-    if n == 3:
-        poly = 4.0 * q2 ** 3 - 22.0 * q2 * q2 + 24.0 * q2 - 3.0
-        daws = 2.0 * q * (2.0 * q2 - 3.0) * (9.0 * q2 - 2.0 * q2 * q2 - 3.0) * d
-        return (2.0 / 3.0) * (daws + poly)
-    raise ValueError(f"pattern order must be in 0..{MAX_ORDER}, got {n}")
+    poly = 4.0 * q2 ** 3 - 22.0 * q2 * q2 + 24.0 * q2 - 3.0
+    daws = 2.0 * q * (2.0 * q2 - 3.0) * (9.0 * q2 - 2.0 * q2 * q2 - 3.0) * d
+    return (2.0 / 3.0) * (daws + poly)
+
+
+def _scaled_kernels(x: np.ndarray, n_max: int) -> list[np.ndarray]:
+    """pi * f_nn(x) for n = 0..n_max, sharing one Dawson evaluation."""
+    q = np.sqrt(2.0) * x
+    d = _dawson(q)
+    return [_kernel_scaled(n, q, d) for n in range(n_max + 1)]
 
 
 def pattern_function(n: int, x):
     """Sampling kernel f_nn(X) for the diagonal element rho_nn, n <= MAX_ORDER."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError("pattern order must be an integer")
-    if n < 0 or n > MAX_ORDER:
-        raise ValueError(f"pattern order must be in 0..{MAX_ORDER}, got {n}")
+    n = _check_order(n)
     x = np.asarray(x, dtype=float)
-    out = _kernel_scaled(int(n), np.sqrt(2.0) * x) / np.pi
+    q = np.sqrt(2.0) * x
+    out = _kernel_scaled(n, q, _dawson(q)) / np.pi
     if out.ndim == 0:
         return float(out)
     return out
@@ -59,16 +138,17 @@ def pattern_function(n: int, x):
 def fock_marginal(n: int, x):
     """Quadrature marginal of the Fock state |n>, n <= MAX_ORDER.
 
-    pr_n(X) = sqrt(2/pi) exp(-2 X^2) H_n(sqrt(2) X)^2 / (2^n n!).
+    pr_n(X) = sqrt(2/pi) exp(-2 X^2) H_n(q)^2 / (2^n n!) with q = sqrt(2) X,
+    where H_0..H_3 = 1, 2q, 4q^2 - 2, 8q^3 - 12q.
     Used as the reference family for the orthonormality contract.
     """
-    if n < 0 or n > MAX_ORDER:
-        raise ValueError(f"order must be in 0..{MAX_ORDER}, got {n}")
+    n = _check_order(n)
     x = np.asarray(x, dtype=float)
     q = np.sqrt(2.0) * x
-    h = special.eval_hermite(n, q)
-    norm = np.sqrt(2.0 / np.pi) / (2.0 ** n * special.factorial(n))
-    out = norm * np.exp(-2.0 * x * x) * h * h
+    q2 = q * q
+    hermite_sq = (1.0, 2.0 * q2, (2.0 * q2 - 1.0) ** 2 / 2.0,
+                  q2 * (2.0 * q2 - 3.0) ** 2 / 3.0)[n]  # H_n(q)^2 / (2^n n!)
+    out = np.sqrt(2.0 / np.pi) * np.exp(-2.0 * x * x) * hermite_sq
     if out.ndim == 0:
         return float(out)
     return out

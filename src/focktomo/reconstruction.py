@@ -25,21 +25,22 @@ zero, which for X_max >= 4 contributes less than 1e-6 in absolute value.
 One such rule per radius is evaluated for all radii at once, as a single
 matrix-vector product on chord nodes that wigner_to_marginal shares: the
 forward projection pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv is the same
-integral over a chord of the disc of radius R_max.
+integral over a chord of the disc of radius R_max.  Both directions
+interpolate with one cubic spline, clamped to slope 0 at the first knot and
+not-a-knot at the last, solved by a tridiagonal sweep.
 
-scipy.optimize and scipy.interpolate are imported inside the functions that
-use them, so importing the package (and running `focktomo simulate`) does
-not pay for loading them.
+The module needs numpy alone: the efficiency likelihood is maximized by a
+safeguarded Newton iteration and the histogram fit has a closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .patterns import MAX_ORDER, pattern_function
+from .patterns import MAX_ORDER, _scaled_kernels
 from .states import marginal_density
 
 # Abel inversion rejects marginals whose grid stops short of this radius or
@@ -290,10 +291,50 @@ def _fold_even(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[k:].copy(), 0.5 * (f[k:] + f[k::-1])
 
 
-def _chord_nodes(points: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Simpson nodes of integral_0^sqrt(length^2 - p^2) g(sqrt(p^2 + v^2)) dv:
-    # the mask of points p with |p| < length, their node spacings h and the
-    # radii sqrt(p^2 + v^2), v as np.linspace(0, span, n) builds them.
+def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+            rhs: np.ndarray) -> np.ndarray:
+    # Solve a tridiagonal system by elimination without pivoting (the spline
+    # systems below are diagonally dominant but for their last row).
+    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    for i in range(1, len(diag)):
+        w = sub[i - 1] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        rhs[i] = (rhs[i] - sup[i] * rhs[i + 1]) / diag[i]
+    return np.array(rhs)
+
+
+def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Cubic spline through (x, y) on strictly increasing knots with slope 0 at
+    # x[0] and not-a-knot at x[-1] (with two knots: the secant slope at x[-1]),
+    # as CubicSpline(x, y, bc_type=((1, 0.0), "not-a-knot")) builds it.  Returns
+    # c (4, n - 1), highest power first: on [x[i], x[i+1]] the spline is
+    # c[0, i] s^3 + c[1, i] s^2 + c[2, i] s + c[3, i] with s = X - x[i].
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    s = np.zeros(x.size)  # the slope at each knot
+    if x.size == 2:
+        s[1] = slope[0]
+    else:
+        # Knot slopes s[1:]: rows 1..n-2 make the second derivative continuous,
+        # the last row the third derivative at x[-2]; s[0] = 0 drops out.
+        d = x[-1] - x[-3]
+        last = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s[1:] = _thomas(np.append(dx[2:], d), np.append(2.0 * (dx[:-1] + dx[1:]), dx[-2]),
+                        dx[:-1], np.append(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]), last))
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+
+def _abel_nodes(knots: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Simpson nodes of integral_0^sqrt(L^2 - p^2) g(sqrt(p^2 + v^2)) dv, a chord
+    # of the disc of radius L = knots[-1], at each point p: the mask of points
+    # with |p| < L, their node spacings h, the nodes (radii sqrt(p^2 + v^2), v as
+    # np.linspace(0, span, n) builds them), and each node's spline interval in
+    # knots and offset in it.
+    length = float(knots[-1])
     span_sq = length * length - points * points
     inside = span_sq > 0.0
     span = np.sqrt(span_sq[inside])
@@ -301,7 +342,11 @@ def _chord_nodes(points: np.ndarray, length: float) -> tuple[np.ndarray, np.ndar
     v = np.arange(_SIMPSON_NODES) * h[:, None]
     v[:, -1] = span
     p = points[inside, None]
-    return inside, h, np.sqrt(p * p + v * v)
+    nodes = np.sqrt(p * p + v * v)
+    # Interval i holds knots[i] <= node < knots[i+1]; the first and last extend
+    # beyond the ends.
+    cell = np.searchsorted(knots[1:-1], nodes, side="right")
+    return inside, h, nodes, cell, nodes - knots[cell]
 
 
 def _chord_sum(inside: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -310,21 +355,11 @@ def _chord_sum(inside: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _abel_nodes(xs: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, ...]:
-    # The inversion's chord nodes plus each node's spline interval and offset
-    # in it, as PPoly finds them; shared by every marginal on the grid xs.
-    inside, h, nodes = _chord_nodes(radii, float(xs[-1]))
-    cell = np.clip(np.searchsorted(xs, nodes, side="right") - 1, 0, xs.size - 2)
-    return inside, h, nodes, cell, nodes - xs[cell]
-
-
 def _abel_values(abel_nodes: tuple[np.ndarray, ...], xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     # W at the radii of abel_nodes for the even marginal fs on xs.  The spline
-    # clamps pr'(0) = 0; pr' at the nodes is summed as PPoly.derivative(1) does.
-    from scipy.interpolate import CubicSpline
-
+    # clamps pr'(0) = 0.
     inside, h, nodes, cell, s = abel_nodes
-    c = CubicSpline(xs, fs, bc_type=((1, 0.0), "not-a-knot")).c
+    c = _spline_coefficients(xs, fs)
     d1 = np.take(c[2], cell) + np.take(2.0 * c[1], cell) * s + np.take(3.0 * c[0], cell) * (s * s)
     # -pr'(X) / X, continued by its limit -pr''(0) = -2 c1 at X = 0.
     # Negating here rather than the sum keeps W = +0.0 where the chord is empty.
@@ -332,15 +367,9 @@ def _abel_values(abel_nodes: tuple[np.ndarray, ...], xs: np.ndarray, fs: np.ndar
     return _chord_sum(inside, h, g) / np.pi
 
 
-def abel_inverse(x, density=None, *, r_max: float = 4.0,
-                 n_radii: int = 401) -> RadialWignerProfile:
-    """Invert an even quadrature marginal to the radial Wigner profile.
-
-    Accepts a GridDensity or a pair of arrays (grid, density values); the
-    grid must be uniform with spacing <= ABEL_MAX_SPACING and reach at least
-    ABEL_MIN_RANGE, either one-sided from 0 or symmetric about 0.  Returns
-    W on n_radii equally spaced radii in [0, r_max].
-    """
+def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]:
+    # abel_inverse's checks; returns the one-sided grid, the folded marginal
+    # and the radii.
     if density is None:
         if not isinstance(x, GridDensity):
             raise ValidationError("pass a GridDensity or two arrays (grid, density)")
@@ -373,8 +402,19 @@ def abel_inverse(x, density=None, *, r_max: float = 4.0,
         raise ValidationError(f"r_max must lie in (0, {x_max:g}], got {r_max}")
     if n_radii < 2:
         raise ValidationError("n_radii must be >= 2")
+    return xs, fs, np.linspace(0.0, r_max, n_radii)
 
-    radii = np.linspace(0.0, r_max, n_radii)
+
+def abel_inverse(x, density=None, *, r_max: float = 4.0,
+                 n_radii: int = 401) -> RadialWignerProfile:
+    """Invert an even quadrature marginal to the radial Wigner profile.
+
+    Accepts a GridDensity or a pair of arrays (grid, density values); the
+    grid must be uniform with spacing <= ABEL_MAX_SPACING and reach at least
+    ABEL_MIN_RANGE, either one-sided from 0 or symmetric about 0.  Returns
+    W on n_radii equally spaced radii in [0, r_max].
+    """
+    xs, fs, radii = _abel_grid(x, density, r_max, n_radii)
     return RadialWignerProfile(radii=radii, values=_abel_values(_abel_nodes(xs, radii), xs, fs))
 
 
@@ -382,11 +422,10 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     """Project a radial Wigner profile back to its quadrature marginal.
 
     pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv with V = sqrt(R_max^2 -
-    X^2); the profile is taken as zero beyond its largest radius.  Used as a
-    forward-consistency check on reconstructions.
+    X^2); the profile is interpolated by the spline abel_inverse uses (any
+    strictly increasing radii) and taken as zero beyond its largest radius.
+    Used as a forward-consistency check on reconstructions.
     """
-    from scipy.interpolate import CubicSpline
-
     xq = np.atleast_1d(np.asarray(x, dtype=float))
     radii, values = np.asarray(profile.radii, dtype=float), np.asarray(profile.values, dtype=float)
     if not all(np.all(np.isfinite(a)) for a in (radii, values, xq)):
@@ -394,10 +433,13 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     if (radii.ndim != 1 or radii.size < 2 or values.shape != radii.shape
             or np.any(np.diff(radii) <= 0.0)):
         raise ValidationError("profile needs one value per radius on >= 2 increasing radii")
-    r_max = float(radii[-1])
-    spl = CubicSpline(radii, values, bc_type=((1, 0.0), "not-a-knot"))
-    inside, h, nodes = _chord_nodes(xq, r_max)
-    out = 2.0 * _chord_sum(inside, h, spl(nodes))
+    inside, h, _, cell, s = _abel_nodes(radii, xq)
+    c = _spline_coefficients(radii, values)
+    w = np.take(c[0], cell)
+    for k in (1, 2, 3):  # Horner
+        w *= s
+        w += np.take(c[k], cell)
+    out = 2.0 * _chord_sum(inside, h, w)
     if np.ndim(x) == 0:
         return float(out[0])
     return out
@@ -434,17 +476,17 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 
     pos, edges = _bin_positions(values, None, n_bins=n_bins, lo=lo, hi=hi)
     smooth = dict(bandwidth=bandwidth, bandwidth_scale=bandwidth_scale,
                   grid_max=grid_max, grid_points=grid_points)
-    dens = smooth_marginal(_tally(pos, edges), **smooth)
-    base = abel_inverse(dens, r_max=r_max, n_radii=n_radii)
-    xs = _fold_even(dens.x, dens.density)[0]
-    nodes = _abel_nodes(xs, base.radii)
+    xs, fs, radii = _abel_grid(smooth_marginal(_tally(pos, edges), **smooth), None,
+                               r_max, n_radii)
+    nodes = _abel_nodes(xs, radii)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    stack = np.empty((n_boot, base.values.size))
+    stack = np.empty((n_boot, radii.size))
     for row in stack:
         rep = smooth_marginal(_tally(pos[rng.integers(0, pos.size, size=pos.size)], edges),
                               **smooth)
         row[:] = _abel_values(nodes, xs, _fold_even(rep.x, rep.density)[1])
-    return replace(base, stderr=np.std(stack, axis=0, ddof=1))
+    return RadialWignerProfile(radii=radii, values=_abel_values(nodes, xs, fs),
+                               stderr=np.std(stack, axis=0, ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +508,30 @@ class EfficiencyFit:
 def _mle_score(eta: float, t: np.ndarray) -> float:
     # d/d eta of sum log(1 + eta t); strictly decreasing in eta.
     return float(np.sum(t / (1.0 + eta * t)))
+
+
+def _mle_root(t: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> float:
+    # The score's root in (0, 1), given score(0) > 0 > score(1): Newton steps
+    # with the score's derivative -sum (t / (1 + eta t))^2, and a bisection of
+    # the bracket [lo, hi] that every evaluation narrows whenever a step would
+    # leave it (rtsafe in Press et al., Numerical Recipes).
+    lo, hi, eta = 0.0, 1.0, 0.5
+    for _ in range(max_iter):
+        w = t / (1.0 + eta * t)
+        score = float(np.sum(w))
+        if score == 0.0:
+            return eta
+        if score > 0.0:
+            lo = eta
+        else:
+            hi = eta
+        new = eta + score / float(np.sum(w * w))
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - eta) <= tol or hi - lo <= tol:
+            return new
+        eta = new
+    raise NumericsError(f"efficiency likelihood fit did not converge in {max_iter} steps")
 
 
 def _fisher_stderr(eta: float, t: np.ndarray) -> float:
@@ -495,9 +561,14 @@ def fit_efficiency(values, method: str = "mle",
     estimate sits on the boundary and is flagged.  The standard error is the
     inverse square root of the observed Fisher information.
 
+    The root is found by safeguarded Newton steps to 1e-12 in eta; if they
+    do not converge, NumericsError is raised.
+
     method "hist" instead minimizes the squared distance between a binned
-    empirical density (Scott's rule) and the model; its standard error is
-    also the information bound, recorded for comparability.
+    empirical density (Scott's rule) and the model.  The model is
+    a + eta b with a = pr_0 and b = pr_0 (4 X^2 - 1), so the minimizer is
+    sum b (d - a) / sum b^2 over the bins, clipped to [0, 1].  Its standard
+    error is also the information bound, recorded for comparability.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -508,8 +579,6 @@ def fit_efficiency(values, method: str = "mle",
         )
     if not np.all(np.isfinite(values)):
         raise ValidationError("values contain non-finite entries")
-
-    from scipy import optimize
 
     x2 = values * values
     t = 4.0 * x2 - 1.0
@@ -522,12 +591,7 @@ def fit_efficiency(values, method: str = "mle",
         elif score1 >= 0.0:
             eta_hat, at_boundary = 1.0, True
         else:
-            try:
-                eta_hat = float(optimize.brentq(_mle_score, 0.0, 1.0, args=(t,),
-                                                xtol=1e-12, maxiter=200))
-            except (RuntimeError, ValueError) as exc:
-                raise NumericsError(f"efficiency likelihood fit failed: {exc}") from exc
-            at_boundary = False
+            eta_hat, at_boundary = _mle_root(t), False
         return EfficiencyFit(
             eta_hat=eta_hat,
             eta_stderr=_fisher_stderr(eta_hat, t),
@@ -541,19 +605,17 @@ def fit_efficiency(values, method: str = "mle",
         if np.std(values, ddof=1) == 0.0:
             raise NumericsError("signal block has zero variance; cannot fit")
         centers, density = _scott_density(values)
-
-        def sse(eta: float) -> float:
-            return float(np.sum((density - marginal_density(eta, centers)) ** 2))
-
-        sol = optimize.minimize_scalar(sse, bounds=(0.0, 1.0), method="bounded",
-                                       options={"xatol": 1e-10})
-        if not sol.success:
-            raise NumericsError(f"histogram efficiency fit failed: {sol.message}")
-        eta_hat = float(sol.x)
+        # The model a + eta b is linear in eta, so the SSE is a parabola.
+        a = marginal_density(0.0, centers)
+        b = a * (4.0 * centers * centers - 1.0)
+        bb = float(np.sum(b * b))
+        if bb == 0.0:
+            raise NumericsError("histogram efficiency fit: the model vanishes on every bin")
+        eta_hat = min(max(float(np.sum(b * (density - a))) / bb, 0.0), 1.0)
         return EfficiencyFit(
             eta_hat=eta_hat,
             eta_stderr=_fisher_stderr(eta_hat, t),
-            objective=float(sol.fun),
+            objective=float(np.sum((density - marginal_density(eta_hat, centers)) ** 2)),
             method="hist",
             at_boundary=bool(eta_hat < 1e-6 or eta_hat > 1.0 - 1e-6),
             n_used=values.size,
@@ -598,8 +660,7 @@ def sample_diagonals(values, n_max: int = MAX_ORDER) -> list[DiagonalEstimate]:
         raise ValidationError(f"n_max must be in 0..{MAX_ORDER}, got {n_max}")
     n_samples = values.size
     out = []
-    for n in range(n_max + 1):
-        v = np.pi * np.asarray(pattern_function(n, values))
+    for n, v in enumerate(_scaled_kernels(values, n_max)):
         rho = float(np.mean(v))
         m2 = float(np.mean(v * v))
         var_centered = max(m2 - rho * rho, 0.0)

@@ -2,21 +2,25 @@
 followed by a signal block drawn from the efficiency mixture, both passed
 through an affine detector map raw = scale * X + offset.
 
-False trigger events ("dark counts") replace a fraction of signal draws with
-vacuum draws.  Because the mixture family is linear in eta, a dark fraction d
-is statistically identical to lowering the efficiency to eta * (1 - d); the
-simulator still draws them event-by-event so datasets carry the effect at the
-sample level.
+Quadratures are drawn as the mixture they are: each event is a photon with
+probability eta, else vacuum.  A vacuum draw is N(0, 1/4), i.e. z0 / 2 for a
+standard normal z0.  A one-photon draw has the marginal pr_1(X) =
+sqrt(2/pi) 4 X^2 exp(-2 X^2), so |2X| is chi-distributed with three degrees
+of freedom: the draw is sign(z0) sqrt(z0^2 + z1^2 + z2^2) / 2, two more
+standard normals on top of the vacuum one (the sign of z0 is independent of
+its square).
 
-Quadratures are drawn by inverse-CDF sampling from the closed-form marginal:
-each quantile uniform is mapped through states.marginal_ppf, a safeguarded
-Newton iteration on the closed-form CDF.
+False trigger events ("dark counts") replace a fraction d of signal events
+with vacuum.  The mixture family is linear in eta, so a dark event is a
+photon draw with eta = 0, and each signal event is a photon with probability
+eta * (1 - d); the simulator draws that one Bernoulli per event.
 
 Reproducibility: one integer seed is split with numpy's SeedSequence into two
-independent PCG64 streams (vacuum block, signal block).  Each stream draws one
-phase uniform (plus one dark-count uniform on the signal stream) and one
-quantile uniform per sample, consumed in that order block by block: all phase
-uniforms, then the dark-count uniforms, then the quantile uniforms.
+independent PCG64 streams (vacuum block, signal block).  Each stream draws,
+block by block: all phase uniforms, then one photon uniform per event, then
+one standard normal per event, then two standard normals per photon event.
+Files record this stream as rng=numpy-pcg64-mixture; rng=numpy-pcg64 marks
+files from the earlier inverse-CDF sampler, which read the same way.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ import numpy as np
 
 from .errors import DatasetFormatError, ValidationError
 from .kvtext import format_kv, parse_kv
-from .states import marginal_ppf
 
 FORMAT_VERSION = 1
-RNG_NAME = "numpy-pcg64"
+RNG_NAME = "numpy-pcg64-mixture"
 
 SOURCE_VACUUM = "V"
 SOURCE_FOCK = "F"
@@ -108,8 +111,9 @@ def sample_quadrature(eta, size, rng) -> np.ndarray:
     """Draw dimensionless quadratures from the efficiency mixture.
 
     `eta` may be a scalar or an array of per-event efficiencies of length
-    `size` (pass size=None to take the shape from the array).  Consumes
-    exactly one uniform per sample from `rng`.
+    `size` (pass size=None to take the shape from the array).  Draws one
+    uniform and one standard normal per sample from `rng`, then two more
+    standard normals per photon event.
     """
     eta = np.asarray(eta, dtype=float)
     if size is None:
@@ -118,8 +122,13 @@ def sample_quadrature(eta, size, rng) -> np.ndarray:
         size = eta.shape[0]
     if size < 0:
         raise ValidationError(f"size must be non-negative, got {size}")
-    u = rng.random(int(size))
-    return np.asarray(marginal_ppf(eta, u))
+    photon = rng.random(int(size)) < eta
+    z = rng.standard_normal(photon.size)
+    x = 0.5 * z
+    z0 = z[photon]
+    extra = rng.standard_normal((z0.size, 2))
+    x[photon] = np.copysign(0.5 * np.sqrt(z0 * z0 + np.sum(extra * extra, axis=1)), z0)
+    return x
 
 
 def generate_run(spec: RunSpec) -> HomodyneDataset:
@@ -133,12 +142,7 @@ def generate_run(spec: RunSpec) -> HomodyneDataset:
 
     rng_f = np.random.Generator(np.random.PCG64(seq_fock))
     phase_f = _TWO_PI * rng_f.random(spec.n_fock)
-    if det.dark_fraction > 0.0:
-        dark = rng_f.random(spec.n_fock) < det.dark_fraction
-        eta_events = np.where(dark, 0.0, spec.eta_true)
-    else:
-        eta_events = np.full(spec.n_fock, spec.eta_true)
-    x_f = sample_quadrature(eta_events, spec.n_fock, rng_f)
+    x_f = sample_quadrature(spec.eta_true * (1.0 - det.dark_fraction), spec.n_fock, rng_f)
 
     source = np.concatenate([
         np.full(spec.n_vacuum, SOURCE_VACUUM, dtype="U1"),
@@ -182,35 +186,51 @@ def write_dataset(dataset: HomodyneDataset, path) -> None:
 _SAMPLE_DTYPE = np.dtype([("source", "U2"), ("phase", float), ("raw_value", float)])
 
 
+def _read_header(fh) -> tuple[list[tuple[int, str]], bool]:
+    # The leading block of '#' and blank lines is the header.  Returns its
+    # (line number, text after '#') pairs and whether a sample line follows,
+    # leaving fh at that line.
+    header: list[tuple[int, str]] = []
+    lineno = 0
+    while True:
+        start = fh.tell()
+        line = fh.readline()
+        if not line:
+            return header, False
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            fh.seek(start)
+            return header, True
+        lineno += 1
+        if stripped:
+            header.append((lineno, stripped[1:]))
+
+
 def read_dataset(path) -> HomodyneDataset:
-    """Read a dataset written by write_dataset, validating header and body."""
+    """Read a dataset written by write_dataset, validating header and body.
+
+    The header is the leading block of '#' lines; every later non-blank line
+    must be a sample, so a '#' line after the first sample is rejected.  The
+    samples are parsed straight from the file, which is never held whole."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            header_lines, has_samples = _read_header(fh)
+            # Unknown header keys are ignored.
+            header = parse_kv(header_lines, _HEADER_TYPES, "header", required=_HEADER_TYPES)
+            if header["format_version"] != FORMAT_VERSION:
+                raise DatasetFormatError(f"unsupported format_version "
+                                         f"{header['format_version']}, expected {FORMAT_VERSION}")
+            try:
+                rows = (np.loadtxt(fh, dtype=_SAMPLE_DTYPE, comments=None, ndmin=1)
+                        if has_samples else np.empty(0, dtype=_SAMPLE_DTYPE))
+            except UnicodeDecodeError:  # a ValueError too; reported as not UTF-8 below
+                raise
+            except ValueError as exc:
+                raise DatasetFormatError(
+                    f"expected sample lines 'source phase raw_value' with numeric fields: {exc}"
+                ) from exc
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"dataset is not UTF-8 text: {exc}") from exc
-    header_lines: list[tuple[int, str]] = []
-    body: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if line.startswith("#"):
-            header_lines.append((lineno, line[1:]))
-        elif line:
-            body.append(line)
-    # Unknown header keys are ignored.
-    header = parse_kv(header_lines, _HEADER_TYPES, "header", required=_HEADER_TYPES)
-    if header["format_version"] != FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"unsupported format_version {header['format_version']}, expected {FORMAT_VERSION}"
-        )
-
-    try:
-        rows = (np.loadtxt(body, dtype=_SAMPLE_DTYPE, comments=None, ndmin=1)
-                if body else np.empty(0, dtype=_SAMPLE_DTYPE))
-    except ValueError as exc:
-        raise DatasetFormatError(
-            f"expected sample lines 'source phase raw_value' with numeric fields: {exc}"
-        ) from exc
     source, phase, raw = rows["source"], rows["phase"], rows["raw_value"]
     unknown = (source != SOURCE_VACUUM) & (source != SOURCE_FOCK)
     if np.any(unknown):

@@ -13,6 +13,12 @@ function and phase-independent quadrature marginal are
 
 with R^2 = X^2 + P^2.  W_eta(0) = (2/pi)(1 - 2 eta) is negative exactly when
 eta > 1/2.
+
+marginal_cdf and marginal_ppf import scipy.special when they are called, and
+nothing that `focktomo simulate` or `focktomo reconstruct` runs calls them:
+the simulator draws the mixture directly, so they serve as the closed-form
+reference for tests and for inverse-CDF sampling.  Everything else here needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 # Vacuum marginal standard deviation in this convention.
 VACUUM_STD = 0.5
@@ -85,6 +90,8 @@ def marginal_cdf(eta, x):
     number but keeps full relative precision deep in the left tail, where
     1 + erf would cancel catastrophically.
     """
+    from scipy import special
+
     eta = _check_eta(eta)
     x = np.asarray(x, dtype=float)
     out = 0.5 * special.erfc(-np.sqrt(2.0) * x) - eta * _SQRT_2_OVER_PI * x * np.exp(-2.0 * x * x)
@@ -114,6 +121,8 @@ def marginal_ppf(eta, u, tol: float = 1e-13, max_iter: int = 80):
     An element stops once its Newton step or its bracket is below `tol`;
     only the elements still moving are iterated.
     """
+    from scipy import special
+
     eta = _check_eta(eta)
     u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u > 1.0)) or not np.all(np.isfinite(u)):

@@ -355,3 +355,32 @@ def test_import_leaves_optimize_and_interpolate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_ROUND_TRIP = """
+import sys
+if sys.argv[3] == "blocked":
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from focktomo.cli import main
+data, out = sys.argv[1], sys.argv[2]
+codes = [main(["simulate", "--n-vacuum", "20000", "--n-fock", "2000", "-o", data]),
+         main(["reconstruct", data, "-o", out])]
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.startswith("scipy") and module is not None)
+print(codes, loaded)
+"""
+
+
+@pytest.mark.parametrize("mode", ["blocked", "available"])
+def test_simulate_and_reconstruct_load_no_scipy(tmp_path, mode):
+    # the command line round trip needs numpy alone, with scipy importable or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    data, outdir = tmp_path / "run.txt", tmp_path / "out"
+    result = subprocess.run([sys.executable, "-c", _ROUND_TRIP, str(data), str(outdir), mode],
+                            env=env, check=True, capture_output=True, text=True)
+    assert result.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    assert read_dataset(data).n_samples == 22_000
+    for name in ("report.txt", "report.json", "wigner_profile.txt", "marginal_histogram.txt"):
+        assert (outdir / name).stat().st_size > 0

@@ -1,10 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from focktomo.patterns import MAX_ORDER, fock_marginal, pattern_function
+from focktomo.errors import ValidationError
+from focktomo.patterns import MAX_ORDER, _dawson, _scaled_kernels, fock_marginal, pattern_function
 from focktomo.states import marginal_density
 
 
@@ -78,3 +80,58 @@ def test_fock_marginal_matches_mixture_extremes():
     x = np.linspace(-4.0, 4.0, 101)
     assert np.allclose(fock_marginal(0, x), marginal_density(0.0, x), atol=1e-14)
     assert np.allclose(fock_marginal(1, x), marginal_density(1.0, x), atol=1e-14)
+
+
+def _mp_dawson(q: float) -> float:
+    with mpmath.workdps(40):
+        x = mpmath.mpf(q)
+        return float(mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x))
+
+
+_DAWSON_POINTS = [0.0, 1e-300, 1e-8, 0.1, np.nextafter(0.2, 0.0), 0.2, np.nextafter(0.2, 1.0),
+                  1.0, 5.0, 12.0, 20.0, 50.0, 100.0]
+
+
+def test_dawson_matches_mpmath():
+    # the series (|q| < 0.2), Rybicki's sum and both sides of the switch
+    q = np.array(_DAWSON_POINTS + [-p for p in _DAWSON_POINTS])
+    reference = np.array([_mp_dawson(v) for v in q])
+    values = _dawson(q)
+    assert np.all(np.abs(values - reference) <= 1e-14 * np.abs(reference))
+    assert np.array_equal(np.signbit(values), np.signbit(q))
+    for v, expected in zip(q, values):
+        scalar = _dawson(np.asarray(v))  # the one-point path, as integrate.quad calls it
+        assert type(scalar) is float and scalar == expected
+
+
+def test_dawson_dense_grid_and_extremes():
+    q = np.concatenate([np.linspace(0.0, 12.0, 1201), np.geomspace(12.0, 1e12, 60)])
+    reference = np.array([_mp_dawson(v) for v in q])
+    assert np.all(np.abs(_dawson(q) - reference) <= 1e-14 * np.abs(reference))
+    ends = _dawson(np.array([np.inf, -np.inf, np.nan, 1e300, -1e300]))
+    assert ends[0] == 0.0 and ends[1] == 0.0 and np.isnan(ends[2])
+    assert ends[3] == 0.5e-300 and ends[4] == -0.5e-300
+
+
+def test_shared_kernels_match_pattern_function():
+    x = np.linspace(-6.0, 6.0, 2001)
+    for n, kernel in enumerate(_scaled_kernels(x, MAX_ORDER)):
+        assert np.max(np.abs(kernel - np.pi * pattern_function(n, x))) <= 1e-15 * np.max(np.abs(kernel))
+
+
+@pytest.mark.parametrize("bad", [1.5, True, -1, MAX_ORDER + 1])
+def test_fock_marginal_order_validation(bad):
+    # both functions reject a non-integer, a bool and an order outside 0..3
+    with pytest.raises(ValidationError, match="order"):
+        fock_marginal(bad, 0.3)
+    with pytest.raises(ValidationError, match="order"):
+        pattern_function(bad, 0.3)
+
+
+def test_fock_marginal_closed_form_hermite():
+    x = np.linspace(-4.0, 4.0, 801)
+    q = np.sqrt(2.0) * x
+    hermite = [np.ones_like(q), 2.0 * q, 4.0 * q * q - 2.0, 8.0 * q ** 3 - 12.0 * q]
+    for n, (h, fact) in enumerate(zip(hermite, (1, 1, 2, 6))):
+        expected = np.sqrt(2.0 / np.pi) * np.exp(-2.0 * x * x) * h * h / (2.0 ** n * fact)
+        assert np.allclose(fock_marginal(n, x), expected, rtol=1e-13, atol=1e-300)

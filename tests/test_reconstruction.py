@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
-from scipy.interpolate import CubicSpline
+from scipy import integrate, optimize
+from scipy.interpolate import CubicSpline, PPoly
 
 from focktomo.errors import NumericsError, ValidationError
 from focktomo.patterns import pattern_function
@@ -16,6 +16,7 @@ from focktomo.reconstruction import (
     RadialWignerProfile,
     abel_inverse,
     bin_samples,
+    _spline_coefficients,
     bootstrap_profile,
     fit_efficiency,
     reconstruct_profile,
@@ -454,6 +455,32 @@ def test_bootstrap_profile_matches_replicate_loop(bandwidth):
     assert np.max(np.abs(prof.stderr - reference)) <= 1e-12
 
 
+def _spline_cases():
+    rng = np.random.Generator(np.random.PCG64(24))
+    for n in (2, 3, 4, 401, 1201):
+        x = np.linspace(0.0, 6.0, n)
+        yield x, np.exp(-2.0 * x * x) * (1.0 + 4.0 * x * x)
+        yield x, rng.normal(size=n)
+    for n in (3, 5, 60):
+        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.5  # non-uniform, first knot below 0
+        yield x, np.cos(x)
+        yield x, rng.normal(size=n)
+    x = np.concatenate([[0.0, 1e-3, 2e-3], np.linspace(0.5, 4.0, 8), [4.0 + 1e-4]])
+    yield x, np.sin(x)  # spacings differing by four orders of magnitude
+
+
+def test_spline_matches_cubicspline():
+    for x, y in _spline_cases():
+        reference = CubicSpline(x, y, bc_type=((1, 0.0), "not-a-knot"))
+        ours = PPoly(_spline_coefficients(x, y), x)
+        # the knot span and one end interval's width beyond it on either side
+        xq = np.linspace(2.0 * x[0] - x[1], 2.0 * x[-1] - x[-2], 5001)
+        scale = np.max(np.abs(y))
+        assert np.max(np.abs(ours(xq) - reference(xq))) <= 1e-13 * scale, x.size
+        assert np.max(np.abs(ours(x) - y)) <= 1e-14 * scale
+        assert ours.derivative()(x[0]) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Efficiency fit
 
@@ -531,6 +558,82 @@ def test_fit_validation():
         fit_efficiency(x, method="bogus")
     with pytest.raises(ValidationError):
         fit_efficiency(x.reshape(2, -1))
+
+
+def _brentq_mle(t):
+    # Reference: the score's bracketed root, to the last few ulps.
+    return optimize.brentq(lambda eta: np.sum(t / (1.0 + eta * t)), 0.0, 1.0,
+                           xtol=1e-15, maxiter=500)
+
+
+@pytest.mark.parametrize("eta,n,seed", [(0.553, 12_000, 31), (0.2, 5_000, 32), (0.9, 20_000, 33),
+                                        (1.0, 3_000, 34), (0.02, 50_000, 35), (0.999, 4_000, 36),
+                                        (0.97, 30_000, 37)])
+def test_mle_newton_matches_brentq(eta, n, seed):
+    x = _draws(eta, n, seed)
+    t = 4.0 * x * x - 1.0
+    fit = fit_efficiency(x)
+    if np.sum(t) <= 0.0 or np.sum(t / (1.0 + t)) >= 0.0:  # score without a sign change
+        assert fit.at_boundary and fit.eta_hat in (0.0, 1.0)
+    else:
+        assert not fit.at_boundary
+        # Newton ends on the root to rounding; 1e-12 is the fit's tolerance
+        assert abs(fit.eta_hat - _brentq_mle(t)) <= 1e-14
+
+
+def test_mle_boundaries_follow_the_score_signs():
+    # score(0) = sum t <= 0 pins eta_hat at 0, score(1) = sum t / (1 + t) >= 0 at 1
+    low = np.concatenate([np.full(1500, 0.1), np.full(500, 0.6)])
+    high = np.concatenate([np.full(1500, 1.2), np.full(500, 0.45)])
+    for x, edge in ((low, 0.0), (high, 1.0)):
+        t = 4.0 * x * x - 1.0
+        assert np.sum(t) <= 0.0 if edge == 0.0 else np.sum(t / (1.0 + t)) >= 0.0
+        fit = fit_efficiency(x)
+        assert fit.eta_hat == edge and fit.at_boundary
+
+
+def _minimize_hist(x):
+    # Reference: the bounded scalar minimization of the histogram SSE.
+    from focktomo.reconstruction import _scott_density
+
+    centers, density = _scott_density(x)
+    sol = optimize.minimize_scalar(
+        lambda eta: float(np.sum((density - marginal_density(eta, centers)) ** 2)),
+        bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-10})
+    return sol.x, sol.fun
+
+
+@pytest.mark.parametrize("eta,n,seed", [(0.553, 12_000, 41), (0.3, 50_000, 42), (0.0, 20_000, 43),
+                                        (1.0, 20_000, 44), (0.8, 2_000, 45)])
+def test_hist_closed_form_matches_minimize_scalar(eta, n, seed):
+    x = _draws(eta, n, seed)
+    fit = fit_efficiency(x, method="hist")
+    ref_eta, ref_sse = _minimize_hist(x)
+    assert fit.objective <= ref_sse * (1.0 + 1e-12)
+    if 0.0 < fit.eta_hat < 1.0:
+        assert abs(fit.eta_hat - ref_eta) <= 1e-8
+    else:
+        # a clipped minimum: the bounded search stops short of the bound, by
+        # at most twice its tolerance sqrt(eps) |x| + xatol / 3
+        tol = np.sqrt(np.finfo(float).eps) * fit.eta_hat + 1e-10 / 3.0
+        assert abs(fit.eta_hat - ref_eta) <= 2.0 * tol
+
+
+def test_hist_fit_clips_to_unit_interval():
+    # a sample narrower than vacuum pulls the unclipped minimizer below 0; a
+    # one-photon sample (seed 44) lands above 1
+    rng = np.random.Generator(np.random.PCG64(46))
+    narrow = fit_efficiency(0.3 * rng.standard_normal(20_000), method="hist")
+    photon = fit_efficiency(_draws(1.0, 20_000, 44), method="hist")
+    assert narrow.eta_hat == 0.0 and narrow.at_boundary
+    assert photon.eta_hat == 1.0 and photon.at_boundary
+
+
+def test_hist_fit_degenerate_model_is_numerics_error():
+    # every bin far out in the tail, where pr_0 underflows to 0
+    x = 1000.0 + _draws(0.0, 2_000, 47)
+    with pytest.raises(NumericsError, match="vanishes"):
+        fit_efficiency(x, method="hist")
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,25 @@ def test_read_ignores_unknown_header_key(tmp_path):
     assert read_dataset(path).spec.seed == 8
 
 
+def test_read_rejects_header_line_after_samples(tmp_path):
+    # the header is the leading block of '#' lines; later '#' lines are samples
+    path = _write_and_edit(tmp_path, lambda ls: ls.insert(12, "# operator=someone"))
+    with pytest.raises(DatasetFormatError, match="sample lines"):
+        read_dataset(path)
+
+
+def test_read_header_block_may_hold_blank_lines(tmp_path):
+    def edit(ls):
+        ls.insert(0, "")
+        ls.insert(4, "   ")
+        ls.insert(8, "# =5")  # line 9 of the file
+    path = _write_and_edit(tmp_path, edit)
+    with pytest.raises(DatasetFormatError, match="line 9: malformed header"):
+        read_dataset(path)
+    path = _write_and_edit(tmp_path, lambda ls: (ls.insert(0, ""), ls.insert(4, "  \t")))
+    assert read_dataset(path).n_samples == 10
+
+
 def test_read_rejects_non_utf8_bytes(tmp_path):
     path = tmp_path / "run.bin"
     path.write_bytes(b"# format_version=1\n\xff\xfe\x00\x81 binary\n")
@@ -317,7 +336,7 @@ def test_written_bytes_are_frozen(tmp_path):
     path = tmp_path / "run.txt"
     write_dataset(ds, path)
     assert path.read_bytes() == (
-        b"# format_version=1\n# rng=numpy-pcg64\n# seed=7\n# eta_true=0.553\n"
+        b"# format_version=1\n# rng=numpy-pcg64-mixture\n# seed=7\n# eta_true=0.553\n"
         b"# scale=1.5\n# offset=-0.25\n# dark_fraction=0.1\n# n_vacuum=2\n# n_fock=1\n"
         b"V 0.0 -0.0\nV 0.1 1e-300\nF 6.283185307179586 -123456.789\n"
     )
@@ -352,13 +371,14 @@ def test_roundtrip_with_dark_counts_is_bit_exact(tmp_path):
 
 
 def test_seed_42_stream_is_frozen():
-    # one phase uniform, then (signal stream) one dark-count uniform, then one
-    # quantile uniform per sample; values pinned to the quantile tolerance
+    # per block: one phase uniform per sample, then one photon uniform, one
+    # standard normal, and two more normals per photon event (the first
+    # signal event here); values pinned to 1e-13
     det = DetectorModel(dark_fraction=0.4)
     ds = generate_run(RunSpec(eta_true=0.553, n_vacuum=3, n_fock=3, detector=det, seed=42))
     assert ds.source.tolist() == ["V", "V", "V", "F", "F", "F"]
     assert ds.phase.tolist() == [5.760073421191729, 5.7238980451164725, 5.507793145348336,
                                  2.937331199835341, 0.2918470237010983, 3.741699742572823]
-    expected = [-0.24889162777427032, 0.8458902022507857, -0.4671112234766781,
-                0.4871695360361912, -0.9979981810896277, 0.32345887010521324]
+    expected = [-0.6653782102241166, -0.017361731105191933, 0.1402092372831419,
+                1.0631886070255756, 0.7632141333107729, -0.0026736353956069406]
     assert np.max(np.abs(ds.raw_value - expected)) <= 1e-13

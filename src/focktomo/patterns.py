@@ -23,8 +23,6 @@ of the asymptotic series is below half an ulp.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ValidationError
@@ -69,27 +67,17 @@ def _dawson_rybicki(a):
 
 
 def _dawson(q: np.ndarray):
-    """Dawson's integral D(q) elementwise, odd in q, to ~2e-15 relative;
-    a float for 0-d input.  Beyond the series and the sum, D = 1/(2|q|)
-    with the sign of q, which also keeps NaN."""
-    if q.ndim == 0:  # integrate.quad and friends call with one point at a time
-        a = abs(float(q))
-        if a < _SERIES_MAX:
-            d = _dawson_series(a)
-        elif a < _ASYMPTOTIC_MIN:
-            d = float(_dawson_rybicki(a))
-        else:
-            d = 0.5 / a
-        return math.copysign(d, q)
+    """Dawson's integral D(q) elementwise, odd in q, to ~2e-15 relative.
+    Beyond the series and the sum, D = 1/(2|q|) with the sign of q, which
+    also keeps NaN.  Each branch sees its input clipped to its own range, so
+    no branch overflows; a 0-d input stays on numpy scalars throughout, which
+    keeps the one-point calls of integrate.quad cheap."""
     a = np.abs(q)
-    small = a < _SERIES_MAX
-    mid = (a >= _SERIES_MAX) & (a < _ASYMPTOTIC_MIN)
-    big = ~(small | mid)
-    out = np.empty(a.shape)
-    out[small] = _dawson_series(a[small])
-    out[mid] = _dawson_rybicki(a[mid])
-    out[big] = 0.5 / a[big]
-    return np.copysign(out, q)
+    series = _dawson_series(np.minimum(a, _SERIES_MAX))
+    rybicki = _dawson_rybicki(np.minimum(a, _ASYMPTOTIC_MIN))
+    asymptotic = 0.5 / np.maximum(a, _ASYMPTOTIC_MIN)
+    d = np.where(a < _SERIES_MAX, series, np.where(a < _ASYMPTOTIC_MIN, rybicki, asymptotic))
+    return np.copysign(d, q)
 
 
 def _check_order(n) -> int:
@@ -146,8 +134,15 @@ def fock_marginal(n: int, x):
     x = np.asarray(x, dtype=float)
     q = np.sqrt(2.0) * x
     q2 = q * q
-    hermite_sq = (1.0, 2.0 * q2, (2.0 * q2 - 1.0) ** 2 / 2.0,
-                  q2 * (2.0 * q2 - 3.0) ** 2 / 3.0)[n]  # H_n(q)^2 / (2^n n!)
+    # H_n(q)^2 / (2^n n!)
+    if n == 0:
+        hermite_sq = 1.0
+    elif n == 1:
+        hermite_sq = 2.0 * q2
+    elif n == 2:
+        hermite_sq = (2.0 * q2 - 1.0) ** 2 / 2.0
+    else:
+        hermite_sq = q2 * (2.0 * q2 - 3.0) ** 2 / 3.0
     out = np.sqrt(2.0 / np.pi) * np.exp(-2.0 * x * x) * hermite_sq
     if out.ndim == 0:
         return float(out)

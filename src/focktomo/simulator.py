@@ -116,6 +116,8 @@ def sample_quadrature(eta, size, rng) -> np.ndarray:
     standard normals per photon event.
     """
     eta = np.asarray(eta, dtype=float)
+    if not np.all((eta >= 0.0) & (eta <= 1.0)):  # also rejects NaN
+        raise ValidationError(f"eta must lie in [0, 1], got {eta!r}")
     if size is None:
         if eta.ndim == 0:
             raise ValidationError("size=None requires an array of per-event efficiencies")

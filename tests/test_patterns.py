@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from focktomo.errors import ValidationError
-from focktomo.patterns import MAX_ORDER, _dawson, _scaled_kernels, fock_marginal, pattern_function
+from focktomo.patterns import MAX_ORDER, _dawson, fock_marginal, pattern_function
 from focktomo.states import marginal_density
 
 
@@ -99,9 +99,6 @@ def test_dawson_matches_mpmath():
     values = _dawson(q)
     assert np.all(np.abs(values - reference) <= 1e-14 * np.abs(reference))
     assert np.array_equal(np.signbit(values), np.signbit(q))
-    for v, expected in zip(q, values):
-        scalar = _dawson(np.asarray(v))  # the one-point path, as integrate.quad calls it
-        assert type(scalar) is float and scalar == expected
 
 
 def test_dawson_dense_grid_and_extremes():
@@ -111,12 +108,6 @@ def test_dawson_dense_grid_and_extremes():
     ends = _dawson(np.array([np.inf, -np.inf, np.nan, 1e300, -1e300]))
     assert ends[0] == 0.0 and ends[1] == 0.0 and np.isnan(ends[2])
     assert ends[3] == 0.5e-300 and ends[4] == -0.5e-300
-
-
-def test_shared_kernels_match_pattern_function():
-    x = np.linspace(-6.0, 6.0, 2001)
-    for n, kernel in enumerate(_scaled_kernels(x, MAX_ORDER)):
-        assert np.max(np.abs(kernel - np.pi * pattern_function(n, x))) <= 1e-15 * np.max(np.abs(kernel))
 
 
 @pytest.mark.parametrize("bad", [1.5, True, -1, MAX_ORDER + 1])

@@ -125,6 +125,14 @@ def test_sample_quadrature_per_event_eta():
         sample_quadrature(0.5, -1, _rng(2))
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan, np.inf])
+def test_sample_quadrature_rejects_eta_outside_unit_interval(bad):
+    with pytest.raises(ValidationError, match="eta"):
+        sample_quadrature(bad, 10, _rng(2))
+    with pytest.raises(ValidationError, match="eta"):
+        sample_quadrature(np.array([0.5, bad, 0.25]), None, _rng(2))
+
+
 def test_empty_blocks_are_allowed():
     ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=100, n_fock=0, seed=1))
     assert ds.fock_values.size == 0

@@ -36,7 +36,7 @@ from .simulator import (
     sample_quadrature,
     write_dataset,
 )
-from .states import EfficiencyMixtureState, marginal_cdf, marginal_density, marginal_ppf, wigner_radial
+from .states import marginal_cdf, marginal_density, marginal_ppf, wigner_radial
 
 __all__ = [
     "AgreementCheck",
@@ -47,7 +47,6 @@ __all__ = [
     "DiagonalEstimate",
     "EfficiencyFactor",
     "EfficiencyFit",
-    "EfficiencyMixtureState",
     "GridDensity",
     "HomodyneDataset",
     "MarginalHistogram",

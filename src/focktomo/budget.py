@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_unit_interval
 from .kvtext import content_lines
 
 KINDS = ("direct", "visibility_squared")
@@ -113,8 +113,7 @@ def combine(factors: Sequence[EfficiencyFactor]) -> BudgetResult:
 def check_agreement(budget: BudgetResult, eta_fitted: float,
                     eta_fitted_stderr: float) -> AgreementCheck:
     """Two-combined-sigma consistency between prediction and fit."""
-    if not (0.0 <= eta_fitted <= 1.0):
-        raise ValidationError(f"eta_fitted must lie in [0, 1], got {eta_fitted}")
+    check_unit_interval("eta_fitted", eta_fitted)
     if not (0.0 <= eta_fitted_stderr < np.inf):
         raise ValidationError(
             f"eta_fitted_stderr must be finite and >= 0, got {eta_fitted_stderr}"

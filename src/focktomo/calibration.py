@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, check_positive, check_samples
 from .reconstruction import _scott_density
 from .states import VACUUM_STD, marginal_density
 
@@ -35,8 +35,7 @@ class CalibrationResult:
     method: str = "moments"
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.scale_hat) and self.scale_hat > 0.0):
-            raise ValidationError(f"scale_hat must be positive, got {self.scale_hat}")
+        check_positive("scale_hat", self.scale_hat)
         if not np.isfinite(self.offset_hat):
             raise ValidationError("offset_hat must be finite")
 
@@ -48,24 +47,17 @@ def _vacuum_residuals(centers: np.ndarray, density: np.ndarray,
     return density - marginal_density(0.0, (centers - offset) / scale) / scale
 
 
-def fit_vacuum(values, method: str = "moments",
-               min_samples: int = MIN_CALIBRATION_SAMPLES) -> CalibrationResult:
+def fit_vacuum(values, method: str = "moments") -> CalibrationResult:
     """Estimate (scale, offset) from a vacuum block.
 
-    method "moments" uses the mean and sample standard deviation; method
-    "histogram" refines the moment solution by least squares against the
-    analytic vacuum density.  fit_residual is the summed squared deviation
-    of the binned empirical density from the model in both cases.
+    `values` must be a 1-d array of at least MIN_CALIBRATION_SAMPLES finite
+    raw values.  method "moments" uses the mean and sample standard
+    deviation; method "histogram" refines the moment solution by least
+    squares against the analytic vacuum density.  fit_residual is the summed
+    squared deviation of the binned empirical density from the model in
+    both cases.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValidationError("calibration expects a 1-d array of raw values")
-    if values.size < min_samples:
-        raise ValidationError(
-            f"calibration needs at least {min_samples} vacuum samples, got {values.size}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("calibration input contains non-finite values")
+    values = check_samples(values, "vacuum calibration", MIN_CALIBRATION_SAMPLES)
 
     offset0 = float(np.mean(values))
     std = float(np.std(values, ddof=1))

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .budget import combine, default_factors, load_factors
@@ -40,19 +41,26 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICS = 4
 
-# Keys the env config file may set, with their types and built-in defaults.
-_CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
-    "eta": (float, 0.553),
-    "n_vacuum": (int, 200000),
-    "n_fock": (int, 12000),
-    "seed": (int, 42),
-    "scale": (float, 1.0),
-    "offset": (float, 0.0),
-    "dark_fraction": (float, 0.0),
-    "bandwidth_scale": (float, 1.0),
-    "fit_method": (str, "mle"),
-    "grid_max": (float, 6.0),
-    "grid_points": (int, 2401),
+# The settings of each subcommand, in flag order: name -> (type, default,
+# help, choices).  A setting is the flag --name (underscores as dashes) and
+# the config file key name; a flag beats the config file, which beats the
+# default.
+_SETTINGS: dict[str, dict[str, tuple]] = {
+    "simulate": {
+        "eta": (float, 0.553, "true efficiency of the signal block", None),
+        "n_vacuum": (int, 200000, "vacuum block size", None),
+        "n_fock": (int, 12000, "signal block size", None),
+        "seed": (int, 42, "run seed", None),
+        "scale": (float, 1.0, "detector scale", None),
+        "offset": (float, 0.0, "detector offset", None),
+        "dark_fraction": (float, 0.0, "fraction of signal events replaced by vacuum draws", None),
+    },
+    "reconstruct": {
+        "bandwidth_scale": (float, 1.0, "multiplier on the rule-based smoothing bandwidth", None),
+        "fit_method": (str, "mle", "efficiency fit method", ("mle", "hist")),
+        "grid_max": (float, 6.0, "half-width of the smoothing grid", None),
+        "grid_points": (int, 2401, "number of smoothing grid points (odd)", None),
+    },
 }
 
 
@@ -62,21 +70,28 @@ def _load_env_config() -> dict:
         return {}
     with open(path) as fh:
         text = fh.read()
-    types = {key: caster for key, (caster, _) in _CONFIG_SCHEMA.items()}
+    types = {key: spec[0] for table in _SETTINGS.values() for key, spec in table.items()}
     config = parse_kv(content_lines(text), types, "config")
-    unknown = [key for key in config if key not in _CONFIG_SCHEMA]
+    unknown = [key for key in config if key not in types]
     if unknown:
         raise DatasetFormatError(f"config file {path!r}: unknown key {unknown[0]!r}")
     return config
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return _CONFIG_SCHEMA[key][1]
+def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
+    for name, (caster, _, text, choices) in _SETTINGS[command].items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=caster,
+                            choices=choices, help=text)
+
+
+def _settings(args: argparse.Namespace, config: dict) -> dict:
+    # Each setting of the command: its flag if given, else the config value,
+    # else the default.
+    out = {}
+    for name, (_, default, _, _) in _SETTINGS[args.command].items():
+        value = getattr(args, name)
+        out[name] = value if value is not None else config.get(name, default)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,26 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic run and write it to a file")
-    p_sim.add_argument("--eta", type=float, help="true efficiency of the signal block")
-    p_sim.add_argument("--n-vacuum", type=int, dest="n_vacuum", help="vacuum block size")
-    p_sim.add_argument("--n-fock", type=int, dest="n_fock", help="signal block size")
-    p_sim.add_argument("--seed", type=int, help="run seed")
-    p_sim.add_argument("--scale", type=float, help="detector scale")
-    p_sim.add_argument("--offset", type=float, help="detector offset")
-    p_sim.add_argument("--dark-fraction", type=float, dest="dark_fraction",
-                       help="fraction of signal events replaced by vacuum draws")
+    _add_settings(p_sim, "simulate")
     p_sim.add_argument("-o", "--output", required=True, help="dataset file to write")
 
     p_rec = sub.add_parser("reconstruct", help="run the full analysis on a dataset file")
     p_rec.add_argument("dataset", help="dataset file written by simulate")
-    p_rec.add_argument("--bandwidth-scale", type=float, dest="bandwidth_scale",
-                       help="multiplier on the rule-based smoothing bandwidth")
-    p_rec.add_argument("--fit-method", choices=("mle", "hist"), dest="fit_method",
-                       help="efficiency fit method")
-    p_rec.add_argument("--grid-max", type=float, dest="grid_max",
-                       help="half-width of the smoothing grid")
-    p_rec.add_argument("--grid-points", type=int, dest="grid_points",
-                       help="number of smoothing grid points (odd)")
+    _add_settings(p_rec, "reconstruct")
     p_rec.add_argument("-o", "--output", required=True,
                        help="output directory for report and tables")
 
@@ -125,17 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
-    spec = RunSpec(
-        eta_true=_resolve(args, config, "eta"),
-        n_vacuum=_resolve(args, config, "n_vacuum"),
-        n_fock=_resolve(args, config, "n_fock"),
-        detector=DetectorModel(
-            scale=_resolve(args, config, "scale"),
-            offset=_resolve(args, config, "offset"),
-            dark_fraction=_resolve(args, config, "dark_fraction"),
-        ),
-        seed=_resolve(args, config, "seed"),
-    )
+    settings = _settings(args, config)
+    detector = DetectorModel(**{f.name: settings.pop(f.name) for f in fields(DetectorModel)})
+    spec = RunSpec(eta_true=settings.pop("eta"), detector=detector, **settings)
     dataset = generate_run(spec)
     write_dataset(dataset, args.output)
     print(f"wrote {dataset.n_samples} samples "
@@ -145,13 +138,7 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace, config: dict) -> int:
     dataset = read_dataset(args.dataset)
-    rc = ReconstructionConfig(
-        fit_method=_resolve(args, config, "fit_method"),
-        bandwidth_scale=_resolve(args, config, "bandwidth_scale"),
-        grid_max=_resolve(args, config, "grid_max"),
-        grid_points=_resolve(args, config, "grid_points"),
-    )
-    summary = reconstruct_dataset(dataset, rc)
+    summary = reconstruct_dataset(dataset, ReconstructionConfig(**_settings(args, config)))
     report = build_report(summary, dataset, dataset_path=str(args.dataset))
 
     outdir = Path(args.output)

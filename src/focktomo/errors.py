@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that
+raise them.  Each check names the argument it rejects."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -11,3 +14,39 @@ class DatasetFormatError(ValidationError):
 
 class NumericsError(RuntimeError):
     """Raised when a numerical routine fails to converge or degenerates."""
+
+
+def check_samples(values, what: str, min_size: int = 0) -> np.ndarray:
+    """`values` as a 1-d float array of at least `min_size` finite entries;
+    `what` names the step that needs them."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValidationError(f"{what} expects a 1-d array, got shape {values.shape}")
+    if values.size < min_size:
+        raise ValidationError(f"{what} needs at least {min_size} samples, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{what} input contains non-finite values")
+    return values
+
+
+def check_unit_interval(name: str, value) -> np.ndarray:
+    """`value` (a scalar or an array) as floats, each finite and in [0, 1]."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
+        raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+    return arr
+
+
+def check_count(name: str, value, least: int, most: int | None = None) -> int:
+    """`value` as an int: an int or numpy integer, not a bool, in [least, most]."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least or (most is not None and value > most)):
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def check_positive(name: str, value) -> None:
+    """Reject a `value` that is not finite and > 0."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{name} must be positive and finite, got {value}")

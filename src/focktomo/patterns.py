@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_count
 
 MAX_ORDER = 3
 
@@ -80,14 +80,6 @@ def _dawson(q: np.ndarray):
     return np.copysign(d, q)
 
 
-def _check_order(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValidationError("pattern order must be an integer")
-    if n < 0 or n > MAX_ORDER:
-        raise ValidationError(f"pattern order must be in 0..{MAX_ORDER}, got {n}")
-    return int(n)
-
-
 def _kernel_scaled(n: int, q: np.ndarray, d: np.ndarray) -> np.ndarray:
     # pi * f_nn(X) expressed in q = sqrt(2) X, given d = D(q).  Polynomial parts
     # grow like q^(2n) while the Dawson terms cancel the growth, so at large q
@@ -114,7 +106,7 @@ def _scaled_kernels(x: np.ndarray, n_max: int) -> list[np.ndarray]:
 
 def pattern_function(n: int, x):
     """Sampling kernel f_nn(X) for the diagonal element rho_nn, n <= MAX_ORDER."""
-    n = _check_order(n)
+    n = check_count("pattern order", n, 0, MAX_ORDER)
     x = np.asarray(x, dtype=float)
     q = np.sqrt(2.0) * x
     out = _kernel_scaled(n, q, _dawson(q)) / np.pi
@@ -130,7 +122,7 @@ def fock_marginal(n: int, x):
     where H_0..H_3 = 1, 2q, 4q^2 - 2, 8q^3 - 12q.
     Used as the reference family for the orthonormality contract.
     """
-    n = _check_order(n)
+    n = check_count("pattern order", n, 0, MAX_ORDER)
     x = np.asarray(x, dtype=float)
     q = np.sqrt(2.0) * x
     q2 = q * q

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationResult, fit_vacuum, rescale
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 from .reconstruction import (
     DiagonalEstimate,
     EfficiencyFit,
@@ -23,7 +23,10 @@ from .simulator import HomodyneDataset
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Tunable knobs of the reconstruction chain, with working defaults."""
+    """Tunable knobs of the reconstruction chain, with working defaults.
+
+    grid_max and bandwidth_scale must be positive and finite; the stages
+    check the other fields when they run."""
 
     fit_method: str = "mle"
     bandwidth_scale: float = 1.0
@@ -37,10 +40,8 @@ class ReconstructionConfig:
     calibration_method: str = "moments"
 
     def __post_init__(self) -> None:
-        if not self.grid_max > 0.0:
-            raise ValidationError("grid_max must be positive")
-        if not self.bandwidth_scale > 0.0:
-            raise ValidationError("bandwidth_scale must be positive")
+        check_positive("grid_max", self.grid_max)
+        check_positive("bandwidth_scale", self.bandwidth_scale)
 
 
 @dataclass(frozen=True)

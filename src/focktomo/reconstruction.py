@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, check_count, check_positive, check_samples
 from .patterns import MAX_ORDER, _scaled_kernels
 from .states import marginal_density
 
@@ -89,35 +89,29 @@ class MarginalHistogram:
     def n_in_range(self) -> int:
         return int(self.counts.sum())
 
-    def density(self) -> np.ndarray:
-        """Empirical density normalized over the in-range samples."""
-        n_in = self.n_in_range
-        if n_in == 0:
-            raise ValidationError("histogram holds no in-range samples")
-        return self.counts / (n_in * self.bin_width)
-
 
 def bin_samples(values, bin_edges=None, *, n_bins: int = 1200,
                 lo: float = -6.0, hi: float = 6.0) -> MarginalHistogram:
     """Bin calibrated quadratures on a uniform grid.
 
-    Pass explicit strictly increasing `bin_edges`, or let (`n_bins`, `lo`,
-    `hi`) build them.  Out-of-range samples are tallied, never dropped
-    silently.
+    `values` must be a 1-d array of finite floats.  Pass explicit strictly
+    increasing `bin_edges`, or let (`n_bins`, `lo`, `hi`) build them; `lo`
+    and `hi` must then be finite with a finite width hi - lo > 0.
+    Out-of-range samples are tallied, never dropped silently.
     """
     return _tally(*_bin_positions(values, bin_edges, n_bins=n_bins, lo=lo, hi=hi))
 
 
 def _bin_positions(values, bin_edges, *, n_bins, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     # Validated (searchsorted position of every value, bin edges).
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValidationError("expected a 1-d array of values")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("values contain non-finite entries")
+    values = check_samples(values, "binning")
     if bin_edges is None:
-        if n_bins < 1 or not hi > lo:
-            raise ValidationError("need n_bins >= 1 and hi > lo")
+        check_count("n_bins", n_bins, 1)
+        # Python floats: a width that overflows is inf, without a warning.
+        width = float(hi) - float(lo)
+        if not (np.isfinite(width) and width > 0.0):
+            raise ValidationError(f"bin range needs finite lo < hi with a finite width, "
+                                  f"got lo={lo!r}, hi={hi!r}")
         bin_edges = np.linspace(lo, hi, n_bins + 1)
     else:
         bin_edges = np.asarray(bin_edges, dtype=float)
@@ -162,10 +156,6 @@ class GridDensity:
     density: np.ndarray
     bandwidth: float
 
-    @property
-    def spacing(self) -> float:
-        return float(self.x[1] - self.x[0])
-
 
 def silverman_bandwidth(hist: MarginalHistogram) -> float:
     """Silverman's rule 0.9 * min(std, IQR/1.34) * n^(-1/5) from binned data.
@@ -204,12 +194,12 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
 
     With bandwidth=None the Silverman rule scaled by `bandwidth_scale` is
     used and at least MIN_SMOOTH_SAMPLES in-range samples are required; an
-    explicit `bandwidth` lifts that floor.
+    explicit `bandwidth` lifts that floor.  grid_max, bandwidth_scale and
+    the bandwidth used must be positive and finite.
     """
     if grid_points < 101 or grid_points % 2 == 0:
         raise ValidationError("grid_points must be odd and >= 101 so 0 is a grid node")
-    if not grid_max > 0.0:
-        raise ValidationError("grid_max must be positive")
+    check_positive("grid_max", grid_max)
     n_in = hist.n_in_range
     if n_in == 0:
         raise ValidationError("histogram holds no in-range samples")
@@ -219,11 +209,9 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
                 f"rule-based bandwidth needs >= {MIN_SMOOTH_SAMPLES} samples, got {n_in}; "
                 "pass an explicit bandwidth"
             )
-        if not bandwidth_scale > 0.0:
-            raise ValidationError("bandwidth_scale must be positive")
+        check_positive("bandwidth_scale", bandwidth_scale)
         bandwidth = bandwidth_scale * silverman_bandwidth(hist)
-    if not (np.isfinite(bandwidth) and bandwidth > 0.0):
-        raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
+    check_positive("bandwidth", bandwidth)
 
     grid = np.linspace(-grid_max, grid_max, grid_points)
     f = _kernel_sum(hist, grid, bandwidth) / (n_in * bandwidth * np.sqrt(2.0 * np.pi))
@@ -400,8 +388,7 @@ def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]
         )
     if not 0.0 < r_max <= x_max:
         raise ValidationError(f"r_max must lie in (0, {x_max:g}], got {r_max}")
-    if n_radii < 2:
-        raise ValidationError("n_radii must be >= 2")
+    check_count("n_radii", n_radii, 2)
     return xs, fs, np.linspace(0.0, r_max, n_radii)
 
 
@@ -470,9 +457,8 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 
     bandwidth, so the band includes bandwidth variability; an explicit
     bandwidth makes the band conditional on it (Silverman 1986).
     """
-    for name, value, least in (("n_boot", n_boot, 2), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    check_count("n_boot", n_boot, 2)
+    check_count("seed", seed, 0)
     pos, edges = _bin_positions(values, None, n_bins=n_bins, lo=lo, hi=hi)
     smooth = dict(bandwidth=bandwidth, bandwidth_scale=bandwidth_scale,
                   grid_max=grid_max, grid_points=grid_points)
@@ -548,9 +534,11 @@ def _negative_log_likelihood(eta: float, x2: np.ndarray, t: np.ndarray) -> float
     return float(-np.sum(const - 2.0 * x2 + core))
 
 
-def fit_efficiency(values, method: str = "mle",
-                   min_samples: int = MIN_FIT_SAMPLES) -> EfficiencyFit:
+def fit_efficiency(values, method: str = "mle") -> EfficiencyFit:
     """Fit the efficiency of the vacuum/one-photon mixture.
+
+    `values` must be a 1-d array of at least MIN_FIT_SAMPLES finite
+    calibrated quadratures.
 
     The density is pr_eta(X) = pr_0(X) (1 + eta (4 X^2 - 1)), linear in eta,
     so the log-likelihood is strictly concave and the score equation
@@ -570,15 +558,7 @@ def fit_efficiency(values, method: str = "mle",
     sum b (d - a) / sum b^2 over the bins, clipped to [0, 1].  Its standard
     error is also the information bound, recorded for comparability.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValidationError("expected a 1-d array of calibrated values")
-    if values.size < min_samples:
-        raise ValidationError(
-            f"efficiency fit needs at least {min_samples} samples, got {values.size}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("values contain non-finite entries")
+    values = check_samples(values, "efficiency fit", MIN_FIT_SAMPLES)
 
     x2 = values * values
     t = 4.0 * x2 - 1.0
@@ -648,16 +628,12 @@ class DiagonalEstimate:
 def sample_diagonals(values, n_max: int = MAX_ORDER) -> list[DiagonalEstimate]:
     """Estimate rho_nn for n = 0..n_max from calibrated quadratures.
 
-    rho_nn is the sample mean of pi f_nn(x_k); no binning or smoothing is
-    involved, so the estimates carry clean statistical errors.
+    `values` must be a non-empty 1-d array of finite floats.  rho_nn is the
+    sample mean of pi f_nn(x_k); no binning or smoothing is involved, so the
+    estimates carry clean statistical errors.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValidationError("expected a non-empty 1-d array of calibrated values")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("values contain non-finite entries")
-    if not 0 <= n_max <= MAX_ORDER:
-        raise ValidationError(f"n_max must be in 0..{MAX_ORDER}, got {n_max}")
+    values = check_samples(values, "diagonal sampling", 1)
+    n_max = check_count("n_max", n_max, 0, MAX_ORDER)
     n_samples = values.size
     out = []
     for n, v in enumerate(_scaled_kernels(values, n_max)):

@@ -29,7 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetFormatError, ValidationError
+from .errors import (
+    DatasetFormatError,
+    ValidationError,
+    check_count,
+    check_positive,
+    check_unit_interval,
+)
 from .kvtext import format_kv, parse_kv
 
 FORMAT_VERSION = 1
@@ -43,15 +49,15 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Affine detector response with an optional false-trigger rate."""
+    """Affine detector response with an optional false-trigger rate: scale
+    positive and finite, offset finite, dark_fraction in [0, 1)."""
 
     scale: float = 1.0
     offset: float = 0.0
     dark_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise ValidationError(f"detector scale must be positive, got {self.scale}")
+        check_positive("detector scale", self.scale)
         if not np.isfinite(self.offset):
             raise ValidationError("detector offset must be finite")
         if not (0.0 <= self.dark_fraction < 1.0):
@@ -62,7 +68,8 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Complete description of one synthetic run."""
+    """Complete description of one synthetic run: eta_true in [0, 1], and
+    n_vacuum, n_fock and seed integers >= 0 (not bool), not both counts 0."""
 
     eta_true: float
     n_vacuum: int
@@ -71,16 +78,11 @@ class RunSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.eta_true <= 1.0):
-            raise ValidationError(f"eta_true must lie in [0, 1], got {self.eta_true}")
-        for name in ("n_vacuum", "n_fock"):
-            n = getattr(self, name)
-            if not isinstance(n, (int, np.integer)) or n < 0:
-                raise ValidationError(f"{name} must be a non-negative integer, got {n!r}")
+        check_unit_interval("eta_true", self.eta_true)
+        for name in ("n_vacuum", "n_fock", "seed"):
+            check_count(name, getattr(self, name), 0)
         if self.n_vacuum == 0 and self.n_fock == 0:
             raise ValidationError("run must contain at least one sample")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -115,16 +117,13 @@ def sample_quadrature(eta, size, rng) -> np.ndarray:
     uniform and one standard normal per sample from `rng`, then two more
     standard normals per photon event.
     """
-    eta = np.asarray(eta, dtype=float)
-    if not np.all((eta >= 0.0) & (eta <= 1.0)):  # also rejects NaN
-        raise ValidationError(f"eta must lie in [0, 1], got {eta!r}")
+    eta = check_unit_interval("eta", eta)
     if size is None:
         if eta.ndim == 0:
             raise ValidationError("size=None requires an array of per-event efficiencies")
         size = eta.shape[0]
-    if size < 0:
-        raise ValidationError(f"size must be non-negative, got {size}")
-    photon = rng.random(int(size)) < eta
+    size = check_count("size", size, 0)
+    photon = rng.random(size) < eta
     z = rng.standard_normal(photon.size)
     x = 0.5 * z
     z0 = z[photon]
@@ -134,7 +133,10 @@ def sample_quadrature(eta, size, rng) -> np.ndarray:
 
 
 def generate_run(spec: RunSpec) -> HomodyneDataset:
-    """Generate a full run from its spec; deterministic in spec.seed."""
+    """Generate a full run from its spec; deterministic in spec.seed.
+
+    Raises ValidationError if the detector map scale * X + offset overflows
+    to a non-finite raw value for any event."""
     seq_vacuum, seq_fock = np.random.SeedSequence(spec.seed).spawn(2)
     det = spec.detector
 
@@ -151,7 +153,11 @@ def generate_run(spec: RunSpec) -> HomodyneDataset:
         np.full(spec.n_fock, SOURCE_FOCK, dtype="U1"),
     ])
     phase = np.concatenate([phase_v, phase_f])
-    raw = det.scale * np.concatenate([x_v, x_f]) + det.offset
+    with np.errstate(over="ignore"):
+        raw = det.scale * np.concatenate([x_v, x_f]) + det.offset
+    if not np.all(np.isfinite(raw)):
+        raise ValidationError(f"detector map scale * X + offset overflows for "
+                              f"scale={det.scale}, offset={det.offset}")
     return HomodyneDataset(spec=spec, source=source, phase=phase, raw_value=raw)
 
 

@@ -18,14 +18,15 @@ marginal_cdf and marginal_ppf import scipy.special when they are called, and
 nothing that `focktomo simulate` or `focktomo reconstruct` runs calls them:
 the simulator draws the mixture directly, so they serve as the closed-form
 reference for tests and for inverse-CDF sampling.  Everything else here needs
-numpy alone.
+numpy alone.  Every function raises ValidationError for an eta outside
+[0, 1] or not finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .errors import ValidationError, check_unit_interval
 
 # Vacuum marginal standard deviation in this convention.
 VACUUM_STD = 0.5
@@ -42,37 +43,23 @@ def _maybe_scalar(arr: np.ndarray) -> float | np.ndarray:
     return arr
 
 
-def _check_eta(eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
-    if np.any((eta < 0.0) | (eta > 1.0)) or not np.all(np.isfinite(eta)):
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    return eta
-
-
 def wigner_radial(eta, r):
     """Phase-averaged Wigner function W_eta at radius R = sqrt(X^2 + P^2).
 
     `r` must be non-negative; `eta` and `r` broadcast.
     """
-    eta = _check_eta(eta)
+    eta = check_unit_interval("eta", eta)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
-        raise ValueError("radius must be non-negative")
+        raise ValidationError("radius must be non-negative")
     r2 = r * r
     out = (2.0 / np.pi) * np.exp(-2.0 * r2) * (eta * (4.0 * r2 - 1.0) + (1.0 - eta))
     return _maybe_scalar(out)
 
 
-def wigner_xy(eta, x, p):
-    """Wigner function on the (X, P) plane; rotationally symmetric."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return wigner_radial(eta, np.sqrt(x * x + p * p))
-
-
 def marginal_density(eta, x):
     """Quadrature marginal pr_eta(X); identical at every phase."""
-    eta = _check_eta(eta)
+    eta = check_unit_interval("eta", eta)
     x = np.asarray(x, dtype=float)
     x2 = x * x
     out = _SQRT_2_OVER_PI * np.exp(-2.0 * x2) * (1.0 - eta + 4.0 * eta * x2)
@@ -92,7 +79,7 @@ def marginal_cdf(eta, x):
     """
     from scipy import special
 
-    eta = _check_eta(eta)
+    eta = check_unit_interval("eta", eta)
     x = np.asarray(x, dtype=float)
     out = 0.5 * special.erfc(-np.sqrt(2.0) * x) - eta * _SQRT_2_OVER_PI * x * np.exp(-2.0 * x * x)
     return _maybe_scalar(out)
@@ -123,10 +110,8 @@ def marginal_ppf(eta, u, tol: float = 1e-13, max_iter: int = 80):
     """
     from scipy import special
 
-    eta = _check_eta(eta)
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0)) or not np.all(np.isfinite(u)):
-        raise ValueError("quantile argument must lie in [0, 1]")
+    eta = check_unit_interval("eta", eta)
+    u = check_unit_interval("quantile argument", u)
     u_eff = np.clip(u, 1e-18, 1.0 - 2.0 ** -53)
 
     eta_b, u_b = np.broadcast_arrays(eta, u_eff)
@@ -156,31 +141,3 @@ def marginal_ppf(eta, u, tol: float = 1e-13, max_iter: int = 80):
     out = np.asarray(np.where(flip, -x.reshape(u_b.shape), x.reshape(u_b.shape)))
     return _maybe_scalar(out)
 
-
-@dataclass(frozen=True)
-class EfficiencyMixtureState:
-    """Single-photon state mixed with vacuum at weight 1 - eta."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        _check_eta(self.eta)
-
-    def wigner_radial(self, r):
-        return wigner_radial(self.eta, r)
-
-    def wigner_xy(self, x, p):
-        return wigner_xy(self.eta, x, p)
-
-    def marginal_density(self, x):
-        return marginal_density(self.eta, x)
-
-    def marginal_cdf(self, x):
-        return marginal_cdf(self.eta, x)
-
-    def marginal_ppf(self, u):
-        return marginal_ppf(self.eta, u)
-
-    def wigner_origin(self) -> float:
-        """W_eta(0) = (2/pi)(1 - 2 eta)."""
-        return (2.0 / np.pi) * (1.0 - 2.0 * self.eta)

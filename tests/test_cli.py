@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,34 @@ def test_invalid_eta_is_validation_error(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+def test_overflowing_detector_map_is_validation_error(tmp_path, capsys):
+    # scale * X overflows to inf: no warning, and no file reconstruct cannot read
+    path = tmp_path / "x.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--n-vacuum", "5000", "--n-fock", "2000",
+                     "--scale", "1e308", "-o", str(path)])
+    assert code == EXIT_VALIDATION
+    assert "overflows" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("grid_max,message", [
+    ("inf", "grid_max must be positive and finite"),
+    ("nan", "grid_max must be positive and finite"),
+    ("1e308", "bin range"),  # finite, but the bins' width 2 * grid_max overflows
+])
+def test_unusable_grid_max_is_validation_error(tmp_path, capsys, grid_max, message):
+    path = _simulate(tmp_path)
+    outdir = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["reconstruct", str(path), "--grid-max", grid_max, "-o", str(outdir)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_degenerate_dataset_is_numerics_error(tmp_path, capsys):
     path = _simulate(tmp_path)
     lines = path.read_text().splitlines()
@@ -238,19 +267,43 @@ def test_usage_error_exit_code():
     assert exc.value.code == EXIT_USAGE
 
 
-def test_env_config_defaults(tmp_path, monkeypatch):
+# Every config key: where its value shows (the dataset header line, or the
+# line in the report's [config] section), a config value and a flag value.
+_SETTING_CASES = {
+    "eta": ("# eta_true", "0.3", "0.9"),
+    "n_vacuum": ("# n_vacuum", "4000", "3000"),
+    "n_fock": ("# n_fock", "1000", "500"),
+    "seed": ("# seed", "7", "8"),
+    "scale": ("# scale", "2.5", "1.5"),
+    "offset": ("# offset", "-0.4", "0.2"),
+    "dark_fraction": ("# dark_fraction", "0.1", "0.2"),
+    "bandwidth_scale": ("bandwidth_scale", "1.5", "2.0"),
+    "fit_method": ("fit_method", "hist", "mle"),
+    "grid_max": ("grid_max", "5.0", "7.0"),
+    "grid_points": ("grid_points", "2001", "1601"),
+}
+
+
+@pytest.mark.parametrize("key", list(_SETTING_CASES))
+def test_env_config_defaults(tmp_path, monkeypatch, key):
+    # a config value replaces the default, and an explicit flag beats it
+    shown_as, config_value, flag_value = _SETTING_CASES[key]
+    simulate = shown_as.startswith("#")
+    if simulate:
+        counts = {"--n-vacuum": "5000", "--n-fock": "2000"}
+        counts.pop("--" + key.replace("_", "-"), None)
+        base = ["simulate", *(arg for item in counts.items() for arg in item)]
+    else:
+        base = ["reconstruct", str(_simulate(tmp_path))]
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("eta=0.3\nn_vacuum=4000\nn_fock=1000\n")
+    cfg.write_text(f"{key}={config_value}\n")
     monkeypatch.setenv("FOCKTOMO_CONFIG", str(cfg))
-    path = tmp_path / "run.txt"
-    assert main(["simulate", "--seed", "1", "-o", str(path)]) == EXIT_OK
-    ds = read_dataset(path)
-    assert ds.spec.eta_true == 0.3
-    assert ds.spec.n_vacuum == 4000
-    # explicit flags beat the config file
-    path2 = tmp_path / "run2.txt"
-    assert main(["simulate", "--seed", "1", "--eta", "0.9", "-o", str(path2)]) == EXIT_OK
-    assert read_dataset(path2).spec.eta_true == 0.9
+    flag = "--" + key.replace("_", "-")
+    for name, extra, expected in (("a", [], config_value), ("b", [flag, flag_value], flag_value)):
+        out = tmp_path / name
+        assert main([*base, *extra, "-o", str(out)]) == EXIT_OK
+        written = out if simulate else out / "report.txt"
+        assert f"{shown_as}={expected}" in written.read_text().splitlines()
 
 
 def test_env_config_rejects_unknown_key(tmp_path, monkeypatch, capsys):

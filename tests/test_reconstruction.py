@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from scipy.interpolate import CubicSpline, PPoly
 
 from focktomo.errors import NumericsError, ValidationError
 from focktomo.patterns import pattern_function
+from focktomo.pipeline import ReconstructionConfig
 from focktomo.reconstruction import (
     ABEL_MAX_SPACING,
     ABEL_MIN_RANGE,
@@ -87,6 +90,13 @@ def test_bin_validation():
         bin_samples(np.array([np.nan]))
     with pytest.raises(ValidationError):
         bin_samples(good, n_bins=0)
+    # a range whose width hi - lo overflows is rejected before linspace warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo, hi in ((-np.inf, 1.0), (0.0, np.nan), (-1e308, 1e308),
+                       (np.float64(-1e308), np.float64(1e308)), (1.0, 1.0)):
+            with pytest.raises(ValidationError, match="bin range"):
+                bin_samples(good, lo=lo, hi=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +159,17 @@ def test_smooth_validation():
         smooth_marginal(hist, bandwidth_scale=0.0)
     with pytest.raises(ValidationError):
         smooth_marginal(hist, grid_max=-1.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_positive_settings_must_be_finite(bad):
+    for name in ("grid_max", "bandwidth_scale"):
+        with pytest.raises(ValidationError, match=name):
+            ReconstructionConfig(**{name: bad})
+    hist = bin_samples(_draws(0.0, 2000, 6))
+    for name in ("grid_max", "bandwidth_scale", "bandwidth"):
+        with pytest.raises(ValidationError, match=name):
+            smooth_marginal(hist, **{name: bad})
 
 
 def _dense_smooth_marginal(hist, bandwidth, grid_max=6.0, grid_points=2401):

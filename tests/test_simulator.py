@@ -162,6 +162,11 @@ def test_run_spec_validation():
         RunSpec(eta_true=0.5, n_vacuum=0, n_fock=0)
     with pytest.raises(ValidationError):
         RunSpec(eta_true=0.5, n_vacuum=10, n_fock=10, seed=-1)
+    # a bool is not a count: seed=True would be written as 'seed=true'
+    for name in ("n_vacuum", "n_fock", "seed"):
+        for flag in (True, False):
+            with pytest.raises(ValidationError, match=name):
+                RunSpec(**{"eta_true": 0.5, "n_vacuum": 2000, "n_fock": 200, name: flag})
 
 
 def test_roundtrip(tmp_path):

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from focktomo.states import (
-    EfficiencyMixtureState,
     marginal_cdf,
     marginal_density,
     marginal_ppf,
     wigner_radial,
-    wigner_xy,
 )
 
 ETAS = [0.0, 0.25, 0.5, 0.553, 0.75, 1.0]
@@ -54,7 +52,7 @@ def test_marginal_second_moment(eta):
 @pytest.mark.parametrize("x", [-1.3, -0.4, 0.0, 0.7, 2.1])
 def test_projection_consistency(eta, x):
     # integrating the Wigner function over P at fixed X gives the marginal
-    proj, _ = integrate.quad(lambda p: wigner_xy(eta, x, p), -6.0, 6.0)
+    proj, _ = integrate.quad(lambda p: wigner_radial(eta, np.hypot(x, p)), -6.0, 6.0)
     assert proj == pytest.approx(marginal_density(eta, x), abs=1e-8)
 
 
@@ -182,8 +180,6 @@ def test_eta_validation():
             wigner_radial(bad, 0.0)
         with pytest.raises(ValueError):
             marginal_density(bad, 0.0)
-        with pytest.raises(ValueError):
-            EfficiencyMixtureState(bad)
 
 
 def test_radius_validation():
@@ -196,10 +192,3 @@ def test_ppf_argument_validation():
         with pytest.raises(ValueError):
             marginal_ppf(0.5, bad)
 
-
-def test_state_delegation():
-    state = EfficiencyMixtureState(0.553)
-    assert state.wigner_radial(0.7) == wigner_radial(0.553, 0.7)
-    assert state.marginal_density(0.2) == marginal_density(0.553, 0.2)
-    assert state.marginal_cdf(0.2) == marginal_cdf(0.553, 0.2)
-    assert state.wigner_origin() == pytest.approx(-0.06748169587096368, abs=1e-12)

@@ -22,12 +22,22 @@ with U = sqrt(X_max^2 - R^2), and the integrand at R = 0, u = 0 tends to
 pr''(0) because the density is even.  A composite Simpson rule on a fixed
 node count then converges fast; the marginal beyond X_max is treated as
 zero, which for X_max >= 4 contributes less than 1e-6 in absolute value.
-One such rule per radius is evaluated for all radii at once, as a single
-matrix-vector product on chord nodes that wigner_to_marginal shares: the
-forward projection pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv is the same
+The rule's nodes lie on chords that wigner_to_marginal shares: the forward
+projection pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv is the same
 integral over a chord of the disc of radius R_max.  Both directions
 interpolate with one cubic spline, clamped to slope 0 at the first knot and
 not-a-knot at the last, solved by a tridiagonal sweep.
+
+For a fixed grid and fixed radii the inversion is linear, so it is one
+matrix M (radii x grid intervals) applied to the folded marginal's interval
+slopes diff(pr) / diff(X): abel_inverse is one matrix-vector product and
+bootstrap_profile evaluates every replicate in one matrix product.  M is
+built analytically (Simpson weights, the spline's Hermite derivative
+weights and one multi-column tridiagonal sweep) and kept read-only in a
+module cache of the ABEL_CACHED_GRIDS most recently used (grid, radii)
+pairs, keyed on their exact bytes.  On the default grid (2401 points, 401
+radii) M holds 401 x 1200 doubles, about 3.9 MB.  wigner_to_marginal
+evaluates its spline on the chord nodes directly.
 
 The module needs numpy alone: the efficiency likelihood is maximized by a
 safeguarded Newton iteration and the histogram fit has a closed form.
@@ -35,6 +45,8 @@ safeguarded Newton iteration and the histogram fit has a closed form.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +59,9 @@ from .states import marginal_density
 # is sampled more coarsely than this spacing.
 ABEL_MIN_RANGE = 4.0
 ABEL_MAX_SPACING = 0.02
+
+# The inversion keeps its linear operator for this many (grid, radii) pairs.
+ABEL_CACHED_GRIDS = 4
 
 # Rule-based bandwidths and the efficiency fit need this many samples.
 MIN_FIT_SAMPLES = 1000
@@ -177,7 +192,7 @@ def silverman_bandwidth(hist: MarginalHistogram) -> float:
     spread = min(std, iqr / 1.34) if iqr > 0 else std
     if spread <= 0.0:
         raise NumericsError("sample spread is zero; pass an explicit bandwidth")
-    return 0.9 * spread * n_in ** (-0.2)
+    return float(0.9 * spread * n_in ** (-0.2))
 
 
 def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
@@ -197,9 +212,7 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     explicit `bandwidth` lifts that floor.  grid_max, bandwidth_scale and
     the bandwidth used must be positive and finite.
     """
-    if grid_points < 101 or grid_points % 2 == 0:
-        raise ValidationError("grid_points must be odd and >= 101 so 0 is a grid node")
-    check_positive("grid_max", grid_max)
+    grid = _smoothing_grid(grid_max, grid_points)
     n_in = hist.n_in_range
     if n_in == 0:
         raise ValidationError("histogram holds no in-range samples")
@@ -210,16 +223,28 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
                 "pass an explicit bandwidth"
             )
         check_positive("bandwidth_scale", bandwidth_scale)
-        bandwidth = bandwidth_scale * silverman_bandwidth(hist)
+        # Python floats: a product that overflows is inf, without a warning.
+        bandwidth = float(bandwidth_scale) * silverman_bandwidth(hist)
     check_positive("bandwidth", bandwidth)
+    kernel_norm = n_in * float(bandwidth) * math.sqrt(2.0 * math.pi)
+    if not math.isfinite(kernel_norm):
+        raise ValidationError(f"bandwidth {bandwidth:g} too large: the kernel normalisation "
+                              f"n * bandwidth * sqrt(2 pi) overflows")
 
-    grid = np.linspace(-grid_max, grid_max, grid_points)
-    f = _kernel_sum(hist, grid, bandwidth) / (n_in * bandwidth * np.sqrt(2.0 * np.pi))
+    f = _kernel_sum(hist, grid, bandwidth) / kernel_norm
     f = 0.5 * (f + f[::-1])
     norm = np.trapezoid(f, grid)
     if norm <= 0.0:
         raise NumericsError("smoothed density integrates to zero")
     return GridDensity(x=grid, density=f / norm, bandwidth=float(bandwidth))
+
+
+def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
+    # smooth_marginal's grid, checked.
+    if grid_points < 101 or grid_points % 2 == 0:
+        raise ValidationError("grid_points must be odd and >= 101 so 0 is a grid node")
+    check_positive("grid_max", grid_max)
+    return np.linspace(-grid_max, grid_max, grid_points)
 
 
 def _kernel_sum(hist: MarginalHistogram, grid: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -282,16 +307,29 @@ def _fold_even(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
             rhs: np.ndarray) -> np.ndarray:
     # Solve a tridiagonal system by elimination without pivoting (the spline
-    # systems below are diagonally dominant but for their last row).
-    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    # systems below are diagonally dominant but for their last row).  A 2-d
+    # rhs holds one right-hand side per column and is overwritten with the
+    # solution, row by row; the elimination factors stay scalars either way.
+    sub, diag, sup = sub.tolist(), diag.tolist(), sup.tolist()
+    rows = rhs.tolist() if rhs.ndim == 1 else list(rhs)
     for i in range(1, len(diag)):
         w = sub[i - 1] / diag[i - 1]
         diag[i] -= w * sup[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    rhs[-1] /= diag[-1]
+        rows[i] -= w * rows[i - 1]
+    rows[-1] /= diag[-1]
     for i in range(len(diag) - 2, -1, -1):
-        rhs[i] = (rhs[i] - sup[i] * rhs[i + 1]) / diag[i]
-    return np.array(rhs)
+        rows[i] -= sup[i] * rows[i + 1]
+        rows[i] /= diag[i]
+    return np.array(rows) if rhs.ndim == 1 else rhs
+
+
+def _knot_system(x: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, ...]:
+    # The tridiagonal system (sub-, main and super-diagonal) for the knot slopes
+    # s[1:] of the spline below, on >= 3 knots x with spacings dx: rows 1..n-2
+    # make the second derivative continuous, the last row the third derivative
+    # at x[-2]; s[0] = 0 drops out.
+    return (np.append(dx[2:], x[-1] - x[-3]), np.append(2.0 * (dx[:-1] + dx[1:]), dx[-2]),
+            dx[:-1])
 
 
 def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -306,12 +344,10 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.size == 2:
         s[1] = slope[0]
     else:
-        # Knot slopes s[1:]: rows 1..n-2 make the second derivative continuous,
-        # the last row the third derivative at x[-2]; s[0] = 0 drops out.
         d = x[-1] - x[-3]
         last = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s[1:] = _thomas(np.append(dx[2:], d), np.append(2.0 * (dx[:-1] + dx[1:]), dx[-2]),
-                        dx[:-1], np.append(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]), last))
+        s[1:] = _thomas(*_knot_system(x, dx),
+                        np.append(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]), last))
     t = (s[:-1] + s[1:] - 2.0 * slope) / dx
     return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
@@ -327,14 +363,18 @@ def _abel_nodes(knots: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, ...]
     inside = span_sq > 0.0
     span = np.sqrt(span_sq[inside])
     h = span / (_SIMPSON_NODES - 1)
-    v = np.arange(_SIMPSON_NODES) * h[:, None]
-    v[:, -1] = span
     p = points[inside, None]
-    nodes = np.sqrt(p * p + v * v)
+    nodes = np.arange(_SIMPSON_NODES) * h[:, None]  # v, squared in place below
+    nodes[:, -1] = span
+    nodes *= nodes
+    nodes += p * p
+    np.sqrt(nodes, out=nodes)
     # Interval i holds knots[i] <= node < knots[i+1]; the first and last extend
     # beyond the ends.
     cell = np.searchsorted(knots[1:-1], nodes, side="right")
-    return inside, h, nodes, cell, nodes - knots[cell]
+    offset = knots[cell]
+    np.subtract(nodes, offset, out=offset)
+    return inside, h, nodes, cell, offset
 
 
 def _chord_sum(inside: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -343,16 +383,99 @@ def _chord_sum(inside: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _abel_values(abel_nodes: tuple[np.ndarray, ...], xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    # W at the radii of abel_nodes for the even marginal fs on xs.  The spline
-    # clamps pr'(0) = 0.
-    inside, h, nodes, cell, s = abel_nodes
-    c = _spline_coefficients(xs, fs)
-    d1 = np.take(c[2], cell) + np.take(2.0 * c[1], cell) * s + np.take(3.0 * c[0], cell) * (s * s)
-    # -pr'(X) / X, continued by its limit -pr''(0) = -2 c1 at X = 0.
-    # Negating here rather than the sum keeps W = +0.0 where the chord is empty.
-    g = np.divide(-d1, nodes, out=np.full(nodes.shape, -2.0 * c[1, 0]), where=nodes > 0.0)
-    return _chord_sum(inside, h, g) / np.pi
+def _abel_node_weights(x: np.ndarray, r: np.ndarray,
+                       dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # For the chord nodes of W at the radii r on the knots x (spacings dx):
+    # each node's weights w on the knot slope s[i] at its interval's left end,
+    # on s[i+1] and on the interval slope[i], and the flat (knot, radius)
+    # places of the first two.  W sums -q pr'(X) / X over the nodes, q the
+    # Simpson weight / pi, and the spline's pr' at the node is the cubic
+    # Hermite mix (1-u)(1-3u) s[i] + u(3u-2) s[i+1] + 6u(1-u) slope[i] for
+    # its place u in the interval.
+    inside, h, nodes, cell, u = _abel_nodes(x, r)
+    u /= dx[cell]
+    q = (h / (3.0 * np.pi))[:, None] * _SIMPSON_WEIGHTS
+    q00 = float(q[0, 0])
+    np.divide(q, nodes, out=q, where=nodes > 0.0)  # q / X
+    # In place, from u(1-u): w[0] = q (3u(1-u) + u - 1) = -q (1-u)(1-3u),
+    # w[1] = q (3u(1-u) - u) = -q u(3u-2) and w[2] = -6q u(1-u).
+    w = np.empty((3, *u.shape))
+    np.subtract(1.0, u, out=w[2])
+    w[2] *= u
+    np.multiply(w[2], 3.0, out=w[0])
+    w[0] += u
+    w[0] -= 1.0
+    w[0] *= q
+    np.multiply(w[2], 3.0, out=w[1])
+    w[1] -= u
+    w[1] *= q
+    w[2] *= -6.0
+    w[2] *= q
+    if nodes[0, 0] == 0.0:
+        # X = 0 on the R = 0 chord: the limit -pr''(0) = 2 (s[1] - 3 slope[0]) / dx[0].
+        w[:, 0, 0] = 0.0, 2.0 * q00 / dx[0], -6.0 * q00 / dx[0]
+    index = np.empty((2, *cell.shape), dtype=cell.dtype)
+    np.multiply(cell, r.size, out=index[0])
+    index[0] += np.flatnonzero(inside)[:, None]
+    np.add(index[0], r.size, out=index[1])
+    return w, index
+
+
+@functools.lru_cache(maxsize=ABEL_CACHED_GRIDS)
+def _abel_operator(knots: bytes, radii: bytes) -> np.ndarray:
+    # The read-only matrix M (radii x intervals) with W = M @ (diff(f) / diff(x))
+    # for the even marginal f on the one-sided knots x, given as the bytes of
+    # float arrays (so a cached M never sees a caller's later writes).  The
+    # knot slopes are s[1:] = T^-1 B slope (_knot_system's T; B maps the
+    # interval slopes to T's right-hand side).  With G the node weights on s
+    # (knots x radii), M^T = (node weights on the interval slopes) + B^T T^-T G,
+    # built in place: one multi-column sweep, then B^T.  Needs >= 3 knots.
+    x, r = np.frombuffer(knots), np.frombuffer(radii)
+    dx = np.diff(x)
+    w, index = _abel_node_weights(x, r, dx)
+    g_t = np.bincount(index.ravel(), w[:2].ravel(), minlength=x.size * r.size)
+    m_t = np.bincount(index[0].ravel(), w[2].ravel(), minlength=dx.size * r.size)
+    del w, index  # before the sweep, which needs only G and M
+    g_t, m_t = g_t.reshape(x.size, r.size), m_t.reshape(dx.size, r.size)
+    sub, diag, sup = _knot_system(x, dx)
+    y = _thomas(sup, diag, sub, g_t[1:])  # T^-T G
+    # B's rows: 3 (dx[j+1] slope[j] + dx[j] slope[j+1]), then the not-a-knot row.
+    d = x[-1] - x[-3]
+    m_t[-2] += (dx[-1] ** 2 / d) * y[-1]
+    m_t[-1] += ((2.0 * d + dx[-1]) * dx[-2] / d) * y[-1]
+    y = y[:-1]  # rescaled in place: to 3 dx[j+1] y[j], then to 3 dx[j] y[j]
+    y *= 3.0 * dx[1:, None]
+    m_t[:-1] += y
+    y *= (dx[:-1] / dx[1:])[:, None]
+    m_t[1:] += y
+    m_t.flags.writeable = False
+    return m_t.T
+
+
+def _check_abel_reach(xs: np.ndarray) -> float:
+    # Reject a one-sided grid xs from 0 that stops short of ABEL_MIN_RANGE or
+    # is coarser than ABEL_MAX_SPACING; returns its reach xs[-1].
+    h = float(xs[1] - xs[0])
+    x_max = float(xs[-1])
+    if x_max < ABEL_MIN_RANGE:
+        raise ValidationError(
+            f"marginal grid reaches only |X| = {x_max:g}; the inversion integral "
+            f"needs range >= {ABEL_MIN_RANGE:g}"
+        )
+    if h > ABEL_MAX_SPACING:
+        raise ValidationError(
+            f"marginal grid spacing {h:g} too coarse for the inversion; "
+            f"need <= {ABEL_MAX_SPACING:g}"
+        )
+    return x_max
+
+
+def _check_inversion_grid(grid_max: float, grid_points: int) -> None:
+    # The smoothing grid's checks and the inversion's, before any smoothing:
+    # a grid too coarse to invert would otherwise first meet the bandwidth
+    # rule, whose moments can overflow on it.
+    grid = _smoothing_grid(grid_max, grid_points)
+    _check_abel_reach(grid[grid.size // 2:])
 
 
 def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]:
@@ -374,18 +497,7 @@ def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]
         raise ValidationError("marginal grid must be uniform and increasing")
 
     xs, fs = _fold_even(grid, f)
-    h = float(xs[1] - xs[0])
-    x_max = float(xs[-1])
-    if x_max < ABEL_MIN_RANGE:
-        raise ValidationError(
-            f"marginal grid reaches only |X| = {x_max:g}; the inversion integral "
-            f"needs range >= {ABEL_MIN_RANGE:g}"
-        )
-    if h > ABEL_MAX_SPACING:
-        raise ValidationError(
-            f"marginal grid spacing {h:g} too coarse for the inversion; "
-            f"need <= {ABEL_MAX_SPACING:g}"
-        )
+    x_max = _check_abel_reach(xs)
     if not 0.0 < r_max <= x_max:
         raise ValidationError(f"r_max must lie in (0, {x_max:g}], got {r_max}")
     check_count("n_radii", n_radii, 2)
@@ -402,7 +514,8 @@ def abel_inverse(x, density=None, *, r_max: float = 4.0,
     W on n_radii equally spaced radii in [0, r_max].
     """
     xs, fs, radii = _abel_grid(x, density, r_max, n_radii)
-    return RadialWignerProfile(radii=radii, values=_abel_values(_abel_nodes(xs, radii), xs, fs))
+    matrix = _abel_operator(xs.tobytes(), radii.tobytes())
+    return RadialWignerProfile(radii=radii, values=matrix @ (np.diff(fs) / np.diff(xs)))
 
 
 def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
@@ -420,12 +533,14 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     if (radii.ndim != 1 or radii.size < 2 or values.shape != radii.shape
             or np.any(np.diff(radii) <= 0.0)):
         raise ValidationError("profile needs one value per radius on >= 2 increasing radii")
-    inside, h, _, cell, s = _abel_nodes(radii, xq)
+    # The nodes' buffer is reused for the coefficients; "clip" (every interval
+    # is in range) lets take write into it without a temporary.
+    inside, h, buf, cell, s = _abel_nodes(radii, xq)
     c = _spline_coefficients(radii, values)
     w = np.take(c[0], cell)
     for k in (1, 2, 3):  # Horner
         w *= s
-        w += np.take(c[k], cell)
+        w += np.take(c[k], cell, out=buf, mode="clip")
     out = 2.0 * _chord_sum(inside, h, w)
     if np.ndim(x) == 0:
         return float(out[0])
@@ -439,6 +554,7 @@ def reconstruct_profile(values, *, n_bins: int = 1200, lo: float = -6.0, hi: flo
                         ) -> tuple[MarginalHistogram, GridDensity, RadialWignerProfile]:
     """Convenience chain: bin -> smooth -> invert on calibrated samples."""
     hist = bin_samples(values, n_bins=n_bins, lo=lo, hi=hi)
+    _check_inversion_grid(grid_max, grid_points)
     dens = smooth_marginal(hist, bandwidth=bandwidth, bandwidth_scale=bandwidth_scale,
                            grid_max=grid_max, grid_points=grid_points)
     profile = abel_inverse(dens, r_max=r_max, n_radii=n_radii)
@@ -460,19 +576,21 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 
     check_count("n_boot", n_boot, 2)
     check_count("seed", seed, 0)
     pos, edges = _bin_positions(values, None, n_bins=n_bins, lo=lo, hi=hi)
+    _check_inversion_grid(grid_max, grid_points)
     smooth = dict(bandwidth=bandwidth, bandwidth_scale=bandwidth_scale,
                   grid_max=grid_max, grid_points=grid_points)
     xs, fs, radii = _abel_grid(smooth_marginal(_tally(pos, edges), **smooth), None,
                                r_max, n_radii)
-    nodes = _abel_nodes(xs, radii)
+    matrix = _abel_operator(xs.tobytes(), radii.tobytes())
+    dx = np.diff(xs)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    stack = np.empty((n_boot, radii.size))
-    for row in stack:
+    slopes = np.empty((n_boot, dx.size))  # each replicate's folded interval slopes
+    for row in slopes:
         rep = smooth_marginal(_tally(pos[rng.integers(0, pos.size, size=pos.size)], edges),
                               **smooth)
-        row[:] = _abel_values(nodes, xs, _fold_even(rep.x, rep.density)[1])
-    return RadialWignerProfile(radii=radii, values=_abel_values(nodes, xs, fs),
-                               stderr=np.std(stack, axis=0, ddof=1))
+        row[:] = np.diff(_fold_even(rep.x, rep.density)[1]) / dx
+    return RadialWignerProfile(radii=radii, values=matrix @ (np.diff(fs) / dx),
+                               stderr=np.std(slopes @ matrix.T, axis=0, ddof=1))
 
 
 # ---------------------------------------------------------------------------

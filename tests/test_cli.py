@@ -244,6 +244,31 @@ def test_unusable_grid_max_is_validation_error(tmp_path, capsys, grid_max, messa
     assert not outdir.exists()
 
 
+def _reconstruct_without_warnings(tmp_path, *flags):
+    # Exit code of `focktomo reconstruct` on a small run; any warning fails.
+    path = _simulate(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["reconstruct", str(path), *flags, "-o", str(tmp_path / "o")])
+
+
+def test_grid_too_coarse_to_invert_is_rejected_before_smoothing(tmp_path, capsys):
+    # finite, with a bin width that fits a double, but far coarser than the
+    # inversion allows; the bandwidth rule's moments would overflow on it
+    code = _reconstruct_without_warnings(tmp_path, "--grid-max", "1e200")
+    assert code == EXIT_VALIDATION
+    assert "marginal grid spacing" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bandwidth_overflowing_the_kernel_normalisation_is_validation_error(tmp_path, capsys):
+    code = _reconstruct_without_warnings(tmp_path, "--bandwidth-scale", "1e308")
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "bandwidth" in err and "too large" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_degenerate_dataset_is_numerics_error(tmp_path, capsys):
     path = _simulate(tmp_path)
     lines = path.read_text().splitlines()

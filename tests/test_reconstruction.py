@@ -17,6 +17,7 @@ from focktomo.reconstruction import (
     GridDensity,
     MarginalHistogram,
     RadialWignerProfile,
+    _abel_operator,
     abel_inverse,
     bin_samples,
     _spline_coefficients,
@@ -474,6 +475,42 @@ def test_bootstrap_profile_matches_replicate_loop(bandwidth):
     assert np.array_equal(prof.values, reconstruct_profile(x, bandwidth=bandwidth)[2].values)
     reference = _loop_bootstrap_stderr(x, 8, 4, bandwidth=bandwidth)
     assert np.max(np.abs(prof.stderr - reference)) <= 1e-12
+
+
+def test_abel_operator_cache_is_keyed_on_the_grid_and_read_only():
+    # Two grids in turn: each call returns what the first call on its grid did.
+    grids = [(np.linspace(-6.0, 6.0, 2401), {}),
+             (np.linspace(-6.0, 6.0, 2001), {"r_max": 3.0})]
+    hits = _abel_operator.cache_info().hits
+    first = {}
+    for _ in range(3):
+        for k, (x, kwargs) in enumerate(grids):
+            values = abel_inverse(x, marginal_density(0.553, x), **kwargs).values
+            if k in first:
+                assert np.array_equal(values, first[k])
+            else:
+                first[k] = values
+    assert _abel_operator.cache_info().hits >= hits + 4
+
+    xs, radii = np.linspace(0.0, 6.0, 1201), np.linspace(0.0, 4.0, 401)
+    matrix = _abel_operator(xs.tobytes(), radii.tobytes())
+    assert matrix.shape == (401, 1200)
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1.0
+
+    # A caller's later writes to its arrays reach neither the cache nor a result
+    # (a one-sided grid is used as given, without a copy).
+    x = np.linspace(0.0, 6.0, 1201)
+    f = marginal_density(0.553, x)
+    result = abel_inverse(x, f)
+    kept = result.values.copy()
+    x *= 1.01
+    f[:] = 0.0
+    assert np.array_equal(result.values, kept)
+    fresh = np.linspace(0.0, 6.0, 1201)
+    assert np.array_equal(abel_inverse(fresh, marginal_density(0.553, fresh)).values, kept)
+    assert np.array_equal(abel_inverse(x, marginal_density(0.553, x)).values,
+                          abel_inverse(fresh * 1.01, marginal_density(0.553, fresh * 1.01)).values)
 
 
 def _spline_cases():

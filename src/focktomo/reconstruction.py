@@ -210,7 +210,8 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     With bandwidth=None the Silverman rule scaled by `bandwidth_scale` is
     used and at least MIN_SMOOTH_SAMPLES in-range samples are required; an
     explicit `bandwidth` lifts that floor.  grid_max, bandwidth_scale and
-    the bandwidth used must be positive and finite.
+    the bandwidth used must be positive and finite, and the bandwidth large
+    enough that some kernel term on the grid does not underflow to 0.
     """
     grid = _smoothing_grid(grid_max, grid_points)
     n_in = hist.n_in_range
@@ -231,7 +232,14 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
         raise ValidationError(f"bandwidth {bandwidth:g} too large: the kernel normalisation "
                               f"n * bandwidth * sqrt(2 pi) overflows")
 
-    f = _kernel_sum(hist, grid, bandwidth) / kernel_norm
+    # A kernel argument beyond about 38.6 underflows to 0; on the way its
+    # square may overflow to inf, which gives the same 0.
+    with np.errstate(over="ignore"):
+        kernel = _kernel_sum(hist, grid, bandwidth)
+    if not np.any(kernel):
+        raise ValidationError(f"bandwidth {bandwidth:g} too small for the grid spacing "
+                              f"{grid[1] - grid[0]:g}: every kernel term underflows")
+    f = kernel / kernel_norm
     f = 0.5 * (f + f[::-1])
     norm = np.trapezoid(f, grid)
     if norm <= 0.0:

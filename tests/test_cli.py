@@ -269,6 +269,14 @@ def test_bandwidth_overflowing_the_kernel_normalisation_is_validation_error(tmp_
     assert not (tmp_path / "o").exists()
 
 
+def test_bandwidth_underflowing_every_kernel_term_is_validation_error(tmp_path, capsys):
+    code = _reconstruct_without_warnings(tmp_path, "--bandwidth-scale", "1e-300")
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "bandwidth" in err and "too small for the grid spacing 0.005" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_degenerate_dataset_is_numerics_error(tmp_path, capsys):
     path = _simulate(tmp_path)
     lines = path.read_text().splitlines()

@@ -1,9 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from focktomo.errors import DatasetFormatError, ValidationError
 from focktomo.simulator import (
+    _BLOCK,
+    _FIELD,
     FORMAT_VERSION,
     DetectorModel,
     HomodyneDataset,
@@ -11,6 +17,7 @@ from focktomo.simulator import (
     generate_run,
     read_dataset,
     sample_quadrature,
+    _format_repr,
     write_dataset,
 )
 from focktomo.states import marginal_cdf
@@ -337,13 +344,14 @@ def test_read_skips_blank_lines_and_surrounding_whitespace(tmp_path):
 
 
 def test_written_bytes_are_frozen(tmp_path):
-    # shortest-repr floats, one 'source phase raw_value' line per sample
+    # shortest-repr floats, one 'source phase raw_value' line per sample; the
+    # last phase is the largest double below 2 pi (2 pi itself is rejected)
     spec = RunSpec(eta_true=0.553, n_vacuum=2, n_fock=1, seed=7,
                    detector=DetectorModel(scale=1.5, offset=-0.25, dark_fraction=0.1))
     ds = HomodyneDataset(
         spec=spec,
         source=np.array(["V", "V", "F"]),
-        phase=np.array([0.0, 0.1, 6.283185307179586]),
+        phase=np.array([0.0, 0.1, 6.283185307179585]),
         raw_value=np.array([-0.0, 1e-300, -123456.789]),
     )
     path = tmp_path / "run.txt"
@@ -351,20 +359,134 @@ def test_written_bytes_are_frozen(tmp_path):
     assert path.read_bytes() == (
         b"# format_version=1\n# rng=numpy-pcg64-mixture\n# seed=7\n# eta_true=0.553\n"
         b"# scale=1.5\n# offset=-0.25\n# dark_fraction=0.1\n# n_vacuum=2\n# n_fock=1\n"
-        b"V 0.0 -0.0\nV 0.1 1e-300\nF 6.283185307179586 -123456.789\n"
+        b"V 0.0 -0.0\nV 0.1 1e-300\nF 6.283185307179585 -123456.789\n"
     )
 
 
+def _per_row_body(ds):
+    # the reference writer: one f-string per sample, floats by repr
+    columns = (np.asarray(ds.source).tolist(), np.asarray(ds.phase, dtype=float).tolist(),
+               np.asarray(ds.raw_value, dtype=float).tolist())
+    return "".join(f"{s} {p!r} {v!r}\n" for s, p, v in zip(*columns)).encode()
+
+
+def _written_body(ds, path):
+    write_dataset(ds, path)
+    return path.read_bytes().split(b"\n", 9)[9]
+
+
+def _raw_column_run(raw, seed=0):
+    # vacuum samples holding `raw`, with uniform phases
+    raw = np.asarray(raw, dtype=float)
+    return HomodyneDataset(spec=RunSpec(eta_true=0.5, n_vacuum=raw.size, n_fock=0),
+                           source=np.full(raw.size, "V"),
+                           phase=2.0 * np.pi * _rng(seed).random(raw.size), raw_value=raw)
+
+
 def test_writer_matches_per_row_reference(tmp_path):
-    # the batched writer must produce the bytes of a plain per-sample loop
+    # the block writer must produce the bytes of a plain per-sample loop
     det = DetectorModel(scale=2.5, offset=-0.7, dark_fraction=0.3)
     ds = generate_run(RunSpec(eta_true=0.9, n_vacuum=700, n_fock=500, detector=det, seed=4))
+    assert _written_body(ds, tmp_path / "run.txt") == _per_row_body(ds)
+
+
+def test_reference_run_file_is_frozen(tmp_path):
+    # focktomo simulate --eta 0.553 --n-vacuum 200000 --n-fock 12000 --seed 42
     path = tmp_path / "run.txt"
-    write_dataset(ds, path)
-    lines = path.read_text().splitlines(keepends=True)
-    expected = [f"{s} {float(p)!r} {float(v)!r}\n"
-                for s, p, v in zip(ds.source, ds.phase, ds.raw_value)]
-    assert lines[9:] == expected
+    write_dataset(generate_run(RunSpec(eta_true=0.553, n_vacuum=200_000, n_fock=12_000,
+                                       seed=42)), path)
+    data = path.read_bytes()
+    assert len(data) == 8_565_649
+    assert hashlib.sha256(data).hexdigest() == (
+        "3ec5dc4858475fd01c50c49c05a2258965fe65a7f41d9686ee65ad38696f3e7e")
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_writer_matches_per_row_reference_for_any_finite_double(tmp_path_factory, raw):
+    ds = _raw_column_run(raw)
+    path = tmp_path_factory.getbasetemp() / "any_double.txt"
+    assert _written_body(ds, path) == _per_row_body(ds)
+
+
+def _seeded_doubles(n, seed):
+    # n finite doubles of each kind repr's shortest-digits rule meets
+    rng = _rng(seed)
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    bits = rng.integers(0, 2**64, 2 * n, dtype=np.uint64).view(np.float64)
+    return np.concatenate([
+        rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n),
+        sign * 10.0 ** rng.uniform(-6.0, 17.0, n),  # log-uniform magnitudes
+        bits[np.isfinite(bits)][:n],  # random bit patterns
+        rng.integers(-10**9, 10**9, n) / 10.0 ** rng.integers(0, 12, n),  # short decimals
+        # 1/8 steps on [1e13, 1e15): 18 digits ending in 5, an exact tie at 17
+        sign * (np.floor(rng.uniform(1e13, 1e15, n)) + rng.integers(0, 8, n) / 8.0),
+    ])
+
+
+def test_writer_matches_per_row_reference_on_a_million_doubles(tmp_path):
+    raw = _seeded_doubles(200_000, seed=2024)
+    assert raw.size == 1_000_000
+    ds = _raw_column_run(raw, seed=1)
+    assert _written_body(ds, tmp_path / "run.txt") == _per_row_body(ds)
+
+
+def test_writer_matches_per_row_reference_at_the_edges(tmp_path):
+    tiny, big = 5e-324, np.finfo(float).max
+    edges = [0.0, tiny, big, 1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+             1e15, np.nextafter(1e15, 0.0), 1e16, np.nextafter(1e16, 0.0), 0.1, 2.5e-5,
+             123.4, 0.25, 9.5, 999999999999999.9, 257566214602898.875,
+             # 10**k x just below a multiple of 1e9, rounded onto it
+             0.9845733799999999, 7.6302373999999995, 7.307638399999999]
+    edges += [2.0 ** e for e in range(-1074, 1024, 7)]
+    edges += list(10.0 ** np.arange(-5, 17))
+    raw = np.concatenate([edges, np.negative(edges)])
+    ds = _raw_column_run(raw)
+    assert _written_body(ds, tmp_path / "run.txt") == _per_row_body(ds)
+    # phase edges: 0, the smallest double, 1e-4 and the largest double below 2 pi
+    ds.phase[:4] = [0.0, tiny, 1e-4, np.nextafter(2.0 * np.pi, 0.0)]
+    assert _written_body(ds, tmp_path / "run.txt") == _per_row_body(ds)
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_writer_matches_per_row_reference_around_the_block_size(tmp_path, n):
+    ds = generate_run(RunSpec(eta_true=0.6, n_vacuum=n // 2, n_fock=n - n // 2, seed=n))
+    assert _written_body(ds, tmp_path / "run.txt") == _per_row_body(ds)
+
+
+def test_formatter_accepts_an_empty_block():
+    # a run holds at least one sample, so only the formatter sees an empty body
+    out = np.empty((_FIELD, 0), dtype=np.uint8)
+    _format_repr(np.empty(0), out)
+
+
+@pytest.mark.parametrize("column,row,value,message", [
+    ("raw_value", 3, np.nan, "non-finite"),
+    ("raw_value", 0, np.inf, "non-finite"),
+    ("phase", 2, 7.0, "phase outside"),
+    ("phase", 1, -0.5, "phase outside"),
+    ("phase", 4, np.nan, "non-finite"),
+    ("source", 5, "X", "sample 6: unknown source 'X'"),
+    ("source", 0, "F", "counts"),
+])
+def test_writer_rejects_what_the_reader_rejects(tmp_path, column, row, value, message):
+    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8))
+    getattr(ds, column)[row] = value
+    fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+    kept.write_bytes(b"earlier contents")
+    for path in (fresh, kept):
+        with pytest.raises(ValidationError, match=message):
+            write_dataset(ds, path)
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier contents"
+
+
+def test_writer_rejects_columns_of_unequal_length(tmp_path):
+    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8))
+    ds.phase = ds.phase[:-1]
+    with pytest.raises(ValidationError, match="one length"):
+        write_dataset(ds, tmp_path / "run.txt")
+    assert not (tmp_path / "run.txt").exists()
+
 
 def test_roundtrip_with_dark_counts_is_bit_exact(tmp_path):
     det = DetectorModel(scale=0.8, offset=1.1, dark_fraction=0.3)

@@ -57,42 +57,34 @@ def fit_vacuum(values, method: str = "moments") -> CalibrationResult:
     squared deviation of the binned empirical density from the model in
     both cases.
     """
+    if method not in ("moments", "histogram"):
+        raise ValidationError(f"unknown calibration method {method!r}")
     values = check_samples(values, "vacuum calibration", MIN_CALIBRATION_SAMPLES)
 
-    offset0 = float(np.mean(values))
+    offset_hat = float(np.mean(values))
     std = float(np.std(values, ddof=1))
     if std == 0.0:
         raise NumericsError("vacuum block has zero variance; cannot calibrate")
-    scale0 = std / VACUUM_STD
+    scale_hat = std / VACUUM_STD
     centers, density = _scott_density(values)
 
     if method == "moments":
-        resid = _vacuum_residuals(centers, density, scale0, offset0)
-        return CalibrationResult(
-            scale_hat=scale0,
-            offset_hat=offset0,
-            fit_residual=float(np.sum(resid ** 2)),
-            n_used=values.size,
-            method="moments",
-        )
-    if method == "histogram":
+        resid = _vacuum_residuals(centers, density, scale_hat, offset_hat)
+        fit_residual = float(np.sum(resid ** 2))
+    else:
         from scipy import optimize
 
         sol = optimize.least_squares(
             lambda p: _vacuum_residuals(centers, density, p[0], p[1]),
-            x0=[scale0, offset0],
-            bounds=([1e-6 * scale0, -np.inf], [1e6 * scale0, np.inf]),
+            x0=[scale_hat, offset_hat],
+            bounds=([1e-6 * scale_hat, -np.inf], [1e6 * scale_hat, np.inf]),
         )
         if not sol.success or sol.x[0] <= 0.0:
             raise NumericsError(f"histogram calibration failed: {sol.message}")
-        return CalibrationResult(
-            scale_hat=float(sol.x[0]),
-            offset_hat=float(sol.x[1]),
-            fit_residual=float(2.0 * sol.cost),
-            n_used=values.size,
-            method="histogram",
-        )
-    raise ValidationError(f"unknown calibration method {method!r}")
+        scale_hat, offset_hat = float(sol.x[0]), float(sol.x[1])
+        fit_residual = float(2.0 * sol.cost)
+    return CalibrationResult(scale_hat=scale_hat, offset_hat=offset_hat,
+                             fit_residual=fit_residual, n_used=values.size, method=method)
 
 
 def rescale(values, calibration: CalibrationResult) -> np.ndarray:

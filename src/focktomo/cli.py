@@ -56,10 +56,14 @@ _SETTINGS: dict[str, dict[str, tuple]] = {
         "dark_fraction": (float, 0.0, "fraction of signal events replaced by vacuum draws", None),
     },
     "reconstruct": {
-        "bandwidth_scale": (float, 1.0, "multiplier on the rule-based smoothing bandwidth", None),
-        "fit_method": (str, "mle", "efficiency fit method", ("mle", "hist")),
-        "grid_max": (float, 6.0, "half-width of the smoothing grid", None),
-        "grid_points": (int, 2401, "number of smoothing grid points (odd)", None),
+        "bandwidth_scale": (float, ReconstructionConfig.bandwidth_scale,
+                            "multiplier on the rule-based smoothing bandwidth", None),
+        "fit_method": (str, ReconstructionConfig.fit_method, "efficiency fit method",
+                       ("mle", "hist")),
+        "grid_max": (float, ReconstructionConfig.grid_max, "half-width of the smoothing grid",
+                     None),
+        "grid_points": (int, ReconstructionConfig.grid_points,
+                        "number of smoothing grid points (odd)", None),
     },
 }
 

@@ -105,36 +105,27 @@ class MarginalHistogram:
         return int(self.counts.sum())
 
 
-def bin_samples(values, bin_edges=None, *, n_bins: int = 1200,
-                lo: float = -6.0, hi: float = 6.0) -> MarginalHistogram:
-    """Bin calibrated quadratures on a uniform grid.
+def bin_samples(values, *, n_bins: int = 1200, lo: float = -6.0,
+                hi: float = 6.0) -> MarginalHistogram:
+    """Bin calibrated quadratures into `n_bins` uniform bins over [lo, hi].
 
-    `values` must be a 1-d array of finite floats.  Pass explicit strictly
-    increasing `bin_edges`, or let (`n_bins`, `lo`, `hi`) build them; `lo`
-    and `hi` must then be finite with a finite width hi - lo > 0.
-    Out-of-range samples are tallied, never dropped silently.
+    `values` must be a 1-d array of finite floats, and `lo` and `hi` finite
+    with a finite width hi - lo > 0.  Out-of-range samples are tallied,
+    never dropped silently.
     """
-    return _tally(*_bin_positions(values, bin_edges, n_bins=n_bins, lo=lo, hi=hi))
+    return _tally(*_bin_positions(values, n_bins=n_bins, lo=lo, hi=hi))
 
 
-def _bin_positions(values, bin_edges, *, n_bins, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def _bin_positions(values, *, n_bins, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     # Validated (searchsorted position of every value, bin edges).
     values = check_samples(values, "binning")
-    if bin_edges is None:
-        check_count("n_bins", n_bins, 1)
-        # Python floats: a width that overflows is inf, without a warning.
-        width = float(hi) - float(lo)
-        if not (np.isfinite(width) and width > 0.0):
-            raise ValidationError(f"bin range needs finite lo < hi with a finite width, "
-                                  f"got lo={lo!r}, hi={hi!r}")
-        bin_edges = np.linspace(lo, hi, n_bins + 1)
-    else:
-        bin_edges = np.asarray(bin_edges, dtype=float)
-        if bin_edges.ndim != 1 or bin_edges.size < 2 or np.any(np.diff(bin_edges) <= 0):
-            raise ValidationError("bin_edges must be strictly increasing with >= 2 entries")
-        widths = np.diff(bin_edges)
-        if not np.allclose(widths, widths[0], rtol=1e-9, atol=0.0):
-            raise ValidationError("bin_edges must be uniform")
+    check_count("n_bins", n_bins, 1)
+    # Python floats: a width that overflows is inf, without a warning.
+    width = float(hi) - float(lo)
+    if not (np.isfinite(width) and width > 0.0):
+        raise ValidationError(f"bin range needs finite lo < hi with a finite width, "
+                              f"got lo={lo!r}, hi={hi!r}")
+    bin_edges = np.linspace(lo, hi, n_bins + 1)
     return np.searchsorted(bin_edges, values, side="right"), bin_edges
 
 
@@ -210,8 +201,10 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     With bandwidth=None the Silverman rule scaled by `bandwidth_scale` is
     used and at least MIN_SMOOTH_SAMPLES in-range samples are required; an
     explicit `bandwidth` lifts that floor.  grid_max, bandwidth_scale and
-    the bandwidth used must be positive and finite, and the bandwidth large
-    enough that some kernel term on the grid does not underflow to 0.
+    the bandwidth used must be positive and finite, and at least the grid
+    spacing and the bin width (a narrower kernel spikes on the grid nodes
+    nearest each bin centre).  Samples so far off the grid that every
+    kernel term on it underflows to 0 are rejected.
     """
     grid = _smoothing_grid(grid_max, grid_points)
     n_in = hist.n_in_range
@@ -227,6 +220,9 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
         # Python floats: a product that overflows is inf, without a warning.
         bandwidth = float(bandwidth_scale) * silverman_bandwidth(hist)
     check_positive("bandwidth", bandwidth)
+    if bandwidth < max(grid[1] - grid[0], hist.bin_width):
+        raise ValidationError(f"bandwidth {bandwidth:g} too small for the grid spacing "
+                              f"{grid[1] - grid[0]:g} and the bin width {hist.bin_width:g}")
     kernel_norm = n_in * float(bandwidth) * math.sqrt(2.0 * math.pi)
     if not math.isfinite(kernel_norm):
         raise ValidationError(f"bandwidth {bandwidth:g} too large: the kernel normalisation "
@@ -237,8 +233,9 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     with np.errstate(over="ignore"):
         kernel = _kernel_sum(hist, grid, bandwidth)
     if not np.any(kernel):
-        raise ValidationError(f"bandwidth {bandwidth:g} too small for the grid spacing "
-                              f"{grid[1] - grid[0]:g}: every kernel term underflows")
+        raise ValidationError(f"the in-range samples lie too far off the smoothing grid "
+                              f"[{grid[0]:g}, {grid[-1]:g}] for bandwidth {bandwidth:g}: "
+                              f"every kernel term on the grid underflows")
     f = kernel / kernel_norm
     f = 0.5 * (f + f[::-1])
     norm = np.trapezoid(f, grid)
@@ -583,7 +580,7 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 
     """
     check_count("n_boot", n_boot, 2)
     check_count("seed", seed, 0)
-    pos, edges = _bin_positions(values, None, n_bins=n_bins, lo=lo, hi=hi)
+    pos, edges = _bin_positions(values, n_bins=n_bins, lo=lo, hi=hi)
     _check_inversion_grid(grid_max, grid_points)
     smooth = dict(bandwidth=bandwidth, bandwidth_scale=bandwidth_scale,
                   grid_max=grid_max, grid_points=grid_points)
@@ -684,30 +681,22 @@ def fit_efficiency(values, method: str = "mle") -> EfficiencyFit:
     sum b (d - a) / sum b^2 over the bins, clipped to [0, 1].  Its standard
     error is also the information bound, recorded for comparability.
     """
+    if method not in ("mle", "hist"):
+        raise ValidationError(f"unknown fit method {method!r}")
     values = check_samples(values, "efficiency fit", MIN_FIT_SAMPLES)
 
     x2 = values * values
     t = 4.0 * x2 - 1.0
 
     if method == "mle":
-        score0 = _mle_score(0.0, t)
-        score1 = _mle_score(1.0, t)
-        if score0 <= 0.0:
+        if _mle_score(0.0, t) <= 0.0:
             eta_hat, at_boundary = 0.0, True
-        elif score1 >= 0.0:
+        elif _mle_score(1.0, t) >= 0.0:
             eta_hat, at_boundary = 1.0, True
         else:
             eta_hat, at_boundary = _mle_root(t), False
-        return EfficiencyFit(
-            eta_hat=eta_hat,
-            eta_stderr=_fisher_stderr(eta_hat, t),
-            objective=_negative_log_likelihood(eta_hat, x2, t),
-            method="mle",
-            at_boundary=at_boundary,
-            n_used=values.size,
-        )
-
-    if method == "hist":
+        objective = _negative_log_likelihood(eta_hat, x2, t)
+    else:
         if np.std(values, ddof=1) == 0.0:
             raise NumericsError("signal block has zero variance; cannot fit")
         centers, density = _scott_density(values)
@@ -718,16 +707,11 @@ def fit_efficiency(values, method: str = "mle") -> EfficiencyFit:
         if bb == 0.0:
             raise NumericsError("histogram efficiency fit: the model vanishes on every bin")
         eta_hat = min(max(float(np.sum(b * (density - a))) / bb, 0.0), 1.0)
-        return EfficiencyFit(
-            eta_hat=eta_hat,
-            eta_stderr=_fisher_stderr(eta_hat, t),
-            objective=float(np.sum((density - marginal_density(eta_hat, centers)) ** 2)),
-            method="hist",
-            at_boundary=bool(eta_hat < 1e-6 or eta_hat > 1.0 - 1e-6),
-            n_used=values.size,
-        )
-
-    raise ValidationError(f"unknown fit method {method!r}")
+        at_boundary = bool(eta_hat < 1e-6 or eta_hat > 1.0 - 1e-6)
+        objective = float(np.sum((density - marginal_density(eta_hat, centers)) ** 2))
+    return EfficiencyFit(eta_hat=eta_hat, eta_stderr=_fisher_stderr(eta_hat, t),
+                         objective=objective, method=method, at_boundary=at_boundary,
+                         n_used=values.size)
 
 
 # ---------------------------------------------------------------------------

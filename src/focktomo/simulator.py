@@ -94,7 +94,6 @@ class HomodyneDataset:
     phase: np.ndarray
     raw_value: np.ndarray
     rng_name: str = RNG_NAME
-    format_version: int = FORMAT_VERSION
 
     @property
     def vacuum_values(self) -> np.ndarray:
@@ -109,22 +108,17 @@ class HomodyneDataset:
         return int(self.raw_value.size)
 
 
-def sample_quadrature(eta, size, rng) -> np.ndarray:
-    """Draw dimensionless quadratures from the efficiency mixture.
-
-    `eta` may be a scalar or an array of per-event efficiencies of length
-    `size` (pass size=None to take the shape from the array).  Draws one
-    uniform and one standard normal per sample from `rng`, then two more
-    standard normals per photon event.
+def sample_quadrature(eta: float, size: int, rng) -> np.ndarray:
+    """Draw `size` dimensionless quadratures from the efficiency mixture at
+    the scalar efficiency `eta`: one uniform and one standard normal per
+    sample from `rng`, then two more standard normals per photon event.
     """
+    if np.ndim(eta) != 0:
+        raise ValidationError(f"eta must be a scalar, got shape {np.shape(eta)}")
     eta = check_unit_interval("eta", eta)
-    if size is None:
-        if eta.ndim == 0:
-            raise ValidationError("size=None requires an array of per-event efficiencies")
-        size = eta.shape[0]
     size = check_count("size", size, 0)
     photon = rng.random(size) < eta
-    z = rng.standard_normal(photon.size)
+    z = rng.standard_normal(size)
     x = 0.5 * z
     z0 = z[photon]
     extra = rng.standard_normal((z0.size, 2))
@@ -168,10 +162,10 @@ _HEADER_TYPES = {"format_version": int, "rng": str, "seed": int, "eta_true": flo
 
 
 def write_dataset(dataset: HomodyneDataset, path) -> None:
-    """Write a run as text: '# key=value' header lines, then one line per
-    sample with fields 'source phase raw_value', each line ending in '\n'.
-    Floats are written as repr writes them, the shortest string that reads
-    back to the same double.
+    """Write a run as text: '# key=value' header lines (format_version always
+    FORMAT_VERSION), then one line per sample with fields 'source phase
+    raw_value', each line ending in '\n'.  Floats are written as repr writes
+    them, the shortest string that reads back to the same double.
 
     The body must pass read_dataset's checks: sources V or F, finite phases
     in [0, 2 pi), finite raw values, and V/F counts equal to the spec's
@@ -180,7 +174,7 @@ def write_dataset(dataset: HomodyneDataset, path) -> None:
     source, phase, raw = _check_body(dataset.source, dataset.phase, dataset.raw_value,
                                      spec.n_vacuum, spec.n_fock, ValidationError)
     header = format_kv({
-        "format_version": dataset.format_version, "rng": dataset.rng_name,
+        "format_version": FORMAT_VERSION, "rng": dataset.rng_name,
         "seed": spec.seed, "eta_true": spec.eta_true, "scale": det.scale,
         "offset": det.offset, "dark_fraction": det.dark_fraction,
         "n_vacuum": spec.n_vacuum, "n_fock": spec.n_fock,
@@ -419,5 +413,4 @@ def read_dataset(path) -> HomodyneDataset:
         phase=np.ascontiguousarray(phase),
         raw_value=np.ascontiguousarray(raw),
         rng_name=header["rng"],
-        format_version=header["format_version"],
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focktomo.cli import EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from focktomo.cli import ENV_CONFIG, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from focktomo.simulator import read_dataset
 
 
@@ -275,6 +276,70 @@ def test_bandwidth_underflowing_every_kernel_term_is_validation_error(tmp_path, 
     err = capsys.readouterr().err
     assert "bandwidth" in err and "too small for the grid spacing 0.005" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    # The seed-42 reference run (200k vacuum + 12k signal) as `focktomo
+    # simulate` writes it with every default and no config file.
+    path = tmp_path_factory.mktemp("reference") / "run42.txt"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(ENV_CONFIG, raising=False)
+        assert main(["simulate", "-o", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("scale", ["1e-3", "0.05"])
+def test_bandwidth_narrower_than_a_bin_is_validation_error(reference_run, tmp_path,
+                                                           monkeypatch, capsys, scale):
+    # The rule's 0.0998 times the scale is below the 0.01 bin width: each
+    # kernel would be a spike on the grid nodes, and W(0) nonsense.
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    outdir = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["reconstruct", str(reference_run), "--bandwidth-scale", scale,
+                     "-o", str(outdir)])
+    assert code == EXIT_VALIDATION
+    assert ("too small for the grid spacing 0.005 and the bin width 0.01"
+            in capsys.readouterr().err)
+    assert not outdir.exists()
+
+
+# report.json of the seed-42 round trip with every default.
+_REFERENCE_REPORT = {
+    "efficiency": {"eta_hat": 0.5625941632881729, "eta_stderr": 0.008065892482756205,
+                   "objective": 12624.618780815292},
+    "calibration": {"scale_hat": 1.002638970801738, "offset_hat": -0.0005086163680511723,
+                    "fit_residual": 0.006080729749422906},
+    "diagonals": {"rho_11": 0.5807048215710435, "sigma_11": 0.011554037616833926},
+    "wigner": {"origin_reconstructed": -0.040146971249170195,
+               "profile_normalization": 1.0000021054417183},
+    "config": {"bandwidth": 0.09980960492801365},
+}
+_REFERENCE_CONFIG = {"fit_method": "mle", "bandwidth_scale": 1.0, "grid_max": 6.0,
+                     "grid_points": 2401, "n_bins": 1200, "r_max": 4.0, "n_radii": 401,
+                     "calibration_method": "moments", "config_hash": "08684463d3f7"}
+# sha256 of the histogram's count column as little-endian int64.
+_REFERENCE_COUNTS_SHA256 = "a96dce32bdc58226de65b2684a7200cda49871dafa558946be7deaaf072a89c7"
+
+
+def test_reference_round_trip_is_frozen(reference_run, tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    outdir = tmp_path / "out"
+    assert main(["reconstruct", str(reference_run), "-o", str(outdir)]) == EXIT_OK
+    report = json.loads((outdir / "report.json").read_text())
+    for section, values in _REFERENCE_REPORT.items():
+        for key, value in values.items():
+            assert report[section][key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+    assert report["calibration"]["method"] == "moments"
+    assert report["efficiency"]["method"] == "mle"
+    config = dict(report["config"])
+    del config["bandwidth"]
+    assert config == _REFERENCE_CONFIG
+    counts = np.loadtxt(outdir / "marginal_histogram.txt", usecols=2, dtype=np.int64)
+    assert counts.size == 1200 and counts.sum() == 12000
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == _REFERENCE_COUNTS_SHA256
 
 
 def test_degenerate_dataset_is_numerics_error(tmp_path, capsys):

@@ -43,8 +43,7 @@ def _draws(eta, n, seed):
 
 
 def test_bin_hand_enumerated_example():
-    hist = bin_samples(np.array([0.0, 1.0, 1.5, 2.0, 3.0, 3.5, -0.2]),
-                       bin_edges=np.array([0.0, 1.0, 2.0, 3.0]))
+    hist = bin_samples(np.array([0.0, 1.0, 1.5, 2.0, 3.0, 3.5, -0.2]), n_bins=3, lo=0.0, hi=3.0)
     assert hist.counts.tolist() == [1, 2, 1]
     assert hist.underflow == 1
     assert hist.overflow == 2  # 3.0 sits on the last edge -> overflow
@@ -53,12 +52,12 @@ def test_bin_hand_enumerated_example():
 
 
 def test_interior_edge_goes_right():
-    hist = bin_samples(np.array([1.0]), bin_edges=np.array([0.0, 1.0, 2.0]))
+    hist = bin_samples(np.array([1.0]), n_bins=2, lo=0.0, hi=2.0)
     assert hist.counts.tolist() == [0, 1]
 
 
 def test_first_edge_goes_to_first_bin():
-    hist = bin_samples(np.array([0.0]), bin_edges=np.array([0.0, 1.0, 2.0]))
+    hist = bin_samples(np.array([0.0]), n_bins=2, lo=0.0, hi=2.0)
     assert hist.counts.tolist() == [1, 0]
 
 
@@ -79,12 +78,6 @@ def test_bin_default_grid():
 
 def test_bin_validation():
     good = np.array([0.1, 0.2])
-    with pytest.raises(ValidationError):
-        bin_samples(good, bin_edges=np.array([0.0, 1.0, 0.5]))
-    with pytest.raises(ValidationError):
-        bin_samples(good, bin_edges=np.array([0.0]))
-    with pytest.raises(ValidationError):
-        bin_samples(good, bin_edges=np.array([0.0, 0.5, 2.0]))  # non-uniform
     with pytest.raises(ValidationError):
         bin_samples(np.array([[0.1]]))
     with pytest.raises(ValidationError):
@@ -162,6 +155,23 @@ def test_smooth_validation():
         smooth_marginal(hist, grid_max=-1.0)
 
 
+def test_bandwidth_below_the_bin_width_or_grid_spacing_is_rejected():
+    x = _draws(0.553, 12_000, 21)
+    hist = bin_samples(x)  # bins 0.01 wide on the 0.005 grid
+    width = hist.bin_width
+    with pytest.raises(ValidationError, match="grid spacing 0.005 and the bin width 0.01"):
+        smooth_marginal(hist, bandwidth=np.nextafter(width, 0.0))
+    assert smooth_marginal(hist, bandwidth=width).bandwidth == width
+    with pytest.raises(ValidationError, match="grid spacing 0.005 and the bin width 0.003"):
+        smooth_marginal(bin_samples(x, n_bins=4000), bandwidth=0.004)
+
+
+def test_samples_off_the_smoothing_grid_are_named_as_such():
+    hist = bin_samples(28.0 + np.linspace(0.0, 1.0, 2000), n_bins=1200, lo=20.0, hi=30.0)
+    with pytest.raises(ValidationError, match="lie too far off the smoothing grid"):
+        smooth_marginal(hist, bandwidth=0.5)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
 def test_positive_settings_must_be_finite(bad):
     for name in ("grid_max", "bandwidth_scale"):
@@ -213,8 +223,9 @@ def test_smoothing_non_uniform_edges_uses_dense_sum(edges):
     rng = np.random.Generator(np.random.PCG64(22))
     hist = MarginalHistogram(bin_edges=edges, counts=rng.integers(0, 50, edges.size - 1),
                              n_total=0, underflow=0, overflow=0)
-    dens = smooth_marginal(hist, bandwidth=0.2)
-    assert np.array_equal(dens.density, _dense_smooth_marginal(hist, 0.2))
+    bandwidth = max(0.2, hist.bin_width)  # the grossly uneven first bin is 5 wide
+    dens = smooth_marginal(hist, bandwidth=bandwidth)
+    assert np.array_equal(dens.density, _dense_smooth_marginal(hist, bandwidth))
 
 
 # ---------------------------------------------------------------------------

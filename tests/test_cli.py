@@ -199,11 +199,22 @@ def test_missing_dataset_is_validation_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _rewrite_as_v1(path, version=1, raw_value=None):
+    # The dataset at `path` as format_version=1 text: its header lines with
+    # `version` and no end line, then one 'source phase raw_value' line per
+    # sample, every raw value replaced by `raw_value` if one is given.
+    ds = read_dataset(path)
+    header = path.read_bytes().split(b"# end_header\n")[0]
+    header = header.replace(b"# format_version=2\n", b"# format_version=%d\n" % version)
+    raw = ds.raw_value.tolist() if raw_value is None else [raw_value] * ds.n_samples
+    body = "".join(f"{s} {p!r} {v!r}\n" for s, p, v in zip(ds.source.tolist(),
+                                                          ds.phase.tolist(), raw))
+    path.write_bytes(header + body.encode())
+
+
 def test_corrupt_dataset_is_validation_error(tmp_path, capsys):
     path = _simulate(tmp_path)
-    lines = path.read_text().splitlines()
-    lines[0] = "# format_version=99"
-    path.write_text("\n".join(lines) + "\n")
+    _rewrite_as_v1(path, version=99)
     outdir = tmp_path / "o"
     code = main(["reconstruct", str(path), "-o", str(outdir)])
     assert code == EXIT_VALIDATION
@@ -344,13 +355,7 @@ def test_reference_round_trip_is_frozen(reference_run, tmp_path, monkeypatch):
 
 def test_degenerate_dataset_is_numerics_error(tmp_path, capsys):
     path = _simulate(tmp_path)
-    lines = path.read_text().splitlines()
-    header, body = lines[:9], lines[9:]
-    frozen = []
-    for line in body:
-        src, phase, _ = line.split()
-        frozen.append(f"{src} {phase} 0.5")
-    path.write_text("\n".join(header + frozen) + "\n")
+    _rewrite_as_v1(path, raw_value=0.5)
     code = main(["reconstruct", str(path), "-o", str(tmp_path / "o")])
     assert code == EXIT_NUMERICS
     assert "variance" in capsys.readouterr().err
@@ -401,7 +406,8 @@ def test_env_config_defaults(tmp_path, monkeypatch, key):
         out = tmp_path / name
         assert main([*base, *extra, "-o", str(out)]) == EXIT_OK
         written = out if simulate else out / "report.txt"
-        assert f"{shown_as}={expected}" in written.read_text().splitlines()
+        # the dataset's header lines are text; its body is not
+        assert f"{shown_as}={expected}".encode() in written.read_bytes().split(b"\n")
 
 
 def test_env_config_rejects_unknown_key(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,5 @@
-"""Fuzz tests of the four text readers: whatever a file holds, a reader
-returns or raises a ValidationError subclass, and the CLI exits 0 or 3."""
+"""Fuzz tests of the four readers: whatever a file holds, a reader returns
+or raises a ValidationError subclass, and the CLI exits 0 or 3."""
 
 import pytest
 from hypothesis import given
@@ -16,7 +16,8 @@ from focktomo.simulator import read_dataset
 _NEAR_VALID_LINES = st.sampled_from([
     "# format_version=1", "# rng=numpy-pcg64", "# seed=3", "# eta_true=0.5",
     "# scale=1.0", "# offset=0.0", "# dark_fraction=0.0", "# n_vacuum=1", "# n_fock=1",
-    "# n_fock=-1", "# format_version=2", "# eta_true=nan", "# =5", "#", "# seed=1.5",
+    "# n_fock=-1", "# format_version=2", "# end_header", "# eta_true=nan", "# =5", "#",
+    "# seed=1.5",
     "V 0.5 0.1", "F 1.0 -0.2", "F 7.0 0.1", "V 0.5 nan", "VX 0.1 0.1", "F 1.0",
     "budget_format_version=1", "eta_predicted=0.5", "eta_uncertainty=0.01",
     "n_factors=2", "eta_predicted=nan", "eta_uncertainty=-1", "n_factors=x",
@@ -31,7 +32,21 @@ _TEXT = st.one_of(
 _CONTENT = st.one_of(st.binary(), _TEXT.map(lambda text: text.encode("utf-8")))
 
 
-@given(_CONTENT)
+def _v2_header(n_vacuum: int, n_fock: int) -> bytes:
+    return (f"# format_version=2\n# rng=numpy-pcg64-mixture\n# seed=3\n# eta_true=0.5\n"
+            f"# scale=1.0\n# offset=0.0\n# dark_fraction=0.0\n# n_vacuum={n_vacuum}\n"
+            f"# n_fock={n_fock}\n# end_header\n").encode()
+
+
+# A valid format_version=2 header, then any bytes: of any length, or of the
+# length the header asks for.
+_V2_DATASET = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda counts: st.one_of(
+        st.binary(), st.binary(min_size=16 * sum(counts), max_size=16 * sum(counts))
+    ).map(lambda body: _v2_header(*counts) + body))
+
+
+@given(st.one_of(_CONTENT, _V2_DATASET))
 def test_read_dataset_returns_or_raises_validation_error(tmp_path_factory, content):
     path = tmp_path_factory.getbasetemp() / "fuzz_dataset.txt"
     path.write_bytes(content)
@@ -39,6 +54,17 @@ def test_read_dataset_returns_or_raises_validation_error(tmp_path_factory, conte
         read_dataset(path)
     except ValidationError:
         pass
+
+
+@given(_V2_DATASET)
+def test_any_v2_dataset_reconstructs_or_exits_3(tmp_path_factory, content):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz_v2.dat"
+    path.write_bytes(content)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("FOCKTOMO_CONFIG", raising=False)
+        assert main(["reconstruct", str(path), "-o", str(base / "fuzz_out")]) in (
+            EXIT_OK, EXIT_VALIDATION)
 
 
 @given(_TEXT)

@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from focktomo.errors import DatasetFormatError, ValidationError
+from focktomo.kvtext import format_kv
 from focktomo.simulator import (
-    _BLOCK,
-    _FIELD,
     DetectorModel,
     HomodyneDataset,
     RunSpec,
     generate_run,
     read_dataset,
     sample_quadrature,
-    _format_repr,
     write_dataset,
 )
 from focktomo.states import marginal_cdf
@@ -194,13 +192,32 @@ def test_roundtrip_of_numpy_scalar_spec(tmp_path):
     path = tmp_path / "run.txt"
     write_dataset(generate_run(spec), path)
     assert read_dataset(path).spec == spec
-    assert "# eta_true=0.553\n" in path.read_text()
+    assert b"# eta_true=0.553\n" in path.read_bytes()
+
+
+def _per_row_body(ds):
+    # the format_version=1 body: one f-string per sample, floats by repr
+    columns = (np.asarray(ds.source).tolist(), np.asarray(ds.phase, dtype=float).tolist(),
+               np.asarray(ds.raw_value, dtype=float).tolist())
+    return "".join(f"{s} {p!r} {v!r}\n" for s, p, v in zip(*columns)).encode()
+
+
+def _write_v1(ds, path):
+    # a format_version=1 file: the nine header lines, then the per-row body
+    spec, det = ds.spec, ds.spec.detector
+    header = format_kv({
+        "format_version": 1, "rng": ds.rng_name, "seed": spec.seed,
+        "eta_true": spec.eta_true, "scale": det.scale, "offset": det.offset,
+        "dark_fraction": det.dark_fraction, "n_vacuum": spec.n_vacuum, "n_fock": spec.n_fock,
+    }, prefix="# ")
+    path.write_bytes(("\n".join(header) + "\n").encode() + _per_row_body(ds))
+    return path
 
 
 def _write_and_edit(tmp_path, edit):
-    spec = RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8)
-    path = tmp_path / "run.txt"
-    write_dataset(generate_run(spec), path)
+    # a format_version=1 file of a 5 + 5 run, with its text lines edited
+    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8))
+    path = _write_v1(ds, tmp_path / "run.txt")
     lines = path.read_text().splitlines()
     edit(lines)
     path.write_text("\n".join(lines) + "\n")
@@ -208,8 +225,8 @@ def _write_and_edit(tmp_path, edit):
 
 
 def test_read_rejects_unsupported_version(tmp_path):
-    path = _write_and_edit(tmp_path, lambda ls: ls.__setitem__(0, "# format_version=2"))
-    with pytest.raises(DatasetFormatError, match="format_version"):
+    path = _write_and_edit(tmp_path, lambda ls: ls.__setitem__(0, "# format_version=3"))
+    with pytest.raises(DatasetFormatError, match="unsupported format_version 3"):
         read_dataset(path)
 
 
@@ -337,8 +354,9 @@ def test_read_skips_blank_lines_and_surrounding_whitespace(tmp_path):
 
 
 def test_written_bytes_are_frozen(tmp_path):
-    # shortest-repr floats, one 'source phase raw_value' line per sample; the
-    # last phase is the largest double below 2 pi (2 pi itself is rejected)
+    # the header, the end line, then the phases and the raw values as
+    # little-endian float64; the last phase is the largest double below 2 pi
+    # (2 pi itself is rejected)
     spec = RunSpec(eta_true=0.553, n_vacuum=2, n_fock=1, seed=7,
                    detector=DetectorModel(scale=1.5, offset=-0.25, dark_fraction=0.1))
     ds = HomodyneDataset(
@@ -347,25 +365,15 @@ def test_written_bytes_are_frozen(tmp_path):
         phase=np.array([0.0, 0.1, 6.283185307179585]),
         raw_value=np.array([-0.0, 1e-300, -123456.789]),
     )
-    path = tmp_path / "run.txt"
+    path = tmp_path / "run.dat"
     write_dataset(ds, path)
     assert path.read_bytes() == (
-        b"# format_version=1\n# rng=numpy-pcg64-mixture\n# seed=7\n# eta_true=0.553\n"
+        b"# format_version=2\n# rng=numpy-pcg64-mixture\n# seed=7\n# eta_true=0.553\n"
         b"# scale=1.5\n# offset=-0.25\n# dark_fraction=0.1\n# n_vacuum=2\n# n_fock=1\n"
-        b"V 0.0 -0.0\nV 0.1 1e-300\nF 6.283185307179585 -123456.789\n"
+        b"# end_header\n" + bytes.fromhex(
+            "0000000000000000" "9a9999999999b93f" "172d4454fb211940"
+            "0000000000000080" "59f3f8c21f6ea501" "c976be9f0c24fec0")
     )
-
-
-def _per_row_body(ds):
-    # the reference writer: one f-string per sample, floats by repr
-    columns = (np.asarray(ds.source).tolist(), np.asarray(ds.phase, dtype=float).tolist(),
-               np.asarray(ds.raw_value, dtype=float).tolist())
-    return "".join(f"{s} {p!r} {v!r}\n" for s, p, v in zip(*columns)).encode()
-
-
-def _written_body(ds, path):
-    write_dataset(ds, path)
-    return path.read_bytes().split(b"\n", 9)[9]
 
 
 def _raw_column_run(raw, seed=0):
@@ -376,80 +384,134 @@ def _raw_column_run(raw, seed=0):
                            phase=2.0 * np.pi * _rng(seed).random(raw.size), raw_value=raw)
 
 
+def _assert_reads_as_per_row_reference(ds, directory):
+    # the written file and the per-row v1 file both read back as `ds`, bit
+    # for bit (so -0.0 stays -0.0)
+    written = directory / "run.dat"
+    write_dataset(ds, written)
+    for path in (written, _write_v1(ds, directory / "run.txt")):
+        back = read_dataset(path)
+        assert np.array_equal(back.source, ds.source)
+        for column in ("phase", "raw_value"):
+            assert np.array_equal(getattr(back, column).view(np.uint64),
+                                  np.asarray(getattr(ds, column), dtype=float).view(np.uint64))
+
+
 def test_writer_matches_per_row_reference(tmp_path):
-    # the block writer must produce the bytes of a plain per-sample loop
     det = DetectorModel(scale=2.5, offset=-0.7, dark_fraction=0.3)
     ds = generate_run(RunSpec(eta_true=0.9, n_vacuum=700, n_fock=500, detector=det, seed=4))
-    assert _written_body(ds, tmp_path / "run.txt") == _per_row_body(ds)
+    _assert_reads_as_per_row_reference(ds, tmp_path)
+
+
+def _reference_run():
+    # focktomo simulate --eta 0.553 --n-vacuum 200000 --n-fock 12000 --seed 42
+    return generate_run(RunSpec(eta_true=0.553, n_vacuum=200_000, n_fock=12_000, seed=42))
 
 
 def test_reference_run_file_is_frozen(tmp_path):
-    # focktomo simulate --eta 0.553 --n-vacuum 200000 --n-fock 12000 --seed 42
-    path = tmp_path / "run.txt"
-    write_dataset(generate_run(RunSpec(eta_true=0.553, n_vacuum=200_000, n_fock=12_000,
-                                       seed=42)), path)
+    path = tmp_path / "run.dat"
+    write_dataset(_reference_run(), path)
     data = path.read_bytes()
-    assert len(data) == 8_565_649
+    assert len(data) == 3_392_163
     assert hashlib.sha256(data).hexdigest() == (
+        "749ead7f1929ee50806d44ff50e865a8712df028697a6f3b06dd36f7265be60c")
+
+
+def test_v1_reference_file_reads_as_the_v2_file(tmp_path):
+    # the format_version=1 file focktomo simulate wrote before version 2,
+    # byte for byte, reads to the arrays of the version 2 file
+    v1 = _write_v1(_reference_run(), tmp_path / "run42.txt")
+    assert hashlib.sha256(v1.read_bytes()).hexdigest() == (
         "3ec5dc4858475fd01c50c49c05a2258965fe65a7f41d9686ee65ad38696f3e7e")
+    old = read_dataset(v1)
+    write_dataset(old, tmp_path / "run42.dat")
+    new = read_dataset(tmp_path / "run42.dat")
+    assert new.spec == old.spec and new.rng_name == old.rng_name
+    assert new.source.dtype == old.source.dtype and np.array_equal(new.source, old.source)
+    for column in ("phase", "raw_value"):
+        assert np.array_equal(getattr(new, column).view(np.uint64),
+                              getattr(old, column).view(np.uint64))
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_writer_matches_per_row_reference_for_any_finite_double(tmp_path_factory, raw):
-    ds = _raw_column_run(raw)
-    path = tmp_path_factory.getbasetemp() / "any_double.txt"
-    assert _written_body(ds, path) == _per_row_body(ds)
-
-
-def _seeded_doubles(n, seed):
-    # n finite doubles of each kind repr's shortest-digits rule meets
-    rng = _rng(seed)
-    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    bits = rng.integers(0, 2**64, 2 * n, dtype=np.uint64).view(np.float64)
-    return np.concatenate([
-        rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n),
-        sign * 10.0 ** rng.uniform(-6.0, 17.0, n),  # log-uniform magnitudes
-        bits[np.isfinite(bits)][:n],  # random bit patterns
-        rng.integers(-10**9, 10**9, n) / 10.0 ** rng.integers(0, 12, n),  # short decimals
-        # 1/8 steps on [1e13, 1e15): 18 digits ending in 5, an exact tie at 17
-        sign * (np.floor(rng.uniform(1e13, 1e15, n)) + rng.integers(0, 8, n) / 8.0),
-    ])
-
-
-def test_writer_matches_per_row_reference_on_a_million_doubles(tmp_path):
-    raw = _seeded_doubles(200_000, seed=2024)
-    assert raw.size == 1_000_000
-    ds = _raw_column_run(raw, seed=1)
-    assert _written_body(ds, tmp_path / "run.txt") == _per_row_body(ds)
+    _assert_reads_as_per_row_reference(_raw_column_run(raw), tmp_path_factory.getbasetemp())
 
 
 def test_writer_matches_per_row_reference_at_the_edges(tmp_path):
     tiny, big = 5e-324, np.finfo(float).max
     edges = [0.0, tiny, big, 1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
              1e15, np.nextafter(1e15, 0.0), 1e16, np.nextafter(1e16, 0.0), 0.1, 2.5e-5,
-             123.4, 0.25, 9.5, 999999999999999.9, 257566214602898.875,
-             # 10**k x just below a multiple of 1e9, rounded onto it
-             0.9845733799999999, 7.6302373999999995, 7.307638399999999]
+             123.4, 0.25, 9.5, 999999999999999.9, 257566214602898.875]
     edges += [2.0 ** e for e in range(-1074, 1024, 7)]
     edges += list(10.0 ** np.arange(-5, 17))
-    raw = np.concatenate([edges, np.negative(edges)])
-    ds = _raw_column_run(raw)
-    assert _written_body(ds, tmp_path / "run.txt") == _per_row_body(ds)
+    ds = _raw_column_run(np.concatenate([edges, np.negative(edges)]))
     # phase edges: 0, the smallest double, 1e-4 and the largest double below 2 pi
     ds.phase[:4] = [0.0, tiny, 1e-4, np.nextafter(2.0 * np.pi, 0.0)]
-    assert _written_body(ds, tmp_path / "run.txt") == _per_row_body(ds)
+    _assert_reads_as_per_row_reference(ds, tmp_path)
 
 
-@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
-def test_writer_matches_per_row_reference_around_the_block_size(tmp_path, n):
-    ds = generate_run(RunSpec(eta_true=0.6, n_vacuum=n // 2, n_fock=n - n // 2, seed=n))
-    assert _written_body(ds, tmp_path / "run.txt") == _per_row_body(ds)
+def _phase_with_low_byte(byte):
+    # a phase near 1 whose first little-endian byte is `byte`
+    bits = np.array([1.0]).view(np.uint64) & ~np.uint64(0xFF) | np.uint64(byte)
+    return float(bits.view(np.float64)[0])
 
 
-def test_formatter_accepts_an_empty_block():
-    # a run holds at least one sample, so only the formatter sees an empty body
-    out = np.empty((_FIELD, 0), dtype=np.uint8)
-    _format_repr(np.empty(0), out)
+@pytest.mark.parametrize("byte", [0x23, 0x0A])  # '#' and '\n'
+def test_body_starting_with_a_header_byte_reads_back(tmp_path, byte):
+    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8))
+    ds.phase[0] = _phase_with_low_byte(byte)
+    path = tmp_path / "run.dat"
+    write_dataset(ds, path)
+    assert path.read_bytes().split(b"# end_header\n")[1][0] == byte
+    assert np.array_equal(read_dataset(path).phase, ds.phase)
+
+
+@pytest.mark.parametrize("cut,extra", [(1, b""), (16, b""), (0, b"\0"), (0, bytes(16))])
+def test_read_rejects_body_of_wrong_length(tmp_path, cut, extra):
+    # truncated by a byte or a row, or one byte or one row too long
+    path = tmp_path / "run.dat"
+    write_dataset(generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8)), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - cut] + extra)
+    with pytest.raises(DatasetFormatError, match="expected 16 \\* \\(n_vacuum \\+ n_fock\\) = 160"):
+        read_dataset(path)
+
+
+def test_read_rejects_version_and_end_line_that_disagree(tmp_path):
+    path = tmp_path / "run.dat"
+    write_dataset(generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8)), path)
+    path.write_bytes(path.read_bytes().replace(b"# end_header\n", b""))
+    with pytest.raises(DatasetFormatError, match="end_header"):
+        read_dataset(path)
+    path = _write_and_edit(tmp_path, lambda ls: ls.insert(9, "# end_header"))
+    with pytest.raises(DatasetFormatError, match="format_version=1 takes no '# end_header'"):
+        read_dataset(path)
+
+
+def test_sources_out_of_block_order_are_rejected(tmp_path):
+    # an F sample before the last V: rejected on write, and on a version 1 read
+    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8))
+    ds.source[[3, 6]] = ds.source[[6, 3]]
+    path = tmp_path / "run.dat"
+    with pytest.raises(ValidationError, match="sample 4: .* every V sample must come before"):
+        write_dataset(ds, path)
+    assert not path.exists()
+    with pytest.raises(DatasetFormatError, match="sample 4: .* every V sample must come before"):
+        read_dataset(_write_v1(ds, tmp_path / "run.txt"))
+
+
+@pytest.mark.parametrize("name", ["a\nV 0.1 0.2", " x ", "x\n# end_header", "tab\there"])
+def test_writer_rejects_rng_name_that_does_not_read_back(tmp_path, name):
+    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8))
+    ds.rng_name = name
+    fresh, kept = tmp_path / "fresh.dat", tmp_path / "kept.dat"
+    kept.write_bytes(b"earlier contents")
+    for path in (fresh, kept):
+        with pytest.raises(ValidationError, match="rng_name"):
+            write_dataset(ds, path)
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier contents"
 
 
 @pytest.mark.parametrize("column,row,value,message", [

@@ -459,8 +459,9 @@ def _abel_operator(knots: bytes, radii: bytes) -> np.ndarray:
 
 def _check_abel_reach(xs: np.ndarray) -> float:
     # Reject a one-sided grid xs from 0 that stops short of ABEL_MIN_RANGE or
-    # is coarser than ABEL_MAX_SPACING; returns its reach xs[-1].
-    h = float(xs[1] - xs[0])
+    # is coarser than ABEL_MAX_SPACING; returns its reach xs[-1].  The nominal
+    # step, not one subtraction, so that rounding does not decide at the bound.
+    h = float((xs[-1] - xs[0]) / (xs.size - 1))
     x_max = float(xs[-1])
     if x_max < ABEL_MIN_RANGE:
         raise ValidationError(
@@ -469,7 +470,7 @@ def _check_abel_reach(xs: np.ndarray) -> float:
         )
     if h > ABEL_MAX_SPACING:
         raise ValidationError(
-            f"marginal grid spacing {h:g} too coarse for the inversion; "
+            f"marginal grid spacing {h!r} too coarse for the inversion; "
             f"need <= {ABEL_MAX_SPACING:g}"
         )
     return x_max

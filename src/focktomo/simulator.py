@@ -1,6 +1,7 @@
 """Seeded synthetic homodyne runs: a calibration block of vacuum quadratures
 followed by a signal block drawn from the efficiency mixture, both passed
-through an affine detector map raw = scale * X + offset.
+through an affine detector map raw = scale * X + offset.  The two blocks are
+a run's only structure: rows [0, n_vacuum) of each column, then the rest.
 
 Quadratures are drawn as the mixture they are: each event is a photon with
 probability eta, else vacuum.  A vacuum draw is N(0, 1/4), i.e. z0 / 2 for a
@@ -41,9 +42,6 @@ from .kvtext import format_kv, parse_kv
 
 FORMAT_VERSION = 2
 RNG_NAME = "numpy-pcg64-mixture"
-
-SOURCE_VACUUM = "V"
-SOURCE_FOCK = "F"
 
 _TWO_PI = 2.0 * np.pi
 
@@ -88,21 +86,22 @@ class RunSpec:
 
 @dataclass
 class HomodyneDataset:
-    """Arrays for one run plus the RunSpec that produced it."""
+    """Arrays for one run plus the RunSpec that produced it: rows [0,
+    spec.n_vacuum) are the vacuum block, the rest the signal block, and
+    vacuum_values and fock_values are views of raw_value, not copies."""
 
     spec: RunSpec
-    source: np.ndarray
     phase: np.ndarray
     raw_value: np.ndarray
     rng_name: str = RNG_NAME
 
     @property
     def vacuum_values(self) -> np.ndarray:
-        return self.raw_value[self.source == SOURCE_VACUUM]
+        return self.raw_value[:self.spec.n_vacuum]
 
     @property
     def fock_values(self) -> np.ndarray:
-        return self.raw_value[self.source == SOURCE_FOCK]
+        return self.raw_value[self.spec.n_vacuum:]
 
     @property
     def n_samples(self) -> int:
@@ -143,17 +142,13 @@ def generate_run(spec: RunSpec) -> HomodyneDataset:
     phase_f = _TWO_PI * rng_f.random(spec.n_fock)
     x_f = sample_quadrature(spec.eta_true * (1.0 - det.dark_fraction), spec.n_fock, rng_f)
 
-    source = np.concatenate([
-        np.full(spec.n_vacuum, SOURCE_VACUUM, dtype="U1"),
-        np.full(spec.n_fock, SOURCE_FOCK, dtype="U1"),
-    ])
     phase = np.concatenate([phase_v, phase_f])
     with np.errstate(over="ignore"):
         raw = det.scale * np.concatenate([x_v, x_f]) + det.offset
     if not np.all(np.isfinite(raw)):
         raise ValidationError(f"detector map scale * X + offset overflows for "
                               f"scale={det.scale}, offset={det.offset}")
-    return HomodyneDataset(spec=spec, source=source, phase=phase, raw_value=raw)
+    return HomodyneDataset(spec=spec, phase=phase, raw_value=raw)
 
 
 # Header keys, all required when reading, with their types.
@@ -168,22 +163,19 @@ _END_HEADER = "# end_header"
 def write_dataset(dataset: HomodyneDataset, path) -> None:
     """Write a run in format_version=2: '# key=value' header lines, the line
     '# end_header', then the body as two little-endian float64 columns, all
-    n_vacuum + n_fock phases and then all raw values.  Sources are not
-    stored: rows [0, n_vacuum) are the vacuum block, the rest the signal
-    block.
+    n_vacuum + n_fock phases and then all raw values.
 
-    The run must pass read_dataset's checks: sources V or F, every V before
-    every F, finite phases in [0, 2 pi), finite raw values, and V/F counts
-    equal to the spec's n_vacuum/n_fock.  rng_name must be printable with no
-    surrounding whitespace, so that it reads back unchanged.  A
-    ValidationError is raised before `path` is opened."""
+    The run must pass read_dataset's checks: phase and raw_value of the
+    spec's n_vacuum + n_fock rows, finite, and phases in [0, 2 pi).  rng_name
+    must be printable with no surrounding whitespace, so that it reads back
+    unchanged.  A ValidationError is raised before `path` is opened."""
     spec, det = dataset.spec, dataset.spec.detector
     name = dataset.rng_name
     if not (isinstance(name, str) and name.isprintable() and name == name.strip()):
         raise ValidationError(f"rng_name must be printable, with no surrounding "
                               f"whitespace, got {name!r}")
-    _, phase, raw = _check_body(dataset.source, dataset.phase, dataset.raw_value,
-                                spec.n_vacuum, spec.n_fock, ValidationError)
+    columns = _check_body(dataset.phase, dataset.raw_value, spec.n_vacuum, spec.n_fock,
+                          ValidationError)
     header = format_kv({
         "format_version": FORMAT_VERSION, "rng": name,
         "seed": spec.seed, "eta_true": spec.eta_true, "scale": det.scale,
@@ -192,60 +184,48 @@ def write_dataset(dataset: HomodyneDataset, path) -> None:
     }, prefix="# ")
     with open(path, "wb") as fh:
         fh.write("\n".join([*header, _END_HEADER, ""]).encode("utf-8"))
-        for column in (phase, raw):
+        for column in columns:
             fh.write(np.ascontiguousarray(column, dtype="<f8"))
 
 
-def _check_body(source, phase, raw_value, n_vacuum: int, n_fock: int, error):
+def _check_body(phase, raw_value, n_vacuum: int, n_fock: int, error):
     # The body rules shared by read_dataset and write_dataset; raises `error`
-    # naming the first one broken.  Returns the three columns as arrays.
-    source = np.asarray(source)
+    # naming the first one broken.  Returns both columns as arrays.
+    n = n_vacuum + n_fock
     phase = np.asarray(phase, dtype=float)
     raw_value = np.asarray(raw_value, dtype=float)
-    if source.ndim != 1 or phase.shape != source.shape or raw_value.shape != source.shape:
-        raise error(f"source, phase and raw_value must be 1-d of one length, got shapes "
-                    f"{source.shape}, {phase.shape} and {raw_value.shape}")
-    vacuum = source == SOURCE_VACUUM
-    unknown = ~vacuum & (source != SOURCE_FOCK)
-    if np.any(unknown):
-        row = int(np.argmax(unknown))
-        raise error(f"sample {row + 1}: unknown source {str(source[row])!r}")
+    if phase.shape != (n,) or raw_value.shape != (n,):
+        raise error(f"phase and raw_value must be 1-d of one length n_vacuum + n_fock = "
+                    f"{n}, got shapes {phase.shape} and {raw_value.shape}")
     if not np.all(np.isfinite(phase)) or not np.all(np.isfinite(raw_value)):
         raise error("non-finite sample values")
     if np.any((phase < 0.0) | (phase >= _TWO_PI)):
         raise error("phase outside [0, 2*pi)")
-    n_v = int(np.count_nonzero(vacuum))
-    if n_v != n_vacuum or source.size - n_v != n_fock:
-        raise error(f"sample counts (V={n_v}, F={source.size - n_v}) disagree with "
-                    f"n_vacuum={n_vacuum}, n_fock={n_fock}")
-    if not np.all(vacuum[:n_v]):
-        raise error(f"sample {int(np.argmin(vacuum)) + 1}: source F before the last V; "
-                    f"every V sample must come before every F sample")
-    return source, phase, raw_value
+    return phase, raw_value
 
 
-# One format_version=1 sample line.  The source field is two characters wide
-# so that a longer token such as "VX" is read whole and rejected, not
-# truncated to "V".
+# One format_version=1 sample line and its two source tokens.  The source
+# field is two characters wide so that a longer token such as "VX" is read
+# whole and rejected, not truncated to "V".
 _SAMPLE_DTYPE = np.dtype([("source", "U2"), ("phase", float), ("raw_value", float)])
+SOURCE_VACUUM, SOURCE_FOCK = "V", "F"
 
 
-def _read_header(fh) -> tuple[list[tuple[int, str]], bool]:
+def _read_header(fh) -> tuple[list[tuple[int, str]], bytes | None]:
     # The header is the leading block of '#' and blank lines, ended early by
     # an '# end_header' line.  Returns its (line number, text after '#')
-    # pairs and whether the end line was found, leaving fh at the first body
-    # byte.  Only header lines are decoded.
+    # pairs, and None if the end line was found, leaving fh at the first body
+    # byte, else the first body line (b"" at the end of the file).  fh is only
+    # read forward, so it may be a pipe.  Only header lines are decoded.
     header: list[tuple[int, str]] = []
     lineno = 0
     while True:
-        start = fh.tell()
         line = fh.readline()
         stripped = line.strip()
-        if not line or stripped == _END_HEADER.encode():
-            return header, bool(line)
-        if stripped and not stripped.startswith(b"#"):
-            fh.seek(start)
-            return header, False
+        if stripped == _END_HEADER.encode():
+            return header, None
+        if not line or (stripped and not stripped.startswith(b"#")):
+            return header, line
         lineno += 1
         if stripped:
             try:
@@ -255,8 +235,9 @@ def _read_header(fh) -> tuple[list[tuple[int, str]], bool]:
                                          ) from exc
 
 
-def _text_body(text: str):
-    # format_version=1: one 'source phase raw_value' line per sample.
+def _text_body(text: str, n_vacuum: int, n_fock: int):
+    # format_version=1: one 'source phase raw_value' line per sample, whose
+    # source column reads n_vacuum times V, then n_fock times F.
     if not text:
         rows = np.empty(0, dtype=_SAMPLE_DTYPE)
     else:
@@ -267,19 +248,27 @@ def _text_body(text: str):
             raise DatasetFormatError(
                 f"expected sample lines 'source phase raw_value' with numeric fields: {exc}"
             ) from exc
-    return rows["source"], rows["phase"], rows["raw_value"]
+    # "" marks the end of the data, so a missing or extra sample differs too.
+    got = np.append(rows["source"], "")
+    want = np.array([SOURCE_VACUUM, SOURCE_FOCK, ""])[np.searchsorted(
+        [n_vacuum, n_vacuum + n_fock], np.arange(got.size), side="right")]
+    differs = np.flatnonzero(got != want)
+    if differs.size:
+        row = int(differs[0])
+        found, expected = (repr(str(s)) if s else "none" for s in (got[row], want[row]))
+        raise DatasetFormatError(f"sample {row + 1}: source {found}, expected {expected}; "
+                                 f"the source column must read n_vacuum={n_vacuum} times "
+                                 f"'V', then n_fock={n_fock} times 'F'")
+    return rows["phase"].copy(), rows["raw_value"].copy()
 
 
-def _binary_body(values: np.ndarray, n_odd_bytes: int, n_vacuum: int, n_fock: int):
-    # format_version=2: n phases, then n raw values, as little-endian float64;
-    # `values` holds the body's whole float64s and `n_odd_bytes` follow them.
+def _binary_body(body: bytearray, n_vacuum: int, n_fock: int):
+    # format_version=2: n phases, then n raw values, as little-endian float64.
     n = n_vacuum + n_fock
-    size = 8 * values.size + n_odd_bytes
-    if size != 16 * n:
-        raise DatasetFormatError(f"binary body holds {size} bytes, expected 16 * "
+    if len(body) != 16 * n:
+        raise DatasetFormatError(f"binary body holds {len(body)} bytes, expected 16 * "
                                  f"(n_vacuum + n_fock) = {16 * n}")
-    phase, raw = values.reshape(2, n)
-    return np.repeat([SOURCE_VACUUM, SOURCE_FOCK], [n_vacuum, n_fock]), phase, raw
+    return np.frombuffer(body, dtype="<f8").reshape(2, n)
 
 
 def read_dataset(path) -> HomodyneDataset:
@@ -290,17 +279,18 @@ def read_dataset(path) -> HomodyneDataset:
     the body is exactly 16 * (n_vacuum + n_fock) bytes, read as write_dataset
     writes them.  A format_version=1 file has no end line and is UTF-8 text
     throughout: every later non-blank line must be a sample 'source phase
-    raw_value', so a '#' line after the first sample is rejected.  Both
-    bodies pass the checks write_dataset makes."""
+    raw_value', so a '#' line after the first sample is rejected, and the
+    source column must read n_vacuum times V, then n_fock times F.  Both
+    bodies pass the checks write_dataset makes.  The file is read once, front
+    to back, so `path` may be a pipe."""
     with open(path, "rb") as fh:
-        header_lines, binary = _read_header(fh)
-        # A binary body goes straight into one array; fromfile leaves any
-        # bytes after the last whole float64 in fh.
-        values = np.fromfile(fh, dtype="<f8") if binary else None
-        rest = fh.read()
+        header_lines, first_line = _read_header(fh)
+        # A bytearray, so that the columns read from it are writable.
+        body = bytearray(fh.read())
+    binary = first_line is None
     if not binary:
         try:
-            text = rest.decode("utf-8")
+            text = (first_line + body).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"dataset has no '{_END_HEADER}' line and is "
                                      f"not UTF-8 text: {exc}") from exc
@@ -319,13 +309,7 @@ def read_dataset(path) -> HomodyneDataset:
                                dark_fraction=header["dark_fraction"]),
         seed=header["seed"],
     )
-    columns = (_binary_body(values, len(rest), spec.n_vacuum, spec.n_fock) if binary
-               else _text_body(text))
-    source, phase, raw = _check_body(*columns, spec.n_vacuum, spec.n_fock, DatasetFormatError)
-    return HomodyneDataset(
-        spec=spec,
-        source=source.astype("U1"),
-        phase=np.ascontiguousarray(phase),
-        raw_value=np.ascontiguousarray(raw),
-        rng_name=header["rng"],
-    )
+    columns = (_binary_body(body, spec.n_vacuum, spec.n_fock) if binary
+               else _text_body(text, spec.n_vacuum, spec.n_fock))
+    phase, raw = _check_body(*columns, spec.n_vacuum, spec.n_fock, DatasetFormatError)
+    return HomodyneDataset(spec=spec, phase=phase, raw_value=raw, rng_name=header["rng"])

@@ -72,6 +72,18 @@ def test_reconstruct_deterministic_up_to_timestamp(tmp_path):
     assert (out1 / "marginal_histogram.txt").read_bytes() == (out2 / "marginal_histogram.txt").read_bytes()
 
 
+def test_reconstruct_reads_a_pipe(tmp_path, fifo_of):
+    # the report from a FIFO is the file's, but for the time and the path
+    path = _simulate(tmp_path)
+    reports = []
+    for name, source in (("file", path), ("pipe", fifo_of(path))):
+        assert main(["reconstruct", str(source), "-o", str(tmp_path / name)]) == EXIT_OK
+        lines = (tmp_path / name / "report.txt").read_text().splitlines()
+        reports.append([line for line in lines
+                        if not line.startswith(("generated_at=", "path="))])
+    assert reports[0] == reports[1]
+
+
 def test_reconstruct_flags_change_output(tmp_path):
     path = _simulate(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -207,8 +219,8 @@ def _rewrite_as_v1(path, version=1, raw_value=None):
     header = path.read_bytes().split(b"# end_header\n")[0]
     header = header.replace(b"# format_version=2\n", b"# format_version=%d\n" % version)
     raw = ds.raw_value.tolist() if raw_value is None else [raw_value] * ds.n_samples
-    body = "".join(f"{s} {p!r} {v!r}\n" for s, p, v in zip(ds.source.tolist(),
-                                                          ds.phase.tolist(), raw))
+    source = np.repeat(["V", "F"], [ds.spec.n_vacuum, ds.spec.n_fock]).tolist()
+    body = "".join(f"{s} {p!r} {v!r}\n" for s, p, v in zip(source, ds.phase.tolist(), raw))
     path.write_bytes(header + body.encode())
 
 
@@ -262,6 +274,17 @@ def _reconstruct_without_warnings(tmp_path, *flags):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return main(["reconstruct", str(path), *flags, "-o", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("flags,code", [
+    (("--grid-points", "601"), EXIT_OK),  # spacing 0.02, at the bound
+    (("--grid-max", "12", "--grid-points", "1201"), EXIT_OK),  # spacing 0.02
+    (("--grid-max", "6.03", "--grid-points", "601"), EXIT_VALIDATION),  # spacing 0.0201
+])
+def test_grid_spacing_at_the_inversion_bound(tmp_path, capsys, flags, code):
+    assert _reconstruct_without_warnings(tmp_path, *flags) == code
+    if code == EXIT_VALIDATION:
+        assert "spacing 0.0201 too coarse" in capsys.readouterr().err
 
 
 def test_grid_too_coarse_to_invert_is_rejected_before_smoothing(tmp_path, capsys):

@@ -288,6 +288,19 @@ def test_abel_grid_too_coarse():
     assert ABEL_MAX_SPACING == 0.02
 
 
+@pytest.mark.parametrize("x_max,points", [(6.0, 601), (12.0, 1201)])
+def test_abel_grid_at_the_spacing_bound_is_accepted(x_max, points):
+    # both grids step 0.02, though xs[1] - xs[0] rounds above it on the first
+    for x in (np.linspace(-x_max, x_max, points), np.linspace(0.0, x_max, points // 2 + 1)):
+        assert np.all(np.isfinite(abel_inverse(x, marginal_density(0.5, x)).values))
+
+
+def test_abel_grid_just_above_the_spacing_bound_is_rejected():
+    x = np.linspace(-6.03, 6.03, 601)  # spacing 0.0201
+    with pytest.raises(ValidationError, match="spacing 0.0201 too coarse"):
+        abel_inverse(x, marginal_density(0.5, x))
+
+
 def test_abel_range_too_short():
     x = np.linspace(0.0, 3.5, 1001)
     with pytest.raises(ValidationError, match="range"):

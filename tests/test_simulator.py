@@ -30,7 +30,6 @@ def test_generation_is_deterministic():
     b = generate_run(spec)
     assert np.array_equal(a.raw_value, b.raw_value)
     assert np.array_equal(a.phase, b.phase)
-    assert np.array_equal(a.source, b.source)
 
 
 def test_different_seeds_differ():
@@ -139,6 +138,14 @@ def test_empty_blocks_are_allowed():
     assert ds.vacuum_values.size == 0
 
 
+def test_blocks_are_views_of_raw_value():
+    # rows [0, n_vacuum) are the vacuum block, the rest the signal block
+    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=7, n_fock=4, seed=1))
+    for block, rows in ((ds.vacuum_values, slice(0, 7)), (ds.fock_values, slice(7, 11))):
+        assert block.base is ds.raw_value
+        assert np.array_equal(block, ds.raw_value[rows])
+
+
 def test_detector_validation():
     with pytest.raises(ValidationError):
         DetectorModel(scale=0.0)
@@ -177,7 +184,6 @@ def test_roundtrip(tmp_path):
     back = read_dataset(path)
     assert back.spec == spec
     assert back.rng_name == ds.rng_name
-    assert np.array_equal(back.source, ds.source)
     # repr-precision floats round-trip exactly
     assert np.array_equal(back.phase, ds.phase)
     assert np.array_equal(back.raw_value, ds.raw_value)
@@ -197,7 +203,8 @@ def test_roundtrip_of_numpy_scalar_spec(tmp_path):
 
 def _per_row_body(ds):
     # the format_version=1 body: one f-string per sample, floats by repr
-    columns = (np.asarray(ds.source).tolist(), np.asarray(ds.phase, dtype=float).tolist(),
+    columns = (np.repeat(["V", "F"], [ds.spec.n_vacuum, ds.spec.n_fock]).tolist(),
+               np.asarray(ds.phase, dtype=float).tolist(),
                np.asarray(ds.raw_value, dtype=float).tolist())
     return "".join(f"{s} {p!r} {v!r}\n" for s, p, v in zip(*columns)).encode()
 
@@ -241,7 +248,7 @@ def test_read_rejects_bad_source(tmp_path):
         parts = ls[9].split()
         ls[9] = "X " + " ".join(parts[1:])
     path = _write_and_edit(tmp_path, edit)
-    with pytest.raises(DatasetFormatError, match="source"):
+    with pytest.raises(DatasetFormatError, match="sample 1: source 'X', expected 'V'"):
         read_dataset(path)
 
 
@@ -252,9 +259,20 @@ def test_read_rejects_malformed_line(tmp_path):
 
 
 def test_read_rejects_count_mismatch(tmp_path):
+    # the sixth sample is then the first that is not read as its block says
     path = _write_and_edit(tmp_path, lambda ls: ls.__setitem__(7, "# n_vacuum=6"))
-    with pytest.raises(DatasetFormatError, match="counts"):
+    with pytest.raises(DatasetFormatError, match="sample 6: source 'F', expected 'V'; "
+                       "the source column must read n_vacuum=6 times 'V', then n_fock=5"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda ls: ls.pop(), "sample 10: source none, expected 'F'"),
+    (lambda ls: ls.append(ls[-1]), "sample 11: source 'F', expected none"),
+])
+def test_read_rejects_missing_or_extra_sample(tmp_path, edit, message):
+    with pytest.raises(DatasetFormatError, match=message):
+        read_dataset(_write_and_edit(tmp_path, edit))
 
 
 def test_read_rejects_out_of_range_phase(tmp_path):
@@ -290,7 +308,7 @@ def test_read_rejects_two_letter_source(tmp_path):
         parts = ls[9].split()
         ls[9] = "VX " + " ".join(parts[1:])
     path = _write_and_edit(tmp_path, edit)
-    with pytest.raises(DatasetFormatError, match="source"):
+    with pytest.raises(DatasetFormatError, match="sample 1: source 'VX', expected 'V'"):
         read_dataset(path)
 
 
@@ -361,7 +379,6 @@ def test_written_bytes_are_frozen(tmp_path):
                    detector=DetectorModel(scale=1.5, offset=-0.25, dark_fraction=0.1))
     ds = HomodyneDataset(
         spec=spec,
-        source=np.array(["V", "V", "F"]),
         phase=np.array([0.0, 0.1, 6.283185307179585]),
         raw_value=np.array([-0.0, 1e-300, -123456.789]),
     )
@@ -380,7 +397,6 @@ def _raw_column_run(raw, seed=0):
     # vacuum samples holding `raw`, with uniform phases
     raw = np.asarray(raw, dtype=float)
     return HomodyneDataset(spec=RunSpec(eta_true=0.5, n_vacuum=raw.size, n_fock=0),
-                           source=np.full(raw.size, "V"),
                            phase=2.0 * np.pi * _rng(seed).random(raw.size), raw_value=raw)
 
 
@@ -391,7 +407,6 @@ def _assert_reads_as_per_row_reference(ds, directory):
     write_dataset(ds, written)
     for path in (written, _write_v1(ds, directory / "run.txt")):
         back = read_dataset(path)
-        assert np.array_equal(back.source, ds.source)
         for column in ("phase", "raw_value"):
             assert np.array_equal(getattr(back, column).view(np.uint64),
                                   np.asarray(getattr(ds, column), dtype=float).view(np.uint64))
@@ -427,7 +442,6 @@ def test_v1_reference_file_reads_as_the_v2_file(tmp_path):
     write_dataset(old, tmp_path / "run42.dat")
     new = read_dataset(tmp_path / "run42.dat")
     assert new.spec == old.spec and new.rng_name == old.rng_name
-    assert new.source.dtype == old.source.dtype and np.array_equal(new.source, old.source)
     for column in ("phase", "raw_value"):
         assert np.array_equal(getattr(new, column).view(np.uint64),
                               getattr(old, column).view(np.uint64))
@@ -478,6 +492,31 @@ def test_read_rejects_body_of_wrong_length(tmp_path, cut, extra):
         read_dataset(path)
 
 
+def test_read_never_allocates_the_header_count(tmp_path):
+    # a header claiming 10**15 vacuum samples over a 32-byte body
+    path = tmp_path / "run.dat"
+    write_dataset(generate_run(RunSpec(eta_true=0.5, n_vacuum=1, n_fock=1, seed=8)), path)
+    path.write_bytes(path.read_bytes().replace(b"# n_vacuum=1\n", b"# n_vacuum=%d\n" % 10**15))
+    with pytest.raises(DatasetFormatError, match="holds 32 bytes, expected 16 \\* "
+                       "\\(n_vacuum \\+ n_fock\\) = 16000000000000016"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_read_from_a_pipe(tmp_path, fifo_of, version):
+    # the file is read once, front to back; the body is larger than a pipe's
+    # buffer, so it arrives in several reads
+    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=4000, n_fock=1000, seed=8))
+    path = tmp_path / "run.dat"
+    _write_v1(ds, path) if version == 1 else write_dataset(ds, path)
+    from_file, from_pipe = read_dataset(path), read_dataset(fifo_of(path))
+    assert from_pipe.spec == from_file.spec and from_pipe.rng_name == from_file.rng_name
+    for column in ("phase", "raw_value"):
+        back = getattr(from_pipe, column)
+        assert back.flags.writeable and getattr(from_file, column).flags.writeable
+        assert np.array_equal(back.view(np.uint64), getattr(from_file, column).view(np.uint64))
+
+
 def test_read_rejects_version_and_end_line_that_disagree(tmp_path):
     path = tmp_path / "run.dat"
     write_dataset(generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8)), path)
@@ -490,15 +529,11 @@ def test_read_rejects_version_and_end_line_that_disagree(tmp_path):
 
 
 def test_sources_out_of_block_order_are_rejected(tmp_path):
-    # an F sample before the last V: rejected on write, and on a version 1 read
-    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8))
-    ds.source[[3, 6]] = ds.source[[6, 3]]
-    path = tmp_path / "run.dat"
-    with pytest.raises(ValidationError, match="sample 4: .* every V sample must come before"):
-        write_dataset(ds, path)
-    assert not path.exists()
-    with pytest.raises(DatasetFormatError, match="sample 4: .* every V sample must come before"):
-        read_dataset(_write_v1(ds, tmp_path / "run.txt"))
+    # a version 1 file whose samples 4 (a V) and 7 (an F) swapped sources
+    def edit(ls):
+        ls[12], ls[15] = "F" + ls[12][1:], "V" + ls[15][1:]
+    with pytest.raises(DatasetFormatError, match="sample 4: source 'F', expected 'V'"):
+        read_dataset(_write_and_edit(tmp_path, edit))
 
 
 @pytest.mark.parametrize("name", ["a\nV 0.1 0.2", " x ", "x\n# end_header", "tab\there"])
@@ -520,8 +555,6 @@ def test_writer_rejects_rng_name_that_does_not_read_back(tmp_path, name):
     ("phase", 2, 7.0, "phase outside"),
     ("phase", 1, -0.5, "phase outside"),
     ("phase", 4, np.nan, "non-finite"),
-    ("source", 5, "X", "sample 6: unknown source 'X'"),
-    ("source", 0, "F", "counts"),
 ])
 def test_writer_rejects_what_the_reader_rejects(tmp_path, column, row, value, message):
     ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8))
@@ -551,8 +584,6 @@ def test_roundtrip_with_dark_counts_is_bit_exact(tmp_path):
     write_dataset(ds, path)
     back = read_dataset(path)
     assert back.spec == spec
-    assert back.source.dtype == ds.source.dtype
-    assert np.array_equal(back.source, ds.source)
     assert np.array_equal(back.phase.view(np.uint64), ds.phase.view(np.uint64))
     assert np.array_equal(back.raw_value.view(np.uint64), ds.raw_value.view(np.uint64))
     path2 = tmp_path / "again.txt"
@@ -566,7 +597,6 @@ def test_seed_42_stream_is_frozen():
     # signal event here); values pinned to 1e-13
     det = DetectorModel(dark_fraction=0.4)
     ds = generate_run(RunSpec(eta_true=0.553, n_vacuum=3, n_fock=3, detector=det, seed=42))
-    assert ds.source.tolist() == ["V", "V", "V", "F", "F", "F"]
     assert ds.phase.tolist() == [5.760073421191729, 5.7238980451164725, 5.507793145348336,
                                  2.937331199835341, 0.2918470237010983, 3.741699742572823]
     expected = [-0.6653782102241166, -0.017361731105191933, 0.1402092372831419,

@@ -66,7 +66,7 @@ def fit_vacuum(values, method: str = "moments") -> CalibrationResult:
     if std == 0.0:
         raise NumericsError("vacuum block has zero variance; cannot calibrate")
     scale_hat = std / VACUUM_STD
-    centers, density = _scott_density(values)
+    centers, density = _scott_density(values, offset_hat, std)
 
     if method == "moments":
         resid = _vacuum_residuals(centers, density, scale_hat, offset_hat)

@@ -37,7 +37,9 @@ weights and one multi-column tridiagonal sweep) and kept read-only in a
 module cache of the ABEL_CACHED_GRIDS most recently used (grid, radii)
 pairs, keyed on their exact bytes.  On the default grid (2401 points, 401
 radii) M holds 401 x 1200 doubles, about 3.9 MB.  wigner_to_marginal
-evaluates its spline on the chord nodes directly.
+evaluates its spline on the chord nodes directly, once per distinct |X|, in
+blocks of chords that stay in cache.  smooth_marginal sums kernels over the
+occupied bins only, as one short convolution per polyphase slice.
 
 The module needs numpy alone: the efficiency likelihood is maximized by a
 safeguarded Newton iteration and the histogram fit has a closed form.
@@ -71,6 +73,7 @@ _SIMPSON_NODES = 401
 _SIMPSON_WEIGHTS = np.ones(_SIMPSON_NODES)
 _SIMPSON_WEIGHTS[1:-1:2] = 4.0
 _SIMPSON_WEIGHTS[2:-2:2] = 2.0
+_CHORD_BLOCK = 64  # wigner_to_marginal's chords at a time: 200 kB node arrays
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +139,14 @@ def _tally(pos: np.ndarray, bin_edges: np.ndarray) -> MarginalHistogram:
                              underflow=int(tally[0]), overflow=int(tally[-1]))
 
 
-def _scott_density(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scott_density(values: np.ndarray, mean: float,
+                   std: float) -> tuple[np.ndarray, np.ndarray]:
     # Empirical density on Scott's-rule bins over mean +- 5 std, wide enough
     # that essentially no Gaussian mass is clipped; at least 8 bins.  Returns
-    # (bin centers, density).  Callers check the spread is non-zero.
+    # (bin centers, density).  Callers pass the values' mean and sample
+    # standard deviation (ddof=1), and check the spread is non-zero.
     n = values.size
-    std = float(np.std(values, ddof=1))
     width = 3.49 * std * n ** (-1.0 / 3.0)
-    mean = float(np.mean(values))
     lo, hi = mean - 5.0 * std, mean + 5.0 * std
     n_bins = max(int(np.ceil((hi - lo) / width)), 8)
     counts, edges = np.histogram(values, bins=n_bins, range=(lo, hi))
@@ -194,9 +197,10 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     Kernels are centred on the histogram bins (weights = counts), evaluated
     on a symmetric uniform grid, symmetrized exactly via
     (f(x) + f(-x)) / 2, and renormalized to unit integral on the grid.
-    The kernel sum is one convolution when the edges lie on a lattice of a
-    whole number of grid spacings spanning fewer nodes than the grid (the
-    default 1200 bins on 2401 points), else a dense grid x bins product.
+    The kernel sum runs over the occupied bins: when the edges lie on a
+    lattice of m grid spacings spanning fewer nodes than the grid (the
+    default 1200 bins on 2401 points, m = 2), it is one convolution with the
+    kernel's polyphase slice per m-th grid node, else a dense product.
 
     With bandwidth=None the Silverman rule scaled by `bandwidth_scale` is
     used and at least MIN_SMOOTH_SAMPLES in-range samples are required; an
@@ -254,8 +258,10 @@ def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
 
 def _kernel_sum(hist: MarginalHistogram, grid: np.ndarray, bandwidth: float) -> np.ndarray:
     # sum_j counts_j exp(-((grid_i - c_j) / bandwidth)^2 / 2).  On a lattice of m
-    # grid steps (to linspace rounding) grid_i - c_j depends only on i - m*j: the
-    # m-upsampled counts convolved with the kernel at fewer than 2 * grid.size lags.
+    # grid steps (to linspace rounding) grid_i - c_j depends only on i - m*j, so
+    # with the kernel at fewer than 2 * grid.size lags the nodes i = p (mod m)
+    # are one short convolution of the occupied counts with the polyphase slice
+    # kernel[p::m], which starts at node 0's lag to the last occupied bin.
     counts, edges = hist.counts, hist.bin_edges
     step = (grid[-1] - grid[0]) / (grid.size - 1)
     m = round(hist.bin_width / step)
@@ -264,9 +270,13 @@ def _kernel_sum(hist: MarginalHistogram, grid: np.ndarray, bandwidth: float) -> 
     atol = 8.0 * np.finfo(float).eps * np.abs(edges).max()
     if m >= 1 and span < grid.size and np.allclose(edges, lattice, rtol=0.0, atol=atol):
         z = ((grid[0] - hist.centers[0]) + step * np.arange(-span, grid.size)) / bandwidth
-        upsampled = np.zeros(span + 1)
-        upsampled[::m] = counts
-        return np.convolve(upsampled, np.exp(-0.5 * z * z), mode="valid")
+        occupied = np.flatnonzero(counts)
+        c = counts[occupied[0]:occupied[-1] + 1]
+        kernel = np.exp(-0.5 * z * z)[m * (counts.size - 1 - occupied[-1]):]
+        out = np.empty(grid.size)
+        for p in range(min(m, grid.size)):  # one bin may be wider than the grid
+            out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1], mode="valid")
+        return out
     mask = counts > 0
     z = (grid[:, None] - hist.centers[mask][None, :]) / bandwidth
     return np.exp(-0.5 * z * z) @ counts[mask]
@@ -380,12 +390,6 @@ def _abel_nodes(knots: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, ...]
     offset = knots[cell]
     np.subtract(nodes, offset, out=offset)
     return inside, h, nodes, cell, offset
-
-
-def _chord_sum(inside: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    out = np.zeros(inside.shape)
-    out[inside] = (h / 3.0) * (g @ _SIMPSON_WEIGHTS)
-    return out
 
 
 def _abel_node_weights(x: np.ndarray, r: np.ndarray,
@@ -530,27 +534,34 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv with V = sqrt(R_max^2 -
     X^2); the profile is interpolated by the spline abel_inverse uses (any
     strictly increasing radii) and taken as zero beyond its largest radius.
-    Used as a forward-consistency check on reconstructions.
+    The projection is even in X, so it is evaluated once per distinct |X|,
+    in blocks of _CHORD_BLOCK chords.  Returns x's shape (a float for a
+    scalar).  Used as a forward-consistency check on reconstructions.
     """
-    xq = np.atleast_1d(np.asarray(x, dtype=float))
+    xq = np.asarray(x, dtype=float)
     radii, values = np.asarray(profile.radii, dtype=float), np.asarray(profile.values, dtype=float)
     if not all(np.all(np.isfinite(a)) for a in (radii, values, xq)):
         raise ValidationError("profile and x must be finite")
     if (radii.ndim != 1 or radii.size < 2 or values.shape != radii.shape
             or np.any(np.diff(radii) <= 0.0)):
         raise ValidationError("profile needs one value per radius on >= 2 increasing radii")
-    # The nodes' buffer is reused for the coefficients; "clip" (every interval
-    # is in range) lets take write into it without a temporary.
-    inside, h, buf, cell, s = _abel_nodes(radii, xq)
     c = _spline_coefficients(radii, values)
-    w = np.take(c[0], cell)
-    for k in (1, 2, 3):  # Horner
-        w *= s
-        w += np.take(c[k], cell, out=buf, mode="clip")
-    out = 2.0 * _chord_sum(inside, h, w)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    points, where = np.unique(np.abs(xq).ravel(), return_inverse=True)
+    out = np.zeros(points.size)
+    for start in range(0, points.size, _CHORD_BLOCK):
+        # The nodes' buffer is reused for the coefficients; "clip" (every
+        # interval is in range) lets take write into it without a temporary.
+        _, h, buf, cell, s = _abel_nodes(radii, points[start:start + _CHORD_BLOCK])
+        w = np.take(c[0], cell)
+        for k in (1, 2, 3):  # Horner
+            w *= s
+            w += np.take(c[k], cell, out=buf, mode="clip")
+        # The points ascend, so the h.size chords inside the disc come first;
+        # summed row by row, a chord's value does not depend on its block.
+        w *= _SIMPSON_WEIGHTS
+        out[start:start + h.size] = 2.0 * ((h / 3.0) * w.sum(axis=1))
+    out = out[where].reshape(xq.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def reconstruct_profile(values, *, n_bins: int = 1200, lo: float = -6.0, hi: float = 6.0,
@@ -698,9 +709,10 @@ def fit_efficiency(values, method: str = "mle") -> EfficiencyFit:
             eta_hat, at_boundary = _mle_root(t), False
         objective = _negative_log_likelihood(eta_hat, x2, t)
     else:
-        if np.std(values, ddof=1) == 0.0:
+        std = float(np.std(values, ddof=1))
+        if std == 0.0:
             raise NumericsError("signal block has zero variance; cannot fit")
-        centers, density = _scott_density(values)
+        centers, density = _scott_density(values, float(np.mean(values)), std)
         # The model a + eta b is linear in eta, so the SSE is a parabola.
         a = marginal_density(0.0, centers)
         b = a * (4.0 * centers * centers - 1.0)

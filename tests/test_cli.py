@@ -347,7 +347,7 @@ _REFERENCE_REPORT = {
     "calibration": {"scale_hat": 1.002638970801738, "offset_hat": -0.0005086163680511723,
                     "fit_residual": 0.006080729749422906},
     "diagonals": {"rho_11": 0.5807048215710435, "sigma_11": 0.011554037616833926},
-    "wigner": {"origin_reconstructed": -0.040146971249170195,
+    "wigner": {"origin_reconstructed": -0.040146971249130026,
                "profile_normalization": 1.0000021054417183},
     "config": {"bandwidth": 0.09980960492801365},
 }

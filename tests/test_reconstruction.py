@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from focktomo.pipeline import ReconstructionConfig
 from focktomo.reconstruction import (
     ABEL_MAX_SPACING,
     ABEL_MIN_RANGE,
+    _CHORD_BLOCK,
     _SIMPSON_NODES,
     GridDensity,
     MarginalHistogram,
@@ -206,9 +208,19 @@ def _dense_smooth_marginal(hist, bandwidth, grid_max=6.0, grid_points=2401):
 ])
 def test_smoothing_matches_dense_kernel_sum(bins, grid_points, convolved):
     hist = bin_samples(_draws(0.553, 12_000, 21), **bins)
-    for bandwidth in (None, 0.03):
-        dens = smooth_marginal(hist, bandwidth=bandwidth, grid_points=grid_points)
-        reference = _dense_smooth_marginal(hist, dens.bandwidth, grid_points=grid_points)
+    cases = [(hist, None), (hist, 0.03)]
+    if convolved:
+        # The sum runs over the occupied bins only: one occupied bin at the
+        # first, the middle and the last bin, and both end bins with a gap.
+        n = hist.counts.size
+        for occupied in ([0], [n // 2], [n - 1], [0, n - 1]):
+            counts = np.zeros_like(hist.counts)
+            counts[occupied] = 1000
+            cases.append((replace(hist, counts=counts), 0.03))
+    for case, bandwidth in cases:
+        dens = smooth_marginal(case, bandwidth=bandwidth, grid_points=grid_points)
+        reference = _dense_smooth_marginal(case, dens.bandwidth, grid_points=grid_points)
+        assert np.all(dens.density >= 0.0)
         if convolved:
             assert np.max(np.abs(dens.density - reference)) <= 1e-13 * np.max(reference)
         else:
@@ -440,6 +452,39 @@ def test_chord_quadrature_matches_loop_smoothed_data():
     xq = _forward_points(4.0)
     back = wigner_to_marginal(profile, xq)
     assert np.max(np.abs(back - _loop_wigner_to_marginal(profile, xq))) <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def smoothed_profile():
+    return abel_inverse(smooth_marginal(bin_samples(_draws(0.553, 20_000, 7))))
+
+
+def test_forward_projection_is_even_bit_for_bit(smoothed_profile):
+    xq = np.concatenate([_forward_points(4.0), np.linspace(-6.0, 6.0, 2401)])
+    assert np.array_equal(wigner_to_marginal(smoothed_profile, xq),
+                          wigner_to_marginal(smoothed_profile, -xq))
+
+
+def test_forward_projection_unsorted_with_duplicates(smoothed_profile):
+    rng = np.random.Generator(np.random.PCG64(23))
+    distinct = rng.uniform(-6.0, 6.0, 2401 + 3)  # a third of them beyond r_max = 4
+    xq = rng.permutation(np.concatenate([distinct, distinct[:50], -distinct[50:100]]))
+    assert np.unique(np.abs(xq)).size % _CHORD_BLOCK != 0  # a part-filled last block
+    back = wigner_to_marginal(smoothed_profile, xq)
+    assert np.max(np.abs(back - _loop_wigner_to_marginal(smoothed_profile, xq))) <= 1e-13
+    assert np.all(back[np.abs(xq) >= 4.0] == 0.0)
+
+
+def test_forward_projection_keeps_the_input_shape(smoothed_profile):
+    xq = np.linspace(-5.0, 5.0, 12)
+    flat = wigner_to_marginal(smoothed_profile, xq)
+    assert flat.shape == (12,)
+    square = wigner_to_marginal(smoothed_profile, xq.reshape(3, 4))
+    assert square.shape == (3, 4) and np.array_equal(square.ravel(), flat)
+    for scalar in (xq[3], float(xq[3]), np.array(xq[3])):
+        value = wigner_to_marginal(smoothed_profile, scalar)
+        assert type(value) is float and value == flat[3]
+    assert wigner_to_marginal(smoothed_profile, []).shape == (0,)
 
 
 def test_chord_quadrature_scalar_and_deterministic():
@@ -678,7 +723,7 @@ def _minimize_hist(x):
     # Reference: the bounded scalar minimization of the histogram SSE.
     from focktomo.reconstruction import _scott_density
 
-    centers, density = _scott_density(x)
+    centers, density = _scott_density(x, float(np.mean(x)), float(np.std(x, ddof=1)))
     sol = optimize.minimize_scalar(
         lambda eta: float(np.sum((density - marginal_density(eta, centers)) ** 2)),
         bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-10})

@@ -14,9 +14,12 @@ from .reconstruction import (
     GridDensity,
     MarginalHistogram,
     RadialWignerProfile,
+    _check_inversion_grid,
+    abel_inverse,
+    bin_samples,
     fit_efficiency,
-    reconstruct_profile,
     sample_diagonals,
+    smooth_marginal,
 )
 from .simulator import HomodyneDataset
 
@@ -108,18 +111,12 @@ def reconstruct_dataset(dataset: HomodyneDataset,
 
     eff = fit_efficiency(x, method=config.fit_method)
     diags = sample_diagonals(x, n_max=config.n_max)
-    hist, dens, profile = reconstruct_profile(
-        x,
-        n_bins=config.n_bins,
-        lo=-config.grid_max,
-        hi=config.grid_max,
-        bandwidth=config.bandwidth,
-        bandwidth_scale=config.bandwidth_scale,
-        grid_max=config.grid_max,
-        grid_points=config.grid_points,
-        r_max=config.r_max,
-        n_radii=config.n_radii,
-    )
+    hist = bin_samples(x, n_bins=config.n_bins, lo=-config.grid_max, hi=config.grid_max)
+    _check_inversion_grid(config.grid_max, config.grid_points)
+    dens = smooth_marginal(hist, bandwidth=config.bandwidth,
+                           bandwidth_scale=config.bandwidth_scale,
+                           grid_max=config.grid_max, grid_points=config.grid_points)
+    profile = abel_inverse(dens, r_max=config.r_max, n_radii=config.n_radii)
     return ReconstructionSummary(
         calibration=cal,
         efficiency=eff,

@@ -26,20 +26,23 @@ The rule's nodes lie on chords that wigner_to_marginal shares: the forward
 projection pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv is the same
 integral over a chord of the disc of radius R_max.  Both directions
 interpolate with one cubic spline, clamped to slope 0 at the first knot and
-not-a-knot at the last, solved by a tridiagonal sweep.
+not-a-knot at the last, on knots j * step from 0 (the folded grid and the
+profile's radii are checked for it): written in steps, its knot system is
+the constant tridiag(1, 4, 1), and a chord node's interval is node / step.
 
 For a fixed grid and fixed radii the inversion is linear, so it is one
 matrix M (radii x grid intervals) applied to the folded marginal's interval
-slopes diff(pr) / diff(X): abel_inverse is one matrix-vector product and
+differences diff(pr): abel_inverse is one matrix-vector product and
 bootstrap_profile evaluates every replicate in one matrix product.  M is
 built analytically (Simpson weights, the spline's Hermite derivative
 weights and one multi-column tridiagonal sweep) and kept read-only in a
-module cache of the ABEL_CACHED_GRIDS most recently used (grid, radii)
-pairs, keyed on their exact bytes.  On the default grid (2401 points, 401
-radii) M holds 401 x 1200 doubles, about 3.9 MB.  wigner_to_marginal
-evaluates its spline on the chord nodes directly, once per distinct |X|, in
-blocks of chords that stay in cache.  smooth_marginal sums kernels over the
-occupied bins only, as one short convolution per polyphase slice.
+module cache of the ABEL_CACHED_GRIDS most recently used keys, four
+numbers: the grid's reach, its knot count, r_max and n_radii.  On the
+default grid (2401 points, 401 radii) M holds 401 x 1200 doubles, about
+3.9 MB.  wigner_to_marginal evaluates its spline on the chord nodes
+directly, once per distinct |X|, in blocks of chords that stay in cache.
+smooth_marginal sums kernels over the occupied bins only, as one short
+convolution per polyphase slice.
 
 The module needs numpy alone: the efficiency likelihood is maximized by a
 safeguarded Newton iteration and the histogram fit has a closed form.
@@ -62,7 +65,8 @@ from .states import marginal_density
 ABEL_MIN_RANGE = 4.0
 ABEL_MAX_SPACING = 0.02
 
-# The inversion keeps its linear operator for this many (grid, radii) pairs.
+# The inversion keeps its linear operator for this many (reach, knot count,
+# r_max, n_radii) keys.
 ABEL_CACHED_GRIDS = 4
 
 # Rule-based bandwidths and the efficiency fit need this many samples.
@@ -304,6 +308,16 @@ class RadialWignerProfile:
         return float(2.0 * np.pi * np.trapezoid(self.values * self.radii, self.radii))
 
 
+def _check_uniform(x: np.ndarray, what: str) -> None:
+    # Reject knots x other than x[0] + j * step for the nominal step
+    # (x[-1] - x[0]) / (n - 1), to 1e-9 of a step: the Abel pair puts its
+    # knots on that lattice and finds a node's interval by one division.
+    step = (float(x[-1]) - float(x[0])) / (x.size - 1)
+    if not (0.0 < step < math.inf and np.allclose(x, x[0] + step * np.arange(x.size),
+                                                  rtol=0.0, atol=1e-9 * step)):
+        raise ValidationError(f"{what} must be uniform and increasing")
+
+
 def _fold_even(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Accepts either a one-sided grid starting at 0 or a symmetric grid
     # centred on 0; returns the non-negative half with the two sides averaged.
@@ -338,42 +352,40 @@ def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     return np.array(rows) if rhs.ndim == 1 else rhs
 
 
-def _knot_system(x: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, ...]:
+def _knot_system(n: int) -> tuple[np.ndarray, ...]:
     # The tridiagonal system (sub-, main and super-diagonal) for the knot slopes
-    # s[1:] of the spline below, on >= 3 knots x with spacings dx: rows 1..n-2
-    # make the second derivative continuous, the last row the third derivative
-    # at x[-2]; s[0] = 0 drops out.
-    return (np.append(dx[2:], x[-1] - x[-3]), np.append(2.0 * (dx[:-1] + dx[1:]), dx[-2]),
-            dx[:-1])
+    # s[1:] of the spline below on n >= 3 knots, in steps (so the step drops
+    # out): rows (1, 4, 1) make the second derivative continuous, the last row
+    # (2, 1) the third derivative at knot n - 2; s[0] = 0 drops out.
+    sub, diag = np.ones(n - 2), np.full(n - 1, 4.0)
+    sub[-1], diag[-1] = 2.0, 1.0
+    return sub, diag, np.ones(n - 2)
 
 
-def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Cubic spline through (x, y) on strictly increasing knots with slope 0 at
-    # x[0] and not-a-knot at x[-1] (with two knots: the secant slope at x[-1]),
-    # as CubicSpline(x, y, bc_type=((1, 0.0), "not-a-knot")) builds it.  Returns
-    # c (4, n - 1), highest power first: on [x[i], x[i+1]] the spline is
-    # c[0, i] s^3 + c[1, i] s^2 + c[2, i] s + c[3, i] with s = X - x[i].
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    s = np.zeros(x.size)  # the slope at each knot
-    if x.size == 2:
-        s[1] = slope[0]
+def _spline_coefficients(y: np.ndarray) -> np.ndarray:
+    # Cubic spline through y on the knots j * step with slope 0 at the first and
+    # not-a-knot at the last (with two knots: the secant slope there), as
+    # CubicSpline(step * arange(n), y, bc_type=((1, 0.0), "not-a-knot")) builds
+    # it, in steps: knot slopes s and interval slopes d = diff(y) are per step.
+    # Returns c (4, n - 1), highest power first: on interval i the spline is
+    # c[0, i] u^3 + c[1, i] u^2 + c[2, i] u + c[3, i] with u = X / step - i.
+    d = np.diff(y)
+    s = np.zeros(y.size)
+    if y.size == 2:
+        s[1] = d[0]
     else:
-        d = x[-1] - x[-3]
-        last = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s[1:] = _thomas(*_knot_system(x, dx),
-                        np.append(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]), last))
-    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-    return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+        s[1:] = _thomas(*_knot_system(y.size),
+                        np.append(3.0 * (d[:-1] + d[1:]), 0.5 * (d[-2] + 5.0 * d[-1])))
+    t = s[:-1] + s[1:] - 2.0 * d
+    return np.stack([t, d - s[:-1] - t, s[:-1], y[:-1]])
 
 
-def _abel_nodes(knots: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, ...]:
+def _abel_nodes(length: float, n_knots: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
     # Simpson nodes of integral_0^sqrt(L^2 - p^2) g(sqrt(p^2 + v^2)) dv, a chord
-    # of the disc of radius L = knots[-1], at each point p: the mask of points
-    # with |p| < L, their node spacings h, the nodes (radii sqrt(p^2 + v^2), v as
-    # np.linspace(0, span, n) builds them), and each node's spline interval in
-    # knots and offset in it.
-    length = float(knots[-1])
+    # of the disc of radius L = length, at each point p, for a spline on n_knots
+    # uniform knots from 0 to L: the mask of points with |p| < L, their node
+    # spacings h, the nodes (radii sqrt(p^2 + v^2), v as np.linspace(0, span, n)
+    # builds them), and each node's interval and place u in it, in steps.
     span_sq = length * length - points * points
     inside = span_sq > 0.0
     span = np.sqrt(span_sq[inside])
@@ -384,26 +396,26 @@ def _abel_nodes(knots: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, ...]
     nodes *= nodes
     nodes += p * p
     np.sqrt(nodes, out=nodes)
-    # Interval i holds knots[i] <= node < knots[i+1]; the first and last extend
-    # beyond the ends.
-    cell = np.searchsorted(knots[1:-1], nodes, side="right")
-    offset = knots[cell]
-    np.subtract(nodes, offset, out=offset)
-    return inside, h, nodes, cell, offset
+    # Interval i holds i <= u < i + 1; the last also holds its end, L.
+    u = nodes / (length / (n_knots - 1))
+    cell = u.astype(np.intp)
+    np.minimum(cell, n_knots - 2, out=cell)
+    u -= cell
+    return inside, h, nodes, cell, u
 
 
-def _abel_node_weights(x: np.ndarray, r: np.ndarray,
-                       dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # For the chord nodes of W at the radii r on the knots x (spacings dx):
-    # each node's weights w on the knot slope s[i] at its interval's left end,
-    # on s[i+1] and on the interval slope[i], and the flat (knot, radius)
+def _abel_node_weights(reach: float, n_knots: int,
+                       r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # For the chord nodes of W at the radii r (from 0) on n_knots knots up to
+    # reach: each node's weights w on the knot slope s[i] at its interval's left
+    # end, on s[i+1] and on the interval slope d[i], and the flat (knot, radius)
     # places of the first two.  W sums -q pr'(X) / X over the nodes, q the
     # Simpson weight / pi, and the spline's pr' at the node is the cubic
-    # Hermite mix (1-u)(1-3u) s[i] + u(3u-2) s[i+1] + 6u(1-u) slope[i] for
-    # its place u in the interval.
-    inside, h, nodes, cell, u = _abel_nodes(x, r)
-    u /= dx[cell]
-    q = (h / (3.0 * np.pi))[:, None] * _SIMPSON_WEIGHTS
+    # Hermite mix ((1-u)(1-3u) s[i] + u(3u-2) s[i+1] + 6u(1-u) d[i]) / step
+    # for its place u in the interval.
+    step = reach / (n_knots - 1)
+    inside, h, nodes, cell, u = _abel_nodes(reach, n_knots, r)
+    q = (h / (3.0 * np.pi * step))[:, None] * _SIMPSON_WEIGHTS
     q00 = float(q[0, 0])
     np.divide(q, nodes, out=q, where=nodes > 0.0)  # q / X
     # In place, from u(1-u): w[0] = q (3u(1-u) + u - 1) = -q (1-u)(1-3u),
@@ -420,9 +432,8 @@ def _abel_node_weights(x: np.ndarray, r: np.ndarray,
     w[1] *= q
     w[2] *= -6.0
     w[2] *= q
-    if nodes[0, 0] == 0.0:
-        # X = 0 on the R = 0 chord: the limit -pr''(0) = 2 (s[1] - 3 slope[0]) / dx[0].
-        w[:, 0, 0] = 0.0, 2.0 * q00 / dx[0], -6.0 * q00 / dx[0]
+    # X = 0 on the R = 0 chord: the limit -pr''(0) = 2 (s[1] - 3 d[0]) / step^2.
+    w[:, 0, 0] = 0.0, 2.0 * q00 / step, -6.0 * q00 / step
     index = np.empty((2, *cell.shape), dtype=cell.dtype)
     np.multiply(cell, r.size, out=index[0])
     index[0] += np.flatnonzero(inside)[:, None]
@@ -431,31 +442,27 @@ def _abel_node_weights(x: np.ndarray, r: np.ndarray,
 
 
 @functools.lru_cache(maxsize=ABEL_CACHED_GRIDS)
-def _abel_operator(knots: bytes, radii: bytes) -> np.ndarray:
-    # The read-only matrix M (radii x intervals) with W = M @ (diff(f) / diff(x))
-    # for the even marginal f on the one-sided knots x, given as the bytes of
-    # float arrays (so a cached M never sees a caller's later writes).  The
-    # knot slopes are s[1:] = T^-1 B slope (_knot_system's T; B maps the
-    # interval slopes to T's right-hand side).  With G the node weights on s
-    # (knots x radii), M^T = (node weights on the interval slopes) + B^T T^-T G,
-    # built in place: one multi-column sweep, then B^T.  Needs >= 3 knots.
-    x, r = np.frombuffer(knots), np.frombuffer(radii)
-    dx = np.diff(x)
-    w, index = _abel_node_weights(x, r, dx)
-    g_t = np.bincount(index.ravel(), w[:2].ravel(), minlength=x.size * r.size)
-    m_t = np.bincount(index[0].ravel(), w[2].ravel(), minlength=dx.size * r.size)
+def _abel_operator(reach: float, n_knots: int, r_max: float, n_radii: int) -> np.ndarray:
+    # The read-only matrix M (radii x intervals) with W = M @ diff(f) for the
+    # even marginal f on n_knots uniform knots from 0 to reach, at the radii
+    # np.linspace(0, r_max, n_radii).  The knot slopes are s[1:] = T^-1 B d
+    # (_knot_system's T; B maps the interval slopes d = diff(f) to T's
+    # right-hand side).  With G the node weights on s (knots x radii), M^T =
+    # (node weights on d) + B^T T^-T G, built in place: one multi-column
+    # sweep, then B^T.  Needs >= 3 knots and 0 < r_max <= reach.
+    r = np.linspace(0.0, r_max, n_radii)
+    w, index = _abel_node_weights(reach, n_knots, r)
+    g_t = np.bincount(index.ravel(), w[:2].ravel(), minlength=n_knots * n_radii)
+    m_t = np.bincount(index[0].ravel(), w[2].ravel(), minlength=(n_knots - 1) * n_radii)
     del w, index  # before the sweep, which needs only G and M
-    g_t, m_t = g_t.reshape(x.size, r.size), m_t.reshape(dx.size, r.size)
-    sub, diag, sup = _knot_system(x, dx)
-    y = _thomas(sup, diag, sub, g_t[1:])  # T^-T G
-    # B's rows: 3 (dx[j+1] slope[j] + dx[j] slope[j+1]), then the not-a-knot row.
-    d = x[-1] - x[-3]
-    m_t[-2] += (dx[-1] ** 2 / d) * y[-1]
-    m_t[-1] += ((2.0 * d + dx[-1]) * dx[-2] / d) * y[-1]
-    y = y[:-1]  # rescaled in place: to 3 dx[j+1] y[j], then to 3 dx[j] y[j]
-    y *= 3.0 * dx[1:, None]
+    g_t, m_t = g_t.reshape(n_knots, n_radii), m_t.reshape(n_knots - 1, n_radii)
+    y = _thomas(*_knot_system(n_knots)[::-1], g_t[1:])  # T^-T G
+    # B's rows: 3 (d[j] + d[j+1]), then the not-a-knot row (d[-2] + 5 d[-1]) / 2.
+    m_t[-2] += 0.5 * y[-1]
+    m_t[-1] += 2.5 * y[-1]
+    y = y[:-1]
+    y *= 3.0
     m_t[:-1] += y
-    y *= (dx[:-1] / dx[1:])[:, None]
     m_t[1:] += y
     m_t.flags.writeable = False
     return m_t.T
@@ -489,8 +496,8 @@ def _check_inversion_grid(grid_max: float, grid_points: int) -> None:
 
 
 def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]:
-    # abel_inverse's checks; returns the one-sided grid, the folded marginal
-    # and the radii.
+    # abel_inverse's checks; returns the folded marginal on the knots from 0,
+    # the radii and the operator M for them.
     if density is None:
         if not isinstance(x, GridDensity):
             raise ValidationError("pass a GridDensity or two arrays (grid, density)")
@@ -502,16 +509,15 @@ def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]
         raise ValidationError("grid and density must be matching 1-d arrays (>= 9 points)")
     if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(f))):
         raise ValidationError("grid and density must be finite")
-    spacing = np.diff(grid)
-    if np.any(spacing <= 0) or not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
-        raise ValidationError("marginal grid must be uniform and increasing")
+    _check_uniform(grid, "marginal grid")
 
     xs, fs = _fold_even(grid, f)
     x_max = _check_abel_reach(xs)
     if not 0.0 < r_max <= x_max:
         raise ValidationError(f"r_max must lie in (0, {x_max:g}], got {r_max}")
-    check_count("n_radii", n_radii, 2)
-    return xs, fs, np.linspace(0.0, r_max, n_radii)
+    n_radii = check_count("n_radii", n_radii, 2)
+    matrix = _abel_operator(x_max, xs.size, float(r_max), n_radii)
+    return fs, np.linspace(0.0, r_max, n_radii), matrix
 
 
 def abel_inverse(x, density=None, *, r_max: float = 4.0,
@@ -520,41 +526,43 @@ def abel_inverse(x, density=None, *, r_max: float = 4.0,
 
     Accepts a GridDensity or a pair of arrays (grid, density values); the
     grid must be uniform with spacing <= ABEL_MAX_SPACING and reach at least
-    ABEL_MIN_RANGE, either one-sided from 0 or symmetric about 0.  Returns
-    W on n_radii equally spaced radii in [0, r_max].
+    ABEL_MIN_RANGE, either one-sided from 0 or symmetric about 0; its
+    non-negative half is taken as the knots j * step.  Returns W on n_radii
+    equally spaced radii in [0, r_max].
     """
-    xs, fs, radii = _abel_grid(x, density, r_max, n_radii)
-    matrix = _abel_operator(xs.tobytes(), radii.tobytes())
-    return RadialWignerProfile(radii=radii, values=matrix @ (np.diff(fs) / np.diff(xs)))
+    fs, radii, matrix = _abel_grid(x, density, r_max, n_radii)
+    return RadialWignerProfile(radii=radii, values=matrix @ np.diff(fs))
 
 
 def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     """Project a radial Wigner profile back to its quadrature marginal.
 
     pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv with V = sqrt(R_max^2 -
-    X^2); the profile is interpolated by the spline abel_inverse uses (any
-    strictly increasing radii) and taken as zero beyond its largest radius.
-    The projection is even in X, so it is evaluated once per distinct |X|,
-    in blocks of _CHORD_BLOCK chords.  Returns x's shape (a float for a
-    scalar).  Used as a forward-consistency check on reconstructions.
+    X^2); the profile is interpolated by the spline abel_inverse uses, on
+    radii j * step from 0 (to 1e-9 of a step, as abel_inverse returns them),
+    and taken as zero beyond its largest radius.  The projection is even in
+    X, so it is evaluated once per distinct |X|, in blocks of _CHORD_BLOCK
+    chords.  Returns x's shape (a float for a scalar).  Used as a
+    forward-consistency check on reconstructions.
     """
     xq = np.asarray(x, dtype=float)
     radii, values = np.asarray(profile.radii, dtype=float), np.asarray(profile.values, dtype=float)
     if not all(np.all(np.isfinite(a)) for a in (radii, values, xq)):
         raise ValidationError("profile and x must be finite")
-    if (radii.ndim != 1 or radii.size < 2 or values.shape != radii.shape
-            or np.any(np.diff(radii) <= 0.0)):
-        raise ValidationError("profile needs one value per radius on >= 2 increasing radii")
-    c = _spline_coefficients(radii, values)
+    if radii.ndim != 1 or radii.size < 2 or values.shape != radii.shape or radii[0] != 0.0:
+        raise ValidationError("profile needs one value per radius on >= 2 radii from 0")
+    _check_uniform(radii, "profile radii")
+    c = _spline_coefficients(values)
     points, where = np.unique(np.abs(xq).ravel(), return_inverse=True)
     out = np.zeros(points.size)
     for start in range(0, points.size, _CHORD_BLOCK):
         # The nodes' buffer is reused for the coefficients; "clip" (every
         # interval is in range) lets take write into it without a temporary.
-        _, h, buf, cell, s = _abel_nodes(radii, points[start:start + _CHORD_BLOCK])
+        _, h, buf, cell, u = _abel_nodes(float(radii[-1]), radii.size,
+                                         points[start:start + _CHORD_BLOCK])
         w = np.take(c[0], cell)
         for k in (1, 2, 3):  # Horner
-            w *= s
+            w *= u
             w += np.take(c[k], cell, out=buf, mode="clip")
         # The points ascend, so the h.size chords inside the disc come first;
         # summed row by row, a chord's value does not depend on its block.
@@ -564,31 +572,18 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def reconstruct_profile(values, *, n_bins: int = 1200, lo: float = -6.0, hi: float = 6.0,
-                        bandwidth: float | None = None, bandwidth_scale: float = 1.0,
-                        grid_max: float = 6.0, grid_points: int = 2401,
-                        r_max: float = 4.0, n_radii: int = 401,
-                        ) -> tuple[MarginalHistogram, GridDensity, RadialWignerProfile]:
-    """Convenience chain: bin -> smooth -> invert on calibrated samples."""
-    hist = bin_samples(values, n_bins=n_bins, lo=lo, hi=hi)
-    _check_inversion_grid(grid_max, grid_points)
-    dens = smooth_marginal(hist, bandwidth=bandwidth, bandwidth_scale=bandwidth_scale,
-                           grid_max=grid_max, grid_points=grid_points)
-    profile = abel_inverse(dens, r_max=r_max, n_radii=n_radii)
-    return hist, dens, profile
-
-
 def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 1200,
                       lo: float = -6.0, hi: float = 6.0, bandwidth: float | None = None,
                       bandwidth_scale: float = 1.0, grid_max: float = 6.0,
                       grid_points: int = 2401, r_max: float = 4.0,
                       n_radii: int = 401) -> RadialWignerProfile:
-    """reconstruct_profile's profile (same keywords) with pointwise bootstrap
-    standard errors: the per-radius standard deviation over `n_boot` replicates,
-    each resampling the values with replacement and rerunning bin -> smooth ->
-    invert.  With bandwidth=None each replicate re-estimates its Silverman
-    bandwidth, so the band includes bandwidth variability; an explicit
-    bandwidth makes the band conditional on it (Silverman 1986).
+    """The profile of bin_samples -> smooth_marginal -> abel_inverse (the
+    keywords of each) with pointwise bootstrap standard errors: the per-radius
+    standard deviation over `n_boot` replicates, each resampling the values
+    with replacement and rerunning bin -> smooth -> invert.  With
+    bandwidth=None each replicate re-estimates its Silverman bandwidth, so
+    the band includes bandwidth variability; an explicit bandwidth makes the
+    band conditional on it (Silverman 1986).
     """
     check_count("n_boot", n_boot, 2)
     check_count("seed", seed, 0)
@@ -596,18 +591,16 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 
     _check_inversion_grid(grid_max, grid_points)
     smooth = dict(bandwidth=bandwidth, bandwidth_scale=bandwidth_scale,
                   grid_max=grid_max, grid_points=grid_points)
-    xs, fs, radii = _abel_grid(smooth_marginal(_tally(pos, edges), **smooth), None,
-                               r_max, n_radii)
-    matrix = _abel_operator(xs.tobytes(), radii.tobytes())
-    dx = np.diff(xs)
+    fs, radii, matrix = _abel_grid(smooth_marginal(_tally(pos, edges), **smooth), None,
+                                   r_max, n_radii)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    slopes = np.empty((n_boot, dx.size))  # each replicate's folded interval slopes
-    for row in slopes:
+    diffs = np.empty((n_boot, fs.size - 1))  # each replicate's folded differences
+    for row in diffs:
         rep = smooth_marginal(_tally(pos[rng.integers(0, pos.size, size=pos.size)], edges),
                               **smooth)
-        row[:] = np.diff(_fold_even(rep.x, rep.density)[1]) / dx
-    return RadialWignerProfile(radii=radii, values=matrix @ (np.diff(fs) / dx),
-                               stderr=np.std(slopes @ matrix.T, axis=0, ddof=1))
+        row[:] = np.diff(_fold_even(rep.x, rep.density)[1])
+    return RadialWignerProfile(radii=radii, values=matrix @ np.diff(fs),
+                               stderr=np.std(diffs @ matrix.T, axis=0, ddof=1))
 
 
 # ---------------------------------------------------------------------------

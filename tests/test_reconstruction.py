@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 from scipy.interpolate import CubicSpline, PPoly
 
+from focktomo.calibration import rescale
 from focktomo.errors import NumericsError, ValidationError
 from focktomo.patterns import pattern_function
-from focktomo.pipeline import ReconstructionConfig
+from focktomo.pipeline import ReconstructionConfig, reconstruct_dataset
 from focktomo.reconstruction import (
     ABEL_MAX_SPACING,
     ABEL_MIN_RANGE,
@@ -20,18 +21,18 @@ from focktomo.reconstruction import (
     MarginalHistogram,
     RadialWignerProfile,
     _abel_operator,
+    _check_inversion_grid,
     abel_inverse,
     bin_samples,
     _spline_coefficients,
     bootstrap_profile,
     fit_efficiency,
-    reconstruct_profile,
     sample_diagonals,
     silverman_bandwidth,
     smooth_marginal,
     wigner_to_marginal,
 )
-from focktomo.simulator import sample_quadrature
+from focktomo.simulator import RunSpec, generate_run, sample_quadrature
 from focktomo.states import marginal_density, wigner_radial
 
 
@@ -367,6 +368,8 @@ def test_forward_rejects_non_finite_x():
     ([0.0, 0.5, 0.5, 1.0], [0.3, 0.2, 0.1, 0.0]),  # a repeated radius
     ([0.0, 1.0, 0.5], [0.3, 0.0, 0.1]),            # radii out of order
     ([0.0, 0.5, 1.0], [0.3, 0.1]),                 # one value short
+    (np.linspace(0.5, 4.0, 351), np.full(351, 0.1)),  # uniform, but not from 0
+    ([0.0, 0.5, 1.5, 2.0], [0.3, 0.2, 0.1, 0.0]),  # from 0, but not uniform
 ])
 def test_forward_rejects_malformed_profile(radii, values):
     profile = RadialWignerProfile(radii=np.array(radii), values=np.array(values))
@@ -499,15 +502,22 @@ def test_chord_quadrature_scalar_and_deterministic():
         assert value == wigner_to_marginal(profile, np.array([xi]))[0]
 
 
-def test_reconstruct_profile_matches_manual_chain():
-    x = _draws(0.6, 15_000, 9)
-    hist, dens, profile = reconstruct_profile(x)
-    hist2 = bin_samples(x)
-    dens2 = smooth_marginal(hist2)
-    profile2 = abel_inverse(dens2)
-    assert np.array_equal(hist.counts, hist2.counts)
-    assert np.array_equal(dens.density, dens2.density)
-    assert np.array_equal(profile.values, profile2.values)
+def _chain(values, bandwidth=None):
+    # Reference: the explicit bin -> check -> smooth -> invert steps on the
+    # default grid, in reconstruct_dataset's order.
+    hist = bin_samples(values)
+    _check_inversion_grid(6.0, 2401)
+    dens = smooth_marginal(hist, bandwidth=bandwidth)
+    return hist, dens, abel_inverse(dens)
+
+
+def test_reconstruct_dataset_matches_manual_chain():
+    ds = generate_run(RunSpec(eta_true=0.6, n_vacuum=20_000, n_fock=15_000, seed=9))
+    summary = reconstruct_dataset(ds)
+    hist, dens, profile = _chain(rescale(ds.fock_values, summary.calibration))
+    assert np.array_equal(summary.histogram.counts, hist.counts)
+    assert np.array_equal(summary.density.density, dens.density)
+    assert np.array_equal(summary.profile.values, profile.values)
 
 
 def test_bootstrap_profile_stderr():
@@ -530,10 +540,10 @@ def test_bootstrap_profile_stderr():
 
 
 def _loop_bootstrap_stderr(values, n_boot, seed, **kwargs):
-    # Reference: the whole reconstruct_profile chain on every resampled array.
+    # Reference: the whole explicit chain on every resampled array.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    stack = [reconstruct_profile(values[rng.integers(0, values.size, size=values.size)],
-                                 **kwargs)[2].values for _ in range(n_boot)]
+    stack = [_chain(values[rng.integers(0, values.size, size=values.size)],
+                    **kwargs)[2].values for _ in range(n_boot)]
     return np.std(stack, axis=0, ddof=1)
 
 
@@ -541,7 +551,7 @@ def _loop_bootstrap_stderr(values, n_boot, seed, **kwargs):
 def test_bootstrap_profile_matches_replicate_loop(bandwidth):
     x = _draws(0.553, 12_000, 23)
     prof = bootstrap_profile(x, n_boot=8, seed=4, bandwidth=bandwidth)
-    assert np.array_equal(prof.values, reconstruct_profile(x, bandwidth=bandwidth)[2].values)
+    assert np.array_equal(prof.values, _chain(x, bandwidth=bandwidth)[2].values)
     reference = _loop_bootstrap_stderr(x, 8, 4, bandwidth=bandwidth)
     assert np.max(np.abs(prof.stderr - reference)) <= 1e-12
 
@@ -561,11 +571,22 @@ def test_abel_operator_cache_is_keyed_on_the_grid_and_read_only():
                 first[k] = values
     assert _abel_operator.cache_info().hits >= hits + 4
 
-    xs, radii = np.linspace(0.0, 6.0, 1201), np.linspace(0.0, 4.0, 401)
-    matrix = _abel_operator(xs.tobytes(), radii.tobytes())
+    # The key is four numbers: reach, knot count, r_max and n_radii.
+    matrix = _abel_operator(6.0, 1201, 4.0, 401)
     assert matrix.shape == (401, 1200)
+    assert _abel_operator(6.0, 1201, 4.0, 401) is matrix
     with pytest.raises(ValueError):
         matrix[0, 0] = 1.0
+
+    # A symmetric grid folds onto the one-sided grid with the same reach and
+    # step, so the two share one M: the second call is a cache hit.
+    _abel_operator.cache_clear()
+    two_sided, one_sided = np.linspace(-6.0, 6.0, 2401), np.linspace(0.0, 6.0, 1201)
+    abel_inverse(two_sided, marginal_density(0.553, two_sided))
+    before = _abel_operator.cache_info()
+    abel_inverse(one_sided, marginal_density(0.553, one_sided))
+    after = _abel_operator.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
 
     # A caller's later writes to its arrays reach neither the cache nor a result
     # (a one-sided grid is used as given, without a copy).
@@ -582,30 +603,45 @@ def test_abel_operator_cache_is_keyed_on_the_grid_and_read_only():
                           abel_inverse(fresh * 1.01, marginal_density(0.553, fresh * 1.01)).values)
 
 
+@pytest.mark.parametrize("n_radii", [401, 601, 1201])  # every 3rd, 2nd and each knot
+def test_division_on_knots_matches_loop(n_radii):
+    # Radii and points exactly on the knots j * step, where a node's interval
+    # is decided by rounding of node / step, and points at and just beyond r_max.
+    x = np.linspace(0.0, 6.0, 1201)
+    pr = marginal_density(0.553, x)
+    profile = abel_inverse(x, pr, r_max=6.0, n_radii=n_radii)
+    assert np.max(np.abs(profile.values - _loop_abel_inverse(x, pr, 6.0, n_radii))) <= 1e-13
+    assert profile.values[-1] == 0.0
+    step = 6.0 / (n_radii - 1)
+    beyond = [6.0, np.nextafter(6.0, 7.0), 6.0 + 1e-9, 6.0 + step]
+    xq = np.concatenate([x, -profile.radii, beyond, [np.nextafter(6.0, 0.0)]])
+    back = wigner_to_marginal(profile, xq)
+    assert np.max(np.abs(back - _loop_wigner_to_marginal(profile, xq))) <= 1e-13
+    assert np.all(back[np.abs(xq) >= 6.0] == 0.0)
+
+
 def _spline_cases():
     rng = np.random.Generator(np.random.PCG64(24))
-    for n in (2, 3, 4, 401, 1201):
-        x = np.linspace(0.0, 6.0, n)
-        yield x, np.exp(-2.0 * x * x) * (1.0 + 4.0 * x * x)
-        yield x, rng.normal(size=n)
-    for n in (3, 5, 60):
-        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.5  # non-uniform, first knot below 0
-        yield x, np.cos(x)
-        yield x, rng.normal(size=n)
-    x = np.concatenate([[0.0, 1e-3, 2e-3], np.linspace(0.5, 4.0, 8), [4.0 + 1e-4]])
-    yield x, np.sin(x)  # spacings differing by four orders of magnitude
+    for n in (2, 3, 4, 5, 60, 401):
+        for step in (1e-3, 0.01, 1.0):
+            x = step * np.arange(n)
+            yield x, np.exp(-2.0 * x * x) * (1.0 + 4.0 * x * x)
+            yield x, np.cos(7.0 * x / x[-1])
+            yield x, rng.normal(size=n)
 
 
 def test_spline_matches_cubicspline():
     for x, y in _spline_cases():
+        step = x[1]
         reference = CubicSpline(x, y, bc_type=((1, 0.0), "not-a-knot"))
-        ours = PPoly(_spline_coefficients(x, y), x)
+        # coefficients in steps, rescaled to powers of X - x[i]
+        ours = PPoly(_spline_coefficients(y) / step ** np.arange(3.0, -1.0, -1.0)[:, None], x)
         # the knot span and one end interval's width beyond it on either side
-        xq = np.linspace(2.0 * x[0] - x[1], 2.0 * x[-1] - x[-2], 5001)
+        xq = np.linspace(-step, x[-1] + step, 5001)
         scale = np.max(np.abs(y))
-        assert np.max(np.abs(ours(xq) - reference(xq))) <= 1e-13 * scale, x.size
+        assert np.max(np.abs(ours(xq) - reference(xq))) <= 1e-13 * scale, (x.size, step)
         assert np.max(np.abs(ours(x) - y)) <= 1e-14 * scale
-        assert ours.derivative()(x[0]) == 0.0
+        assert ours.derivative()(0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

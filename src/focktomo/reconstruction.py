@@ -4,7 +4,7 @@ diagonals from calibrated quadrature samples.
 Pipeline pieces, each usable on its own:
 
   bin_samples      half-open uniform binning with explicit under/overflow
-  smooth_marginal  binned Gaussian-kernel density estimate, symmetrized
+  smooth_marginal  binned Gaussian-kernel density estimate, even in X
   abel_inverse     radial Wigner profile from the even marginal
   fit_efficiency   one-parameter efficiency fit (maximum likelihood default)
   sample_diagonals density-matrix diagonals with statistical errors
@@ -41,8 +41,14 @@ numbers: the grid's reach, its knot count, r_max and n_radii.  On the
 default grid (2401 points, 401 radii) M holds 401 x 1200 doubles, about
 3.9 MB.  wigner_to_marginal evaluates its spline on the chord nodes
 directly, once per distinct |X|, in blocks of chords that stay in cache.
-smooth_marginal sums kernels over the occupied bins only, as one short
-convolution per polyphase slice.
+bin_samples computes each value's bin by arithmetic and checks it against
+the edges once in each direction.  smooth_marginal sums kernels over the
+occupied bins only.  When the bin edges lie on a lattice of grid steps and
+are symmetric about 0 (the pipeline bins over -grid_max..grid_max), the
+marginal is even, so it sums the folded counts counts + counts[::-1] on the
+grid's non-negative half, as one short convolution per polyphase slice, and
+mirrors that half exactly; any other bins take the dense grid x
+occupied-bins sum.
 
 The module needs numpy alone: the efficiency likelihood is maximized by a
 safeguarded Newton iteration and the histogram fit has a closed form.
@@ -52,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +124,11 @@ def bin_samples(values, *, n_bins: int = 1200, lo: float = -6.0,
     """Bin calibrated quadratures into `n_bins` uniform bins over [lo, hi].
 
     `values` must be a 1-d array of finite floats, and `lo` and `hi` finite
-    with a finite width hi - lo > 0.  Out-of-range samples are tallied,
-    never dropped silently.
+    with a finite width hi - lo > 0, cut into bins no narrower than 2**-40 of
+    max(|lo|, |hi|) or the smallest normal double.  Out-of-range samples are
+    tallied, never dropped silently.  A value's bin is the count of
+    np.linspace(lo, hi, n_bins + 1) edges <= it, as np.searchsorted(...,
+    side="right") gives it.
     """
     return _tally(*_bin_positions(values, n_bins=n_bins, lo=lo, hi=hi))
 
@@ -126,14 +136,34 @@ def bin_samples(values, *, n_bins: int = 1200, lo: float = -6.0,
 def _bin_positions(values, *, n_bins, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     # Validated (searchsorted position of every value, bin edges).
     values = check_samples(values, "binning")
-    check_count("n_bins", n_bins, 1)
+    n_bins = check_count("n_bins", n_bins, 1)
     # Python floats: a width that overflows is inf, without a warning.
     width = float(hi) - float(lo)
     if not (np.isfinite(width) and width > 0.0):
         raise ValidationError(f"bin range needs finite lo < hi with a finite width, "
                               f"got lo={lo!r}, hi={hi!r}")
+    # The binning below is exact on bins at least 2**-40 of the range's
+    # magnitude, and normal; compared as counts, so n_bins stays an int.
+    magnitude = max(abs(float(lo)), abs(float(hi)))
+    if n_bins > min(2.0**40 * width / magnitude, width / sys.float_info.min):
+        raise ValidationError(f"bin range lo={lo!r}, hi={hi!r} is too narrow for {n_bins} bins: "
+                              f"a bin must be normal and >= 2**-40 of max(|lo|, |hi|)")
     bin_edges = np.linspace(lo, hi, n_bins + 1)
-    return np.searchsorted(bin_edges, values, side="right"), bin_edges
+    # searchsorted(bin_edges, values, side="right") by arithmetic.  On bins
+    # that wide each rounding, here or in linspace, is under 2**-11 of a bin
+    # (a few ulps of max(|lo|, |hi|) or of n + 1 bins), so the guess
+    # floor((x - lo) n / (hi - lo)) + 1, clipped to [0, n + 1], is off by at
+    # most one, and one comparison with the edges each way (padded by -inf
+    # and inf) makes it exact.
+    with np.errstate(over="ignore"):  # a value far outside gives inf, then n + 1
+        guess = (values - lo) * (n_bins / width)
+    guess += 1.0
+    np.clip(guess, 0.0, n_bins + 1.0, out=guess)
+    pos = guess.astype(np.intp)
+    padded = np.concatenate(([-np.inf], bin_edges, [np.inf]))
+    pos -= values < padded[pos]
+    pos += values >= padded[1:][pos]
+    return pos, bin_edges
 
 
 def _tally(pos: np.ndarray, bin_edges: np.ndarray) -> MarginalHistogram:
@@ -199,12 +229,15 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     """Gaussian-kernel estimate of the even quadrature marginal.
 
     Kernels are centred on the histogram bins (weights = counts), evaluated
-    on a symmetric uniform grid, symmetrized exactly via
-    (f(x) + f(-x)) / 2, and renormalized to unit integral on the grid.
-    The kernel sum runs over the occupied bins: when the edges lie on a
-    lattice of m grid spacings spanning fewer nodes than the grid (the
-    default 1200 bins on 2401 points, m = 2), it is one convolution with the
-    kernel's polyphase slice per m-th grid node, else a dense product.
+    on a symmetric uniform grid, made exactly even and renormalized to unit
+    integral on the grid.  The kernel sum runs over the occupied bins.  When
+    the edges lie on a lattice of m grid spacings, symmetric about 0 and
+    spanning fewer nodes than the grid (the default 1200 bins over [-6, 6]
+    on 2401 points, m = 2), it sums the even part directly on the half-line:
+    the folded counts counts + counts[::-1] on the grid's nodes x >= 0, one
+    convolution with the kernel's polyphase slice per m-th node, mirrored
+    exactly to x < 0.  Any other bins take the dense grid x occupied-bins
+    sum, made even as (f(x) + f(-x)) / 2.
 
     With bandwidth=None the Silverman rule scaled by `bandwidth_scale` is
     used and at least MIN_SMOOTH_SAMPLES in-range samples are required; an
@@ -261,26 +294,35 @@ def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
 
 
 def _kernel_sum(hist: MarginalHistogram, grid: np.ndarray, bandwidth: float) -> np.ndarray:
-    # sum_j counts_j exp(-((grid_i - c_j) / bandwidth)^2 / 2).  On a lattice of m
-    # grid steps (to linspace rounding) grid_i - c_j depends only on i - m*j, so
-    # with the kernel at fewer than 2 * grid.size lags the nodes i = p (mod m)
-    # are one short convolution of the occupied counts with the polyphase slice
-    # kernel[p::m], which starts at node 0's lag to the last occupied bin.
+    # sum_j counts_j exp(-((grid_i - c_j) / bandwidth)^2 / 2) on smooth_marginal's
+    # grid, whose node grid.size // 2 is 0.  On a lattice of m grid steps (to
+    # linspace rounding) symmetric about 0, with the kernel at fewer than
+    # 2 * grid.size lags, the sum's even part instead: bin j mirrors to bin
+    # n - 1 - j, so on x >= 0 it is half the sum over the folded counts
+    # counts + counts[::-1], and grid_i - c_j depends only on i - m*j.  The
+    # nodes i = half + p (mod m) are then one short convolution of the occupied
+    # folded counts with the polyphase slice kernel[p::m], which starts at the
+    # lag of node half to the last occupied bin; x < 0 is the exact mirror.
     counts, edges = hist.counts, hist.bin_edges
     step = (grid[-1] - grid[0]) / (grid.size - 1)
     m = round(hist.bin_width / step)
     span = m * (counts.size - 1)
     lattice = edges[0] + m * step * np.arange(edges.size)
     atol = 8.0 * np.finfo(float).eps * np.abs(edges).max()
-    if m >= 1 and span < grid.size and np.allclose(edges, lattice, rtol=0.0, atol=atol):
-        z = ((grid[0] - hist.centers[0]) + step * np.arange(-span, grid.size)) / bandwidth
-        occupied = np.flatnonzero(counts)
-        c = counts[occupied[0]:occupied[-1] + 1]
-        kernel = np.exp(-0.5 * z * z)[m * (counts.size - 1 - occupied[-1]):]
-        out = np.empty(grid.size)
-        for p in range(min(m, grid.size)):  # one bin may be wider than the grid
+    if (m >= 1 and span < grid.size and abs(edges[0] + edges[-1]) <= atol
+            and np.allclose(edges, lattice, rtol=0.0, atol=atol)):
+        folded = counts + counts[::-1]
+        first = int(np.flatnonzero(folded)[0])  # the last is n - 1 - first
+        c = folded[first:counts.size - first]
+        half = grid.size // 2
+        lags = np.arange(half - m * (counts.size - 1 - first), grid.size - m * first)
+        z = ((grid[0] - hist.centers[0]) + step * lags) / bandwidth
+        kernel = np.exp(-0.5 * z * z)
+        out = np.empty(grid.size - half)
+        for p in range(min(m, out.size)):  # one bin may be wider than the grid
             out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1], mode="valid")
-        return out
+        out *= 0.5
+        return np.concatenate((out[:0:-1], out))
     mask = counts > 0
     z = (grid[:, None] - hist.centers[mask][None, :]) / bandwidth
     return np.exp(-0.5 * z * z) @ counts[mask]

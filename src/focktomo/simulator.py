@@ -27,6 +27,8 @@ files from the earlier inverse-CDF sampler, which read the same way.
 from __future__ import annotations
 
 import io
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +161,9 @@ _HEADER_TYPES = {"format_version": int, "rng": str, "seed": int, "eta_true": flo
 # The line that ends a format_version=2 header; the binary body follows it.
 _END_HEADER = "# end_header"
 
+# The first buffer for a format_version=2 body read from a pipe, in bytes.
+_PIPE_CHUNK = 1 << 20
+
 
 def write_dataset(dataset: HomodyneDataset, path) -> None:
     """Write a run in format_version=2: '# key=value' header lines, the line
@@ -262,13 +267,36 @@ def _text_body(text: str, n_vacuum: int, n_fock: int):
     return rows["phase"].copy(), rows["raw_value"].copy()
 
 
-def _binary_body(body: bytearray, n_vacuum: int, n_fock: int):
+def _read_floats(fh) -> tuple[np.ndarray, int]:
+    # The rest of fh, read in place into a writable float64 array (a last
+    # partial float is left unset), and the number of bytes read.  The buffer
+    # is sized by the bytes present, never by the header: a regular file's
+    # remaining size plus one spare float, so that the end shows as a short
+    # read; from a pipe, _PIPE_CHUNK bytes.  Whenever a read fills it, it grows
+    # by half and _PIPE_CHUNK bytes.
+    st = os.fstat(fh.fileno())
+    size = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else _PIPE_CHUNK
+    buf = np.empty(max(size, 0) // 8 + 1, dtype="<f8")
+    filled = 0
+    while True:
+        with memoryview(buf).cast("B") as raw:
+            got = fh.readinto(raw[filled:])
+        if not got:
+            break
+        filled += got
+        if filled == buf.nbytes:
+            buf.resize(buf.size + buf.size // 2 + _PIPE_CHUNK // 8, refcheck=False)
+    buf.resize(-(-filled // 8), refcheck=False)  # no view of buf is left
+    return buf, filled
+
+
+def _binary_body(body: np.ndarray, nbytes: int, n_vacuum: int, n_fock: int):
     # format_version=2: n phases, then n raw values, as little-endian float64.
     n = n_vacuum + n_fock
-    if len(body) != 16 * n:
-        raise DatasetFormatError(f"binary body holds {len(body)} bytes, expected 16 * "
+    if nbytes != 16 * n:
+        raise DatasetFormatError(f"binary body holds {nbytes} bytes, expected 16 * "
                                  f"(n_vacuum + n_fock) = {16 * n}")
-    return np.frombuffer(body, dtype="<f8").reshape(2, n)
+    return body.reshape(2, n)
 
 
 def read_dataset(path) -> HomodyneDataset:
@@ -282,12 +310,14 @@ def read_dataset(path) -> HomodyneDataset:
     raw_value', so a '#' line after the first sample is rejected, and the
     source column must read n_vacuum times V, then n_fock times F.  Both
     bodies pass the checks write_dataset makes.  The file is read once, front
-    to back, so `path` may be a pipe."""
+    to back, so `path` may be a pipe.  A format_version=2 body is read in
+    place into one float64 buffer, sized by the bytes the file holds and
+    never by the header's counts, whose two rows are the returned columns
+    (writable, not copied)."""
     with open(path, "rb") as fh:
         header_lines, first_line = _read_header(fh)
-        # A bytearray, so that the columns read from it are writable.
-        body = bytearray(fh.read())
-    binary = first_line is None
+        binary = first_line is None
+        body = _read_floats(fh) if binary else fh.read()  # (floats, bytes read) or bytes
     if not binary:
         try:
             text = (first_line + body).decode("utf-8")
@@ -309,7 +339,7 @@ def read_dataset(path) -> HomodyneDataset:
                                dark_fraction=header["dark_fraction"]),
         seed=header["seed"],
     )
-    columns = (_binary_body(body, spec.n_vacuum, spec.n_fock) if binary
+    columns = (_binary_body(*body, spec.n_vacuum, spec.n_fock) if binary
                else _text_body(text, spec.n_vacuum, spec.n_fock))
     phase, raw = _check_body(*columns, spec.n_vacuum, spec.n_fock, DatasetFormatError)
     return HomodyneDataset(spec=spec, phase=phase, raw_value=raw, rng_name=header["rng"])

@@ -21,7 +21,10 @@ from focktomo.reconstruction import (
     MarginalHistogram,
     RadialWignerProfile,
     _abel_operator,
+    _bin_positions,
     _check_inversion_grid,
+    _kernel_sum,
+    _smoothing_grid,
     abel_inverse,
     bin_samples,
     _spline_coefficients,
@@ -94,6 +97,38 @@ def test_bin_validation():
                        (np.float64(-1e308), np.float64(1e308)), (1.0, 1.0)):
             with pytest.raises(ValidationError, match="bin range"):
                 bin_samples(good, lo=lo, hi=hi)
+
+
+@st.composite
+def _bin_ranges(draw):
+    # (lo, hi, n_bins) with bins from 2**-39 of max(|lo|, 1e-3) up to as wide
+    # as that: down to the narrowest bins _bin_positions accepts.
+    lo = draw(st.floats(min_value=-1e12, max_value=1e12))
+    n_bins = draw(st.integers(min_value=1, max_value=2000))
+    width = n_bins * max(abs(lo), 1e-3) * 2.0 ** -draw(st.floats(min_value=0.0, max_value=39.0))
+    return lo, lo + width, n_bins
+
+
+@given(_bin_ranges(), st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+def test_bin_positions_match_searchsorted(bin_range, extra):
+    # the arithmetic binning rule is the count of linspace edges <= x
+    lo, hi, n_bins = bin_range
+    edges = np.linspace(lo, hi, n_bins + 1)
+    x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        [1e300, -1e300], extra])
+    pos, bin_edges = _bin_positions(x, n_bins=n_bins, lo=lo, hi=hi)
+    assert np.array_equal(bin_edges, edges)
+    assert np.array_equal(pos, np.searchsorted(edges, x, side="right"))
+
+
+@pytest.mark.parametrize("lo,hi,n_bins", [
+    (1e6, 1e6 + 2.0**-19, 10),  # bins 2**-42 of |lo| wide
+    (0.0, 1e-300, 10**9),       # bins below the smallest normal double
+    (-6.0, 6.0, 10**400),       # more bins than a double can count
+])
+def test_bins_too_narrow_to_count_by_arithmetic_are_rejected(lo, hi, n_bins):
+    with pytest.raises(ValidationError, match="too narrow"):
+        bin_samples(np.array([lo]), n_bins=n_bins, lo=lo, hi=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +241,8 @@ def _dense_smooth_marginal(hist, bandwidth, grid_max=6.0, grid_points=2401):
     (dict(n_bins=1200), 2001, False),                # width not a whole number of steps
     (dict(n_bins=4000), 2401, False),                # bins finer than the grid
     (dict(n_bins=1200, lo=-12.0, hi=12.0), 2401, False),  # bins span more than the grid
+    (dict(n_bins=900, lo=-3.0, hi=6.0), 2401, False),  # m = 2, lattice not symmetric about 0
+    (dict(n_bins=301, lo=-3.01, hi=3.01), 2401, True),  # m = 4, a bin centred on 0
 ])
 def test_smoothing_matches_dense_kernel_sum(bins, grid_points, convolved):
     hist = bin_samples(_draws(0.553, 12_000, 21), **bins)
@@ -224,6 +261,9 @@ def test_smoothing_matches_dense_kernel_sum(bins, grid_points, convolved):
         assert np.all(dens.density >= 0.0)
         if convolved:
             assert np.max(np.abs(dens.density - reference)) <= 1e-13 * np.max(reference)
+            # the folded half-line sum is mirrored exactly, before any averaging
+            f = _kernel_sum(case, _smoothing_grid(6.0, grid_points), dens.bandwidth)
+            assert np.array_equal(f, f[::-1])
         else:
             assert np.array_equal(dens.density, reference)
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from focktomo import simulator
 from focktomo.errors import DatasetFormatError, ValidationError
 from focktomo.kvtext import format_kv
 from focktomo.simulator import (
@@ -515,6 +516,41 @@ def test_read_from_a_pipe(tmp_path, fifo_of, version):
         back = getattr(from_pipe, column)
         assert back.flags.writeable and getattr(from_file, column).flags.writeable
         assert np.array_equal(back.view(np.uint64), getattr(from_file, column).view(np.uint64))
+
+
+def test_read_never_allocates_the_header_count_from_a_pipe(tmp_path, fifo_of):
+    # a header claiming 10**15 vacuum samples over a 32-byte body, piped
+    path = tmp_path / "run.dat"
+    write_dataset(generate_run(RunSpec(eta_true=0.5, n_vacuum=1, n_fock=1, seed=8)), path)
+    path.write_bytes(path.read_bytes().replace(b"# n_vacuum=1\n", b"# n_vacuum=%d\n" % 10**15))
+    with pytest.raises(DatasetFormatError, match="holds 32 bytes, expected 16 \\* "
+                       "\\(n_vacuum \\+ n_fock\\) = 16000000000000016"):
+        read_dataset(fifo_of(path))
+
+
+@pytest.mark.parametrize("piped", [False, True])
+@pytest.mark.parametrize("edit,size", [(lambda b: b[:-1], 159), (lambda b: b + b"\0", 161)],
+                         ids=["short", "long"])
+def test_read_rejects_body_one_byte_off(tmp_path, fifo_of, piped, edit, size):
+    path = tmp_path / "run.dat"
+    write_dataset(generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8)), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(DatasetFormatError, match=f"binary body holds {size} bytes, expected 16 "
+                       "\\* \\(n_vacuum \\+ n_fock\\) = 160"):
+        read_dataset(fifo_of(path) if piped else path)
+
+
+def test_read_from_a_pipe_grows_its_buffer(tmp_path, fifo_of, monkeypatch):
+    # a 40-byte first buffer: the 80 kB body arrives over many refills
+    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=4000, n_fock=1000, seed=8))
+    path = tmp_path / "run.dat"
+    write_dataset(ds, path)
+    monkeypatch.setattr(simulator, "_PIPE_CHUNK", 40)
+    back = read_dataset(fifo_of(path))
+    for column in ("phase", "raw_value"):
+        assert np.array_equal(getattr(back, column).view(np.uint64),
+                              getattr(ds, column).view(np.uint64))
+        assert getattr(back, column).flags.writeable
 
 
 def test_read_rejects_version_and_end_line_that_disagree(tmp_path):

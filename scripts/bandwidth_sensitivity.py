@@ -5,7 +5,9 @@ Reconstructs one synthetic run several times, scaling the rule-of-thumb
 kernel bandwidth by each requested factor, and reports W(0) read off the
 inverted radial profile next to the bandwidth-independent references
 (the rho_11 sampler and the efficiency fit).  The efficiency fit and the
-diagonals work on the raw samples, so only the profile column should move.
+diagonals work on the raw samples, so only the profile column should move:
+reconstruct_dataset computes the calibration, fit and diagonals once per
+sweep and reuses them at each later scale.
 """
 
 from __future__ import annotations

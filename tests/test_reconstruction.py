@@ -1,5 +1,6 @@
 import warnings
-from dataclasses import replace
+import weakref
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 from scipy.interpolate import CubicSpline, PPoly
 
+from focktomo import pipeline
 from focktomo.calibration import rescale
 from focktomo.errors import NumericsError, ValidationError
 from focktomo.patterns import pattern_function
@@ -558,6 +560,150 @@ def test_reconstruct_dataset_matches_manual_chain():
     assert np.array_equal(summary.histogram.counts, hist.counts)
     assert np.array_equal(summary.density.density, dens.density)
     assert np.array_equal(summary.profile.values, profile.values)
+
+
+def _bits(value):
+    # A value as nested tuples: arrays by dtype, shape and bytes, numbers by
+    # repr, so equal results are equal bit for bit.
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    return repr(value)
+
+
+def _fresh(ds, config=None):
+    # reconstruct_dataset with the previous call forgotten.
+    pipeline._last_prefix = None
+    return reconstruct_dataset(ds, config)
+
+
+def _memo_run(n_fock=4_000):
+    return generate_run(RunSpec(eta_true=0.553, n_vacuum=20_000, n_fock=n_fock, seed=17))
+
+
+@pytest.fixture
+def prefix_calls(monkeypatch):
+    """Names of the bandwidth-independent stages that reconstruct_dataset
+    runs, in order, from an empty memo on."""
+    calls = []
+
+    def counted(name, stage):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return stage(*args, **kwargs)
+        return run
+
+    for name in ("fit_vacuum", "fit_efficiency", "sample_diagonals"):
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    monkeypatch.setattr(pipeline, "_last_prefix", None)
+    return calls
+
+
+PREFIX = ["fit_vacuum", "fit_efficiency", "sample_diagonals"]
+
+
+@pytest.mark.parametrize("n_fock", [4_000, 0])
+def test_bandwidth_sweep_reuses_the_prefix_bit_for_bit(prefix_calls, n_fock):
+    ds = _memo_run(n_fock)
+    configs = [ReconstructionConfig(bandwidth_scale=s) for s in (0.5, 1.0, 2.0)]
+    configs.append(ReconstructionConfig(fit_method="hist", calibration_method="histogram"))
+    want = [_bits(_fresh(ds, config)) for config in configs]
+    prefix_calls.clear()
+    pipeline._last_prefix = None
+    got = [_bits(reconstruct_dataset(ds, config)) for config in configs]
+    assert got == want
+    # once for the sweep, once for the cross-check's other methods
+    assert prefix_calls == PREFIX * 2
+
+
+def _move_vacuum(ds):
+    ds.raw_value[0] = np.nextafter(ds.raw_value[0], np.inf)
+
+
+def _move_signal(ds):
+    ds.raw_value[-1] = np.nextafter(ds.raw_value[-1], -np.inf)
+
+
+def _split_later(ds):
+    ds.spec = replace(ds.spec, n_vacuum=ds.spec.n_vacuum + 1, n_fock=ds.spec.n_fock - 1)
+
+
+@pytest.mark.parametrize("edit", [_move_vacuum, _move_signal, _split_later])
+def test_an_edit_in_place_is_seen(prefix_calls, edit):
+    ds = _memo_run()
+    reconstruct_dataset(ds)
+    edit(ds)
+    got = reconstruct_dataset(ds)
+    assert prefix_calls == PREFIX * 2
+    assert _bits(got) == _bits(_fresh(ds))
+
+
+@pytest.mark.parametrize("change", [{"calibration_method": "histogram"},
+                                    {"fit_method": "hist"}, {"n_max": 2}])
+def test_each_prefix_setting_is_part_of_the_key(prefix_calls, change):
+    ds = _memo_run()
+    reconstruct_dataset(ds)
+    reconstruct_dataset(ds, ReconstructionConfig(bandwidth_scale=2.0))
+    assert prefix_calls == PREFIX
+    got = reconstruct_dataset(ds, ReconstructionConfig(**change))
+    assert prefix_calls == PREFIX * 2
+    assert _bits(got) == _bits(_fresh(ds, ReconstructionConfig(**change)))
+
+
+def test_a_setting_equal_in_value_but_not_in_type_is_checked_again(prefix_calls):
+    # True == 1, but sample_diagonals rejects a bool n_max.
+    ds = _memo_run()
+    reconstruct_dataset(ds, ReconstructionConfig(n_max=1))
+    with pytest.raises(ValidationError, match="n_max"):
+        reconstruct_dataset(ds, ReconstructionConfig(n_max=True))
+
+
+def test_the_memo_shares_nothing_with_the_caller(prefix_calls):
+    ds = _memo_run()
+    first = reconstruct_dataset(ds)
+    kept = _bits(first)
+    first.diagonals.append(first.diagonals[0])
+    first.diagonals[0] = None
+    assert _bits(reconstruct_dataset(ds)) == kept
+    stored = pipeline._last_prefix
+    for block in (stored.vacuum, stored.fock):
+        assert block.dtype == np.float64
+        assert not np.shares_memory(block, ds.raw_value)
+
+
+def test_a_miss_frees_the_previous_copies_before_it_smooths(prefix_calls, monkeypatch):
+    # Else the old and new copies would both add to the peak memory.
+    ds = _memo_run()
+    reconstruct_dataset(ds)
+    previous = weakref.ref(pipeline._last_prefix)
+    alive = []
+
+    def smooth(*args, **kwargs):
+        alive.append(previous() is not None)
+        return smooth_marginal(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "smooth_marginal", smooth)
+    _move_signal(ds)
+    reconstruct_dataset(ds)
+    assert alive == [False]
+
+
+def test_a_failed_call_leaves_the_next_one_correct(prefix_calls):
+    ds = _memo_run()
+    spike = ReconstructionConfig(bandwidth=0.001)  # below the 0.005 grid step
+    with pytest.raises(ValidationError, match="bandwidth"):
+        reconstruct_dataset(ds, spike)
+    assert pipeline._last_prefix is None
+    _move_signal(ds)
+    want = _bits(_fresh(ds))
+    computed = len(prefix_calls)
+    with pytest.raises(ValidationError, match="bandwidth"):
+        reconstruct_dataset(ds, spike)  # a hit that fails after the prefix
+    assert _bits(reconstruct_dataset(ds)) == want
+    assert len(prefix_calls) == computed
 
 
 def test_bootstrap_profile_stderr():

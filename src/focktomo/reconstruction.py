@@ -42,13 +42,13 @@ default grid (2401 points, 401 radii) M holds 401 x 1200 doubles, about
 3.9 MB.  wigner_to_marginal evaluates its spline on the chord nodes
 directly, once per distinct |X|, in blocks of chords that stay in cache.
 bin_samples computes each value's bin by arithmetic and checks it against
-the edges once in each direction.  smooth_marginal sums kernels over the
-occupied bins only.  When the bin edges lie on a lattice of grid steps and
-are symmetric about 0 (the pipeline bins over -grid_max..grid_max), the
-marginal is even, so it sums the folded counts counts + counts[::-1] on the
-grid's non-negative half, as one short convolution per polyphase slice, and
-mirrors that half exactly; any other bins take the dense grid x
-occupied-bins sum.
+the edges once in each direction.  smooth_marginal works on the half-line:
+it sums the kernels' even part over the occupied bins on the knots j * step
+of [0, grid_max] and mirrors that exactly, so its grid has one node per
+distinct |X|.  Bin edges on a lattice of grid steps, symmetric about 0 (the
+pipeline bins over -grid_max..grid_max), take the folded counts
+counts + counts[::-1], one short convolution per polyphase slice; any other
+bins the dense knots x occupied-bins sum of (K(x - c) + K(x + c)) / 2.
 
 The module needs numpy alone: the efficiency likelihood is maximized by a
 safeguarded Newton iteration and the histogram fit has a closed form.
@@ -193,7 +193,7 @@ def _scott_density(values: np.ndarray, mean: float,
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Smoothed marginal on a uniform symmetric grid."""
+    """Even smoothed marginal on the exact mirror of the knots j * step on [0, grid_max]."""
 
     x: np.ndarray
     density: np.ndarray
@@ -228,16 +228,15 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
                     grid_points: int = 2401) -> GridDensity:
     """Gaussian-kernel estimate of the even quadrature marginal.
 
-    Kernels are centred on the histogram bins (weights = counts), evaluated
-    on a symmetric uniform grid, made exactly even and renormalized to unit
-    integral on the grid.  The kernel sum runs over the occupied bins.  When
+    Kernels are centred on the histogram bins (weights = counts).  Their
+    sum's even part is taken over the occupied bins on the grid_points // 2
+    + 1 knots j * step of [0, grid_max] (grid_points odd, >= 101), mirrored
+    exactly to x < 0 and renormalized to unit integral on the grid.  When
     the edges lie on a lattice of m grid spacings, symmetric about 0 and
     spanning fewer nodes than the grid (the default 1200 bins over [-6, 6]
-    on 2401 points, m = 2), it sums the even part directly on the half-line:
-    the folded counts counts + counts[::-1] on the grid's nodes x >= 0, one
-    convolution with the kernel's polyphase slice per m-th node, mirrored
-    exactly to x < 0.  Any other bins take the dense grid x occupied-bins
-    sum, made even as (f(x) + f(-x)) / 2.
+    on 2401 points, m = 2), it sums the folded counts counts + counts[::-1],
+    one convolution with the kernel's polyphase slice per m-th knot.  Any
+    other bins take the dense sum of (K(x - c) + K(x + c)) / 2.
 
     With bandwidth=None the Silverman rule scaled by `bandwidth_scale` is
     used and at least MIN_SMOOTH_SAMPLES in-range samples are required; an
@@ -247,7 +246,8 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     nearest each bin centre).  Samples so far off the grid that every
     kernel term on it underflows to 0 are rejected.
     """
-    grid = _smoothing_grid(grid_max, grid_points)
+    half = _smoothing_grid(grid_max, grid_points)
+    x = np.concatenate((-half[:0:-1], half))
     n_in = hist.n_in_range
     if n_in == 0:
         raise ValidationError("histogram holds no in-range samples")
@@ -261,9 +261,9 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
         # Python floats: a product that overflows is inf, without a warning.
         bandwidth = float(bandwidth_scale) * silverman_bandwidth(hist)
     check_positive("bandwidth", bandwidth)
-    if bandwidth < max(grid[1] - grid[0], hist.bin_width):
+    if bandwidth < max(half[1], hist.bin_width):
         raise ValidationError(f"bandwidth {bandwidth:g} too small for the grid spacing "
-                              f"{grid[1] - grid[0]:g} and the bin width {hist.bin_width:g}")
+                              f"{half[1]:g} and the bin width {hist.bin_width:g}")
     kernel_norm = n_in * float(bandwidth) * math.sqrt(2.0 * math.pi)
     if not math.isfinite(kernel_norm):
         raise ValidationError(f"bandwidth {bandwidth:g} too large: the kernel normalisation "
@@ -272,60 +272,61 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     # A kernel argument beyond about 38.6 underflows to 0; on the way its
     # square may overflow to inf, which gives the same 0.
     with np.errstate(over="ignore"):
-        kernel = _kernel_sum(hist, grid, bandwidth)
+        kernel = _kernel_sum(hist, half, bandwidth)
     if not np.any(kernel):
         raise ValidationError(f"the in-range samples lie too far off the smoothing grid "
-                              f"[{grid[0]:g}, {grid[-1]:g}] for bandwidth {bandwidth:g}: "
+                              f"[{x[0]:g}, {x[-1]:g}] for bandwidth {bandwidth:g}: "
                               f"every kernel term on the grid underflows")
-    f = kernel / kernel_norm
-    f = 0.5 * (f + f[::-1])
-    norm = np.trapezoid(f, grid)
+    f = np.concatenate((kernel[:0:-1], kernel)) / kernel_norm
+    norm = np.trapezoid(f, x)
     if norm <= 0.0:
         raise NumericsError("smoothed density integrates to zero")
-    return GridDensity(x=grid, density=f / norm, bandwidth=float(bandwidth))
+    return GridDensity(x=x, density=f / norm, bandwidth=float(bandwidth))
 
 
 def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
-    # smooth_marginal's grid, checked.
-    if grid_points < 101 or grid_points % 2 == 0:
-        raise ValidationError("grid_points must be odd and >= 101 so 0 is a grid node")
+    # smooth_marginal's knots j * step on [0, grid_max], checked; its grid is
+    # their exact mirror, grid_points nodes with 0 in the middle.
+    grid_points = check_count("grid_points", grid_points, 101)
+    if grid_points % 2 == 0:
+        raise ValidationError("grid_points must be odd so 0 is a grid node")
     check_positive("grid_max", grid_max)
-    return np.linspace(-grid_max, grid_max, grid_points)
+    return np.linspace(0.0, grid_max, grid_points // 2 + 1)
 
 
-def _kernel_sum(hist: MarginalHistogram, grid: np.ndarray, bandwidth: float) -> np.ndarray:
-    # sum_j counts_j exp(-((grid_i - c_j) / bandwidth)^2 / 2) on smooth_marginal's
-    # grid, whose node grid.size // 2 is 0.  On a lattice of m grid steps (to
-    # linspace rounding) symmetric about 0, with the kernel at fewer than
-    # 2 * grid.size lags, the sum's even part instead: bin j mirrors to bin
-    # n - 1 - j, so on x >= 0 it is half the sum over the folded counts
-    # counts + counts[::-1], and grid_i - c_j depends only on i - m*j.  The
-    # nodes i = half + p (mod m) are then one short convolution of the occupied
-    # folded counts with the polyphase slice kernel[p::m], which starts at the
-    # lag of node half to the last occupied bin; x < 0 is the exact mirror.
+def _kernel_sum(hist: MarginalHistogram, half: np.ndarray, bandwidth: float) -> np.ndarray:
+    # The even part of sum_j counts_j exp(-((x - c_j) / bandwidth)^2 / 2) on
+    # smooth_marginal's knots x = half.  On a lattice of m grid steps symmetric
+    # about 0, with the kernel at fewer than 2 * half.size - 1 lags, bin j
+    # mirrors to bin n - 1 - j: it is half the sum over the folded counts
+    # counts + counts[::-1], and x_i - c_j depends only on i - m*j (lags in
+    # steps from the mirror's first node -half[-1]).  The knots i = p (mod m)
+    # are one short convolution of the occupied folded counts with the
+    # polyphase slice kernel[p::m], from the lag of knot 0 to the last
+    # occupied bin.  Otherwise (K(x - c) + K(x + c)) / 2 over the occupied bins.
     counts, edges = hist.counts, hist.bin_edges
-    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    step = half[-1] / (half.size - 1)
     m = round(hist.bin_width / step)
     span = m * (counts.size - 1)
     lattice = edges[0] + m * step * np.arange(edges.size)
     atol = 8.0 * np.finfo(float).eps * np.abs(edges).max()
-    if (m >= 1 and span < grid.size and abs(edges[0] + edges[-1]) <= atol
+    if (m >= 1 and span < 2 * half.size - 1 and abs(edges[0] + edges[-1]) <= atol
             and np.allclose(edges, lattice, rtol=0.0, atol=atol)):
         folded = counts + counts[::-1]
         first = int(np.flatnonzero(folded)[0])  # the last is n - 1 - first
         c = folded[first:counts.size - first]
-        half = grid.size // 2
-        lags = np.arange(half - m * (counts.size - 1 - first), grid.size - m * first)
-        z = ((grid[0] - hist.centers[0]) + step * lags) / bandwidth
+        k = half.size - 1
+        lags = np.arange(k - m * (counts.size - 1 - first), 2 * k + 1 - m * first)
+        z = ((-half[-1] - hist.centers[0]) + step * lags) / bandwidth
         kernel = np.exp(-0.5 * z * z)
-        out = np.empty(grid.size - half)
+        out = np.empty(half.size)
         for p in range(min(m, out.size)):  # one bin may be wider than the grid
             out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1], mode="valid")
-        out *= 0.5
-        return np.concatenate((out[:0:-1], out))
+        return 0.5 * out
     mask = counts > 0
-    z = (grid[:, None] - hist.centers[mask][None, :]) / bandwidth
-    return np.exp(-0.5 * z * z) @ counts[mask]
+    c = hist.centers[mask]
+    return 0.5 * sum(np.exp(-0.5 * z * z) @ counts[mask]
+                     for z in ((half[:, None] - c) / bandwidth, (half[:, None] + c) / bandwidth))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +534,7 @@ def _check_inversion_grid(grid_max: float, grid_points: int) -> None:
     # The smoothing grid's checks and the inversion's, before any smoothing:
     # a grid too coarse to invert would otherwise first meet the bandwidth
     # rule, whose moments can overflow on it.
-    grid = _smoothing_grid(grid_max, grid_points)
-    _check_abel_reach(grid[grid.size // 2:])
+    _check_abel_reach(_smoothing_grid(grid_max, grid_points))
 
 
 def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]:
@@ -640,7 +640,7 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 
     for row in diffs:
         rep = smooth_marginal(_tally(pos[rng.integers(0, pos.size, size=pos.size)], edges),
                               **smooth)
-        row[:] = np.diff(_fold_even(rep.x, rep.density)[1])
+        row[:] = np.diff(rep.density[-fs.size:])  # x >= 0 of the exact mirror
     return RadialWignerProfile(radii=radii, values=matrix @ np.diff(fs),
                                stderr=np.std(diffs @ matrix.T, axis=0, ddof=1))
 

@@ -25,8 +25,6 @@ from focktomo.reconstruction import (
     _abel_operator,
     _bin_positions,
     _check_inversion_grid,
-    _kernel_sum,
-    _smoothing_grid,
     abel_inverse,
     bin_samples,
     _spline_coefficients,
@@ -158,10 +156,14 @@ def test_smooth_vacuum_sup_norm_million():
     assert np.max(np.abs(dens.density - marginal_density(0.0, dens.x))) < 0.01
 
 
-def test_smooth_output_exactly_even_and_normalized():
-    # deliberately one-sided input still yields an exactly even density
+@pytest.mark.parametrize("grid_points", [2401, 1201, 2001])  # lattice, lattice, dense
+def test_smooth_output_exactly_even_and_normalized(grid_points):
+    # deliberately one-sided input still yields an exactly even density, on
+    # a grid that is an exact mirror with one node per distinct |X|
     x = np.abs(_draws(0.7, 5_000, 4))
-    dens = smooth_marginal(bin_samples(x))
+    dens = smooth_marginal(bin_samples(x), grid_points=grid_points)
+    assert np.array_equal(dens.x, -dens.x[::-1])
+    assert np.unique(np.abs(dens.x)).size == grid_points // 2 + 1
     assert np.array_equal(dens.density, dens.density[::-1])
     assert np.trapezoid(dens.density, dens.x) == pytest.approx(1.0, abs=1e-9)
 
@@ -193,6 +195,12 @@ def test_smooth_validation():
         smooth_marginal(hist, bandwidth_scale=0.0)
     with pytest.raises(ValidationError):
         smooth_marginal(hist, grid_max=-1.0)
+    ds = generate_run(RunSpec(eta_true=0.553, n_vacuum=2000, n_fock=1000, seed=6))
+    for points in (2401.0, np.float64(2401)):  # integral, but not integers
+        with pytest.raises(ValidationError, match="grid_points must be an integer"):
+            smooth_marginal(hist, grid_points=points)
+        with pytest.raises(ValidationError, match="grid_points must be an integer"):
+            reconstruct_dataset(ds, ReconstructionConfig(grid_points=points))
 
 
 def test_bandwidth_below_the_bin_width_or_grid_spacing_is_rejected():
@@ -224,9 +232,11 @@ def test_positive_settings_must_be_finite(bad):
 
 
 def _dense_smooth_marginal(hist, bandwidth, grid_max=6.0, grid_points=2401):
-    # Reference: the grid x occupied-bins kernel matrix, then symmetrize and
-    # normalize, as smooth_marginal did before the convolution path.
-    grid = np.linspace(-grid_max, grid_max, grid_points)
+    # Reference: the grid x occupied-bins kernel matrix on the whole grid, an
+    # exact mirror, then symmetrize and normalize, as smooth_marginal did
+    # before the half-line sums.
+    half = np.linspace(0.0, grid_max, grid_points // 2 + 1)
+    grid = np.concatenate((-half[:0:-1], half))
     mask = hist.counts > 0
     z = (grid[:, None] - hist.centers[mask][None, :]) / bandwidth
     f = np.exp(-0.5 * z * z) @ hist.counts[mask] / (
@@ -261,13 +271,15 @@ def test_smoothing_matches_dense_kernel_sum(bins, grid_points, convolved):
         dens = smooth_marginal(case, bandwidth=bandwidth, grid_points=grid_points)
         reference = _dense_smooth_marginal(case, dens.bandwidth, grid_points=grid_points)
         assert np.all(dens.density >= 0.0)
+        # the half-line sum is mirrored exactly, with no averaging afterwards
+        assert np.array_equal(dens.x, -dens.x[::-1])
+        assert np.array_equal(dens.density, dens.density[::-1])
         if convolved:
             assert np.max(np.abs(dens.density - reference)) <= 1e-13 * np.max(reference)
-            # the folded half-line sum is mirrored exactly, before any averaging
-            f = _kernel_sum(case, _smoothing_grid(6.0, grid_points), dens.bandwidth)
-            assert np.array_equal(f, f[::-1])
         else:
-            assert np.array_equal(dens.density, reference)
+            # summed in another order (the two sides averaged before the
+            # kernel normalisation, not after; half the rows per product)
+            assert np.max(np.abs(dens.density - reference)) <= 1e-15 * np.max(reference)
 
 
 @pytest.mark.parametrize("edges", [
@@ -280,7 +292,8 @@ def test_smoothing_non_uniform_edges_uses_dense_sum(edges):
                              n_total=0, underflow=0, overflow=0)
     bandwidth = max(0.2, hist.bin_width)  # the grossly uneven first bin is 5 wide
     dens = smooth_marginal(hist, bandwidth=bandwidth)
-    assert np.array_equal(dens.density, _dense_smooth_marginal(hist, bandwidth))
+    reference = _dense_smooth_marginal(hist, bandwidth)
+    assert np.max(np.abs(dens.density - reference)) <= 1e-15 * np.max(reference)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 from focktomo.calibration import (
     MIN_CALIBRATION_SAMPLES,
     CalibrationResult,
+    _vacuum_residuals,
     fit_vacuum,
     rescale,
 )
 from focktomo.errors import NumericsError, ValidationError
+from focktomo.reconstruction import _scott_density
 from focktomo.simulator import DetectorModel, RunSpec, generate_run, sample_quadrature
+from focktomo.states import VACUUM_STD
 
 
 def _vacuum(n, seed=0):
@@ -34,13 +38,18 @@ def test_recovers_scaled_detector():
     assert cal.offset_hat == pytest.approx(-2.2, abs=0.02)
 
 
-def test_equivariance_is_exact():
+@pytest.mark.parametrize("method", ["moments", "histogram"])
+@pytest.mark.parametrize("a, b", [(2.5, -0.7), (1e-3, 0.05), (250.0, 1e4), (1e3, 0.0)])
+def test_equivariance_is_exact(method, a, b):
+    # raw -> a * raw + b moves the fit by the same map, whatever the detector's
+    # units; offsets stay within 100 scales, as in test_invariance.py
     values = _vacuum(5_000, seed=1)
-    base = fit_vacuum(values)
-    a, b = 2.5, -0.7
-    moved = fit_vacuum(a * values + b)
+    base = fit_vacuum(values, method=method)
+    moved = fit_vacuum(a * values + b, method=method)
     assert moved.scale_hat == pytest.approx(a * base.scale_hat, rel=1e-12)
-    assert moved.offset_hat == pytest.approx(a * base.offset_hat + b, abs=1e-12)
+    # the offset in units of the scale
+    assert (moved.offset_hat - b) / moved.scale_hat == pytest.approx(
+        base.offset_hat / base.scale_hat, abs=1e-12)
 
 
 def test_idempotence():
@@ -69,6 +78,46 @@ def test_histogram_method_agrees_with_moments():
     assert hist.scale_hat == pytest.approx(mom.scale_hat, rel=0.02)
     assert hist.offset_hat == pytest.approx(mom.offset_hat, abs=0.02)
     assert hist.scale_hat > 0.0
+
+
+def _least_squares_reference(values):
+    # The earlier histogram fit: scipy's least_squares, default tolerances,
+    # bounded to 1e-6..1e6 times the moment scale, from the moment solution.
+    offset, std = float(np.mean(values)), float(np.std(values, ddof=1))
+    centers, density = _scott_density(values, offset, std)
+    scale = std / VACUUM_STD
+    sol = optimize.least_squares(
+        lambda p: _vacuum_residuals(centers, density, p[0], p[1]), x0=[scale, offset],
+        bounds=([1e-6 * scale, -np.inf], [1e6 * scale, np.inf]))
+    assert sol.success
+    resid = _vacuum_residuals(centers, density, sol.x[0], sol.x[1])
+    return float(sol.x[0]), float(sol.x[1]), float(np.sum(resid ** 2))
+
+
+@pytest.mark.parametrize("n, seed", [(1_000, 11), (5_000, 12), (200_000, 13)])
+def test_histogram_fit_matches_least_squares_reference(n, seed):
+    values = _vacuum(n, seed=seed)
+    scale, offset, residual = _least_squares_reference(values)
+    cal = fit_vacuum(values, method="histogram")
+    assert cal.fit_residual <= residual * (1.0 + 1e-12)
+    # least_squares stops at its relative xtol of 1e-8; Gauss-Newton goes on
+    assert abs(cal.scale_hat - scale) <= 1e-6 * scale
+    assert abs(cal.offset_hat - offset) <= 1e-6 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("block", [
+    lambda: np.repeat([0.0, 1.0], 1000),
+    lambda: np.append(_vacuum(2_000, seed=15), 1e6),
+    lambda: np.random.Generator(np.random.PCG64(14)).standard_cauchy(5_000),
+], ids=["two_levels", "outlier", "cauchy"])
+def test_histogram_fit_fails_only_by_numerics_error(block):
+    # a block the vacuum model cannot fit ends in NumericsError or in a fit
+    try:
+        cal = fit_vacuum(block(), method="histogram")
+    except NumericsError:
+        return
+    assert cal.scale_hat > 0.0
 
 
 def test_fit_residual_flags_non_vacuum_input():

@@ -526,17 +526,40 @@ def test_report_json_list_is_validation_error(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+def _src_env():
+    # the environment of a child python that imports this checkout's focktomo
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_import_leaves_optimize_and_interpolate_unloaded():
     # `focktomo simulate` needs only numpy and scipy.special
     code = ("import sys, focktomo.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.optimize', 'scipy.interpolate'))))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_HISTOGRAM_CROSS_CHECK = """
+import sys
+from focktomo.pipeline import ReconstructionConfig, reconstruct_dataset
+from focktomo.simulator import RunSpec, generate_run
+ds = generate_run(RunSpec(eta_true=0.55, n_vacuum=20000, n_fock=2000, seed=42))
+cal = reconstruct_dataset(ds, ReconstructionConfig(fit_method="hist",
+                                                   calibration_method="histogram")).calibration
+print(cal.method, cal.scale_hat > 0.0, sorted(name for name in sys.modules
+                                               if name.startswith("scipy")))
+"""
+
+
+def test_histogram_cross_check_loads_no_scipy():
+    # the histogram calibration and fit need numpy alone
+    out = subprocess.run([sys.executable, "-c", _HISTOGRAM_CROSS_CHECK], env=_src_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "histogram True []"
 
 
 _ROUND_TRIP = """
@@ -556,12 +579,9 @@ print(codes, loaded)
 @pytest.mark.parametrize("mode", ["blocked", "available"])
 def test_simulate_and_reconstruct_load_no_scipy(tmp_path, mode):
     # the command line round trip needs numpy alone, with scipy importable or not
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     data, outdir = tmp_path / "run.txt", tmp_path / "out"
     result = subprocess.run([sys.executable, "-c", _ROUND_TRIP, str(data), str(outdir), mode],
-                            env=env, check=True, capture_output=True, text=True)
+                            env=_src_env(), check=True, capture_output=True, text=True)
     assert result.stdout.strip().splitlines()[-1] == "[0, 0] []"
     assert read_dataset(data).n_samples == 22_000
     for name in ("report.txt", "report.json", "wigner_profile.txt", "marginal_histogram.txt"):

@@ -35,12 +35,13 @@ matrix M (radii x grid intervals) applied to the folded marginal's interval
 differences diff(pr): abel_inverse is one matrix-vector product and
 bootstrap_profile evaluates every replicate in one matrix product.  M is
 built analytically (Simpson weights, the spline's Hermite derivative
-weights and one multi-column tridiagonal sweep) and kept read-only in a
-module cache of the ABEL_CACHED_GRIDS most recently used keys, four
-numbers: the grid's reach, its knot count, r_max and n_radii.  On the
-default grid (2401 points, 401 radii) M holds 401 x 1200 doubles, about
-3.9 MB.  wigner_to_marginal evaluates its spline on the chord nodes
-directly, once per distinct |X|, in blocks of chords that stay in cache.
+weights and one multi-column tridiagonal sweep), in blocks of radii and one
+buffer of M's size, and kept read-only in a module cache of the
+ABEL_CACHED_GRIDS most recently used keys, four numbers: the grid's reach,
+its knot count, r_max and n_radii.  On the default grid (2401 points, 401
+radii) M holds 401 x 1200 doubles, about 3.9 MB.  wigner_to_marginal
+evaluates its spline on the chord nodes directly, once per distinct |X|,
+in blocks of chords that stay in cache.
 bin_samples computes each value's bin by arithmetic and checks it against
 the edges once in each direction.  smooth_marginal works on the half-line:
 it sums the kernels' even part over the occupied bins on the knots j * step
@@ -84,7 +85,7 @@ _SIMPSON_NODES = 401
 _SIMPSON_WEIGHTS = np.ones(_SIMPSON_NODES)
 _SIMPSON_WEIGHTS[1:-1:2] = 4.0
 _SIMPSON_WEIGHTS[2:-2:2] = 2.0
-_CHORD_BLOCK = 64  # wigner_to_marginal's chords at a time: 200 kB node arrays
+_CHORD_BLOCK = 64  # chords or radii at a time in the Abel pair: 200 kB node arrays
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +460,6 @@ def _abel_node_weights(reach: float, n_knots: int,
     step = reach / (n_knots - 1)
     inside, h, nodes, cell, u = _abel_nodes(reach, n_knots, r)
     q = (h / (3.0 * np.pi * step))[:, None] * _SIMPSON_WEIGHTS
-    q00 = float(q[0, 0])
     np.divide(q, nodes, out=q, where=nodes > 0.0)  # q / X
     # In place, from u(1-u): w[0] = q (3u(1-u) + u - 1) = -q (1-u)(1-3u),
     # w[1] = q (3u(1-u) - u) = -q u(3u-2) and w[2] = -6q u(1-u).
@@ -475,8 +475,9 @@ def _abel_node_weights(reach: float, n_knots: int,
     w[1] *= q
     w[2] *= -6.0
     w[2] *= q
-    # X = 0 on the R = 0 chord: the limit -pr''(0) = 2 (s[1] - 3 d[0]) / step^2.
-    w[:, 0, 0] = 0.0, 2.0 * q00 / step, -6.0 * q00 / step
+    if r[0] == 0.0:  # X = 0 on the R = 0 chord: the limit -pr''(0) = 2 (s[1] - 3 d[0]) / step^2
+        q00 = h[0] / (3.0 * np.pi * step)  # its node's q, Simpson weight 1
+        w[:, 0, 0] = 0.0, 2.0 * q00 / step, -6.0 * q00 / step
     index = np.empty((2, *cell.shape), dtype=cell.dtype)
     np.multiply(cell, r.size, out=index[0])
     index[0] += np.flatnonzero(inside)[:, None]
@@ -491,24 +492,35 @@ def _abel_operator(reach: float, n_knots: int, r_max: float, n_radii: int) -> np
     # np.linspace(0, r_max, n_radii).  The knot slopes are s[1:] = T^-1 B d
     # (_knot_system's T; B maps the interval slopes d = diff(f) to T's
     # right-hand side).  With G the node weights on s (knots x radii), M^T =
-    # (node weights on d) + B^T T^-T G, built in place: one multi-column
-    # sweep, then B^T.  Needs >= 3 knots and 0 < r_max <= reach.
+    # (node weights on d) + B^T T^-T G.  One buffer holds G, T^-T G after one
+    # multi-column sweep, then M^T in rows 1..; the node weights are made per
+    # block of _CHORD_BLOCK radii, twice (on s, then on d), so that no more
+    # than one block's nodes are held.  Needs >= 3 knots and 0 < r_max <= reach.
     r = np.linspace(0.0, r_max, n_radii)
-    w, index = _abel_node_weights(reach, n_knots, r)
-    g_t = np.bincount(index.ravel(), w[:2].ravel(), minlength=n_knots * n_radii)
-    m_t = np.bincount(index[0].ravel(), w[2].ravel(), minlength=(n_knots - 1) * n_radii)
-    del w, index  # before the sweep, which needs only G and M
-    g_t, m_t = g_t.reshape(n_knots, n_radii), m_t.reshape(n_knots - 1, n_radii)
-    y = _thomas(*_knot_system(n_knots)[::-1], g_t[1:])  # T^-T G
-    # B's rows: 3 (d[j] + d[j+1]), then the not-a-knot row (d[-2] + 5 d[-1]) / 2.
-    m_t[-2] += 0.5 * y[-1]
-    m_t[-1] += 2.5 * y[-1]
-    y = y[:-1]
-    y *= 3.0
-    m_t[:-1] += y
-    m_t[1:] += y
-    m_t.flags.writeable = False
-    return m_t.T
+    blocks = [slice(start, start + _CHORD_BLOCK) for start in range(0, n_radii, _CHORD_BLOCK)]
+    buf = np.empty((n_knots, n_radii))
+    for cols in blocks:
+        w, index = _abel_node_weights(reach, n_knots, r[cols])
+        buf[:, cols] = np.bincount(index.ravel(), w[:2].ravel(), minlength=buf[:, cols].size
+                                   ).reshape(n_knots, -1)
+        del w, index  # before the next block's
+    _thomas(*_knot_system(n_knots)[::-1], buf[1:])  # Y = T^-T G, in place
+    for cols in blocks:
+        w, index = _abel_node_weights(reach, n_knots, r[cols])
+        y = buf[1:, cols]
+        m_t = np.bincount(index[0].ravel(), w[2].ravel(), minlength=y.size).reshape(y.shape)
+        m_t = m_t.astype(float, copy=False)  # a block without chords bins to integer zeros
+        del w, index
+        # B's rows: 3 (d[j] + d[j+1]), then the not-a-knot row (d[-2] + 5 d[-1]) / 2.
+        m_t[-2] += 0.5 * y[-1]
+        m_t[-1] += 2.5 * y[-1]
+        y = y[:-1]
+        y *= 3.0
+        m_t[:-1] += y
+        m_t[1:] += y
+        buf[1:, cols] = m_t
+    buf.flags.writeable = False
+    return buf[1:].T
 
 
 def _check_abel_reach(xs: np.ndarray) -> float:
@@ -661,27 +673,30 @@ class EfficiencyFit:
     n_used: int
 
 
-def _mle_score(eta: float, t: np.ndarray) -> float:
-    # d/d eta of sum log(1 + eta t); strictly decreasing in eta.
-    return float(np.sum(t / (1.0 + eta * t)))
+def _mle_score(eta: float, t: np.ndarray) -> tuple[float, np.ndarray | None]:
+    # d/d eta of sum log(1 + eta t), strictly decreasing in eta, and its terms
+    # t / (1 + eta t).  Where some 1 + eta t is exactly 0 (t = -1, a sample at
+    # x = 0, and eta = 1) the score is -inf and nothing is divided: no terms.
+    denom = 1.0 + eta * t
+    w = t / denom if denom.all() else None
+    return (-math.inf if w is None else float(np.sum(w))), w
 
 
 def _mle_root(t: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> float:
     # The score's root in (0, 1), given score(0) > 0 > score(1): Newton steps
     # with the score's derivative -sum (t / (1 + eta t))^2, and a bisection of
     # the bracket [lo, hi] that every evaluation narrows whenever a step would
-    # leave it (rtsafe in Press et al., Numerical Recipes).
+    # leave it or the score is -inf (rtsafe in Press et al., Numerical Recipes).
     lo, hi, eta = 0.0, 1.0, 0.5
     for _ in range(max_iter):
-        w = t / (1.0 + eta * t)
-        score = float(np.sum(w))
+        score, w = _mle_score(eta, t)
         if score == 0.0:
             return eta
         if score > 0.0:
             lo = eta
         else:
             hi = eta
-        new = eta + score / float(np.sum(w * w))
+        new = 0.5 * (lo + hi) if w is None else eta + score / float(np.sum(w * w))
         if not lo <= new <= hi:
             new = 0.5 * (lo + hi)
         if abs(new - eta) <= tol or hi - lo <= tol:
@@ -736,9 +751,9 @@ def fit_efficiency(values, method: str = "mle") -> EfficiencyFit:
     t = 4.0 * x2 - 1.0
 
     if method == "mle":
-        if _mle_score(0.0, t) <= 0.0:
+        if _mle_score(0.0, t)[0] <= 0.0:
             eta_hat, at_boundary = 0.0, True
-        elif _mle_score(1.0, t) >= 0.0:
+        elif _mle_score(1.0, t)[0] >= 0.0:
             eta_hat, at_boundary = 1.0, True
         else:
             eta_hat, at_boundary = _mle_root(t), False

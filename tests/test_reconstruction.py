@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import fields, is_dataclass, replace
@@ -19,12 +20,17 @@ from focktomo.reconstruction import (
     ABEL_MIN_RANGE,
     _CHORD_BLOCK,
     _SIMPSON_NODES,
+    _SIMPSON_WEIGHTS,
     GridDensity,
     MarginalHistogram,
     RadialWignerProfile,
+    _abel_nodes,
     _abel_operator,
     _bin_positions,
     _check_inversion_grid,
+    _knot_system,
+    _mle_score,
+    _thomas,
     abel_inverse,
     bin_samples,
     _spline_coefficients,
@@ -802,6 +808,72 @@ def test_abel_operator_cache_is_keyed_on_the_grid_and_read_only():
                           abel_inverse(fresh * 1.01, marginal_density(0.553, fresh * 1.01)).values)
 
 
+def _one_shot_abel_operator(reach, n_knots, r_max, n_radii):
+    # Reference: M built from every chord node at once, with G and the node
+    # weights on d as two full (knots x radii) arrays side by side.
+    step = reach / (n_knots - 1)
+    r = np.linspace(0.0, r_max, n_radii)
+    inside, h, nodes, cell, u = _abel_nodes(reach, n_knots, r)
+    q = (h / (3.0 * np.pi * step))[:, None] * _SIMPSON_WEIGHTS
+    q00 = float(q[0, 0])
+    np.divide(q, nodes, out=q, where=nodes > 0.0)
+    w = np.empty((3, *u.shape))
+    np.subtract(1.0, u, out=w[2])
+    w[2] *= u
+    np.multiply(w[2], 3.0, out=w[0])
+    w[0] += u
+    w[0] -= 1.0
+    w[0] *= q
+    np.multiply(w[2], 3.0, out=w[1])
+    w[1] -= u
+    w[1] *= q
+    w[2] *= -6.0
+    w[2] *= q
+    w[:, 0, 0] = 0.0, 2.0 * q00 / step, -6.0 * q00 / step
+    index = np.empty((2, *cell.shape), dtype=cell.dtype)
+    np.multiply(cell, r.size, out=index[0])
+    index[0] += np.flatnonzero(inside)[:, None]
+    np.add(index[0], r.size, out=index[1])
+    g_t = np.bincount(index.ravel(), w[:2].ravel(), minlength=n_knots * n_radii)
+    m_t = np.bincount(index[0].ravel(), w[2].ravel(), minlength=(n_knots - 1) * n_radii)
+    g_t, m_t = g_t.reshape(n_knots, n_radii), m_t.reshape(n_knots - 1, n_radii)
+    y = _thomas(*_knot_system(n_knots)[::-1], g_t[1:])
+    m_t[-2] += 0.5 * y[-1]
+    m_t[-1] += 2.5 * y[-1]
+    y = y[:-1]
+    y *= 3.0
+    m_t[:-1] += y
+    m_t[1:] += y
+    return m_t.T
+
+
+@pytest.mark.parametrize("grid", [
+    (6.0, 1201, 4.0, 401),  # the default
+    (6.0, 1201, 6.0, 601),  # the last radius has no chord
+    (6.0, 601, 3.0, 65),  # a last block of one radius
+    (4.0, 201, 4.0, 3),  # one block, part-filled
+    (6.0, 1201, 4.0, 2 * _CHORD_BLOCK),  # full blocks only
+    (4.0, 401, 4.0, _CHORD_BLOCK + 1),  # a last block without a chord
+])
+def test_abel_operator_in_blocks_equals_the_one_shot_build(grid):
+    matrix = _abel_operator(*grid)
+    assert matrix.shape == (grid[3], grid[1] - 1) and not matrix.flags.writeable
+    assert np.array_equal(matrix, _one_shot_abel_operator(*grid))
+
+
+def test_abel_operator_build_holds_one_full_size_array():
+    # The one-shot build peaks at 3.7 M.nbytes (G, the weights on d and every
+    # node's arrays at once); in blocks of radii it holds one buffer.
+    _abel_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        matrix = _abel_operator(6.0, 1201, 4.0, 401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * matrix.nbytes
+
+
 @pytest.mark.parametrize("n_radii", [401, 601, 1201])  # every 3rd, 2nd and each knot
 def test_division_on_knots_matches_loop(n_radii):
     # Radii and points exactly on the knots j * step, where a node's interval
@@ -941,6 +1013,18 @@ def test_mle_newton_matches_brentq(eta, n, seed):
         assert not fit.at_boundary
         # Newton ends on the root to rounding; 1e-12 is the fit's tolerance
         assert abs(fit.eta_hat - _brentq_mle(t)) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x0", [0.0, 1e-9])
+def test_mle_sample_at_zero_divides_nothing(x0):
+    # t = 4 x0^2 - 1 is exactly -1, so 1 + eta t is 0 at eta = 1: the score
+    # there is -inf, found without a division by zero.
+    x = np.random.Generator(np.random.PCG64(38)).normal(0.0, 0.6, 5000)
+    x[0] = x0
+    assert _mle_score(1.0, 4.0 * x * x - 1.0) == (-np.inf, None)
+    fit = fit_efficiency(x)
+    assert 0.0 < fit.eta_hat < 1.0 and not fit.at_boundary
 
 
 def test_mle_boundaries_follow_the_score_signs():

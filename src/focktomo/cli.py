@@ -5,7 +5,13 @@ a dataset file), budget (combine an efficiency factor table), report (merge
 reconstruction and budget outputs into one document).
 
 Defaults may be overridden by a key=value config file named by the
-FOCKTOMO_CONFIG environment variable; explicit flags always win.
+FOCKTOMO_CONFIG environment variable; explicit flags always win. The
+simulate defaults are in the settings table below; the reconstruct defaults
+are those of focktomo.pipeline.ReconstructionConfig, which fills in every
+setting that neither a flag nor the config file gives.
+
+Each subcommand imports only the modules it runs: simulate loads
+focktomo.simulator (with errors and kvtext), never the reconstruction chain.
 
 Exit codes: 0 success, 2 usage error, 3 invalid input or file format,
 4 numerical failure.
@@ -20,19 +26,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .budget import combine, default_factors, load_factors
 from .errors import DatasetFormatError, NumericsError, ValidationError
 from .kvtext import content_lines, parse_kv
-from .pipeline import ReconstructionConfig, reconstruct_dataset
-from .report import (
-    budget_to_kv,
-    build_report,
-    merge_reports,
-    parse_budget_kv,
-    write_histogram_table,
-    write_profile_table,
-)
-from .simulator import DetectorModel, RunSpec, generate_run, read_dataset, write_dataset
 
 ENV_CONFIG = "FOCKTOMO_CONFIG"
 
@@ -44,7 +39,8 @@ EXIT_NUMERICS = 4
 # The settings of each subcommand, in flag order: name -> (type, default,
 # help, choices).  A setting is the flag --name (underscores as dashes) and
 # the config file key name; a flag beats the config file, which beats the
-# default.
+# default.  A default of None leaves the setting out, so that
+# ReconstructionConfig supplies its own.
 _SETTINGS: dict[str, dict[str, tuple]] = {
     "simulate": {
         "eta": (float, 0.553, "true efficiency of the signal block", None),
@@ -56,13 +52,11 @@ _SETTINGS: dict[str, dict[str, tuple]] = {
         "dark_fraction": (float, 0.0, "fraction of signal events replaced by vacuum draws", None),
     },
     "reconstruct": {
-        "bandwidth_scale": (float, ReconstructionConfig.bandwidth_scale,
-                            "multiplier on the rule-based smoothing bandwidth", None),
-        "fit_method": (str, ReconstructionConfig.fit_method, "efficiency fit method",
-                       ("mle", "hist")),
-        "grid_max": (float, ReconstructionConfig.grid_max, "half-width of the smoothing grid",
-                     None),
-        "grid_points": (int, ReconstructionConfig.grid_points,
+        "bandwidth_scale": (float, None, "multiplier on the rule-based smoothing bandwidth",
+                            None),
+        "fit_method": (str, None, "efficiency fit method", ("mle", "hist")),
+        "grid_max": (float, None, "half-width of the smoothing grid", None),
+        "grid_points": (int, None,
                         "number of smoothing grid points (odd); with grid_points - 1 a "
                         "multiple of the 1200 bins (1201, 2401, 3601, 4801) the kernel sum "
                         "runs on the bin lattice, other sizes (say 2001) take a dense sum "
@@ -93,11 +87,13 @@ def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
 
 def _settings(args: argparse.Namespace, config: dict) -> dict:
     # Each setting of the command: its flag if given, else the config value,
-    # else the default.
+    # else the default; a setting with none of the three is left out.
     out = {}
     for name, (_, default, _, _) in _SETTINGS[args.command].items():
         value = getattr(args, name)
-        out[name] = value if value is not None else config.get(name, default)
+        value = value if value is not None else config.get(name, default)
+        if value is not None:
+            out[name] = value
     return out
 
 
@@ -133,6 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
+    from .simulator import DetectorModel, RunSpec, generate_run, write_dataset
+
     settings = _settings(args, config)
     detector = DetectorModel(**{f.name: settings.pop(f.name) for f in fields(DetectorModel)})
     spec = RunSpec(eta_true=settings.pop("eta"), detector=detector, **settings)
@@ -144,6 +142,10 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace, config: dict) -> int:
+    from .pipeline import ReconstructionConfig, reconstruct_dataset
+    from .report import build_report, write_histogram_table, write_profile_table
+    from .simulator import read_dataset
+
     dataset = read_dataset(args.dataset)
     summary = reconstruct_dataset(dataset, ReconstructionConfig(**_settings(args, config)))
     report = build_report(summary, dataset, dataset_path=str(args.dataset))
@@ -171,6 +173,9 @@ def cmd_reconstruct(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_budget(args: argparse.Namespace, config: dict) -> int:
+    from .budget import combine, default_factors, load_factors
+    from .report import budget_to_kv
+
     factors = load_factors(args.factors) if args.factors else default_factors()
     result = combine(factors)
     text = budget_to_kv(result, factors)
@@ -185,6 +190,8 @@ def _reject_constant(name: str):
 
 
 def cmd_report(args: argparse.Namespace, config: dict) -> int:
+    from .report import merge_reports, parse_budget_kv
+
     try:
         recon = json.loads(Path(args.reconstruction).read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:

@@ -12,16 +12,19 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .budget import BUDGET_FORMAT_VERSION, AgreementCheck, BudgetResult, check_agreement
 from .errors import DatasetFormatError, ValidationError
 from .kvtext import content_lines, format_kv, parse_kv, write_table
-from .pipeline import ReconstructionSummary
-from .reconstruction import MarginalHistogram, RadialWignerProfile
-from .simulator import HomodyneDataset
+
+if TYPE_CHECKING:  # annotations only: each command loads just the modules it runs
+    from .budget import BudgetResult
+    from .pipeline import ReconstructionSummary
+    from .reconstruction import MarginalHistogram, RadialWignerProfile
+    from .simulator import HomodyneDataset
 
 REPORT_VERSION = 1
 
@@ -145,6 +148,8 @@ def write_histogram_table(hist: MarginalHistogram, path, header: dict | None = N
 
 def budget_to_kv(result: BudgetResult, factors) -> str:
     """Budget result as parseable key=value text."""
+    from .budget import BUDGET_FORMAT_VERSION
+
     fields = {"budget_format_version": BUDGET_FORMAT_VERSION,
               "eta_predicted": float(result.eta_predicted),
               "eta_uncertainty": float(result.eta_uncertainty), "n_factors": result.n_factors}
@@ -160,6 +165,8 @@ _BUDGET_TYPES = {"budget_format_version": int, "eta_predicted": float,
 def parse_budget_kv(text: str) -> dict:
     """Parse budget key=value text back into a dict, checking the version and
     the values; other keys, such as the factor_<i> lines, are ignored."""
+    from .budget import BUDGET_FORMAT_VERSION
+
     parsed = parse_kv(content_lines(text), _BUDGET_TYPES, "budget",
                       required=("budget_format_version", "eta_predicted", "eta_uncertainty"))
     data = {key: parsed.get(key, 0) for key in _BUDGET_TYPES}
@@ -204,6 +211,8 @@ def merge_reports(recon: dict, budget: dict | None,
         sections[name] = dict(body)
 
     if budget is not None:
+        from .budget import BudgetResult, check_agreement
+
         result = BudgetResult(
             eta_predicted=budget["eta_predicted"],
             eta_uncertainty=budget["eta_uncertainty"],
@@ -215,7 +224,7 @@ def merge_reports(recon: dict, budget: dict | None,
             eta_stderr = float(eff["eta_stderr"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"reconstruction report lacks an efficiency fit: {exc}") from exc
-        agreement: AgreementCheck = check_agreement(result, eta_hat, eta_stderr)
+        agreement = check_agreement(result, eta_hat, eta_stderr)
         sections["budget"] = {
             "eta_predicted": result.eta_predicted,
             "eta_uncertainty": result.eta_uncertainty,

@@ -534,13 +534,85 @@ def _src_env():
 
 
 def test_import_leaves_optimize_and_interpolate_unloaded():
-    # `focktomo simulate` needs only numpy and scipy.special
+    # `focktomo simulate` needs numpy alone: the command line loads no scipy module
     code = ("import sys, focktomo.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.interpolate'))))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_FOOTPRINT = """
+import sys
+if sys.argv[1:]:
+    from focktomo.cli import main
+    assert main(sys.argv[1:]) == 0
+else:
+    import focktomo
+print(*sorted(name for name in sys.modules if name.split(".")[0] == "focktomo"))
+"""
+
+
+def _footprint(*argv):
+    # the focktomo modules a fresh python loads to run `focktomo *argv`, or
+    # a bare `import focktomo` when argv is empty
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env=_src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    assert _footprint() == {"focktomo"}
+    data = tmp_path / "run.dat"
+    assert _footprint("simulate", "--n-vacuum", "5000", "--n-fock", "2000", "-o", str(data)) == {
+        "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.simulator"}
+    reconstruct = _footprint("reconstruct", str(data), "-o", str(tmp_path / "out"))
+    assert "focktomo.reconstruction" in reconstruct and "focktomo.budget" not in reconstruct
+    budget = _footprint("budget")
+    assert "focktomo.budget" in budget
+    assert not budget & {"focktomo.calibration", "focktomo.pipeline", "focktomo.reconstruction"}
+    assert _footprint("report", "--reconstruction", str(tmp_path / "out" / "report.json"),
+                      "-o", str(tmp_path / "merged")) == {
+        "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.report"}
+
+
+# The package namespace, name for name and in order, as eagerly imported before.
+_PUBLIC = [
+    "AgreementCheck", "BudgetResult", "CalibrationResult", "DatasetFormatError", "DetectorModel",
+    "DiagonalEstimate", "EfficiencyFactor", "EfficiencyFit", "GridDensity", "HomodyneDataset",
+    "MarginalHistogram", "NumericsError", "RadialWignerProfile", "ReconstructionConfig",
+    "ReconstructionSummary", "RunSpec", "ValidationError", "abel_inverse", "bin_samples",
+    "check_agreement", "combine", "default_factors", "fit_efficiency", "fit_vacuum",
+    "generate_run", "load_factors", "marginal_cdf", "marginal_density", "marginal_ppf",
+    "read_dataset", "reconstruct_dataset", "rescale", "sample_diagonals", "sample_quadrature",
+    "smooth_marginal", "wigner_radial", "write_dataset",
+]
+
+
+def test_lazy_namespace_matches_the_eager_one():
+    import focktomo
+
+    assert focktomo.__all__ == _PUBLIC
+    assert set(_PUBLIC) <= set(dir(focktomo))
+    star: dict = {}
+    exec("from focktomo import *", star)
+    for name in _PUBLIC:
+        value = getattr(focktomo, name)
+        # the very object of its defining submodule
+        assert value.__module__.startswith("focktomo.")
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert star[name] is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        focktomo.no_such_name
+    assert not hasattr(focktomo, "cli_main")
+
+
+def test_bare_import_reaches_a_submodule():
+    code = ("import sys, focktomo; f = focktomo.reconstruction.bin_samples; "
+            "print(f is sys.modules['focktomo.reconstruction'].bin_samples)")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "True"
 
 
 _HISTOGRAM_CROSS_CHECK = """

@@ -20,13 +20,15 @@ Reproducibility: one integer seed is split with numpy's SeedSequence into two
 independent PCG64 streams (vacuum block, signal block).  Each stream draws,
 block by block: all phase uniforms, then one photon uniform per event, then
 one standard normal per event, then two standard normals per photon event.
-Files record this stream as rng=numpy-pcg64-mixture; rng=numpy-pcg64 marks
-files from the earlier inverse-CDF sampler, which read the same way.
+Files record this stream as rng=numpy-pcg64-mixture.
+
+The library reads and writes one file format, format_version=2 (see
+write_dataset).  scripts/convert_v1.py converts a file of the earlier text
+format to it.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import stat
 from dataclasses import dataclass, field
@@ -158,10 +160,10 @@ _HEADER_TYPES = {"format_version": int, "rng": str, "seed": int, "eta_true": flo
                  "scale": float, "offset": float, "dark_fraction": float,
                  "n_vacuum": int, "n_fock": int}
 
-# The line that ends a format_version=2 header; the binary body follows it.
+# The line that ends the header; the binary body follows it.
 _END_HEADER = "# end_header"
 
-# The first buffer for a format_version=2 body read from a pipe, in bytes.
+# The first buffer for a body read from a pipe, in bytes.
 _PIPE_CHUNK = 1 << 20
 
 
@@ -209,28 +211,21 @@ def _check_body(phase, raw_value, n_vacuum: int, n_fock: int, error):
     return phase, raw_value
 
 
-# One format_version=1 sample line and its two source tokens.  The source
-# field is two characters wide so that a longer token such as "VX" is read
-# whole and rejected, not truncated to "V".
-_SAMPLE_DTYPE = np.dtype([("source", "U2"), ("phase", float), ("raw_value", float)])
-SOURCE_VACUUM, SOURCE_FOCK = "V", "F"
-
-
-def _read_header(fh) -> tuple[list[tuple[int, str]], bytes | None]:
-    # The header is the leading block of '#' and blank lines, ended early by
-    # an '# end_header' line.  Returns its (line number, text after '#')
-    # pairs, and None if the end line was found, leaving fh at the first body
-    # byte, else the first body line (b"" at the end of the file).  fh is only
-    # read forward, so it may be a pipe.  Only header lines are decoded.
+def _read_header(fh) -> list[tuple[int, str]]:
+    # The header is the leading block of '#' and blank lines, ended by an
+    # '# end_header' line.  Returns its (line number, text after '#') pairs,
+    # leaving fh at the first body byte.  fh is only read forward, so it may
+    # be a pipe.  Only header lines are decoded.
     header: list[tuple[int, str]] = []
     lineno = 0
     while True:
         line = fh.readline()
         stripped = line.strip()
         if stripped == _END_HEADER.encode():
-            return header, None
+            return header
         if not line or (stripped and not stripped.startswith(b"#")):
-            return header, line
+            raise DatasetFormatError(f"dataset has no '{_END_HEADER}' line; a version 1 "
+                                     f"text file converts with scripts/convert_v1.py OLD NEW")
         lineno += 1
         if stripped:
             try:
@@ -238,33 +233,6 @@ def _read_header(fh) -> tuple[list[tuple[int, str]], bytes | None]:
             except UnicodeDecodeError as exc:
                 raise DatasetFormatError(f"line {lineno}: header is not UTF-8 text: {exc}"
                                          ) from exc
-
-
-def _text_body(text: str, n_vacuum: int, n_fock: int):
-    # format_version=1: one 'source phase raw_value' line per sample, whose
-    # source column reads n_vacuum times V, then n_fock times F.
-    if not text:
-        rows = np.empty(0, dtype=_SAMPLE_DTYPE)
-    else:
-        try:
-            rows = np.loadtxt(io.StringIO(text, newline=None), dtype=_SAMPLE_DTYPE,
-                              comments=None, ndmin=1)
-        except ValueError as exc:
-            raise DatasetFormatError(
-                f"expected sample lines 'source phase raw_value' with numeric fields: {exc}"
-            ) from exc
-    # "" marks the end of the data, so a missing or extra sample differs too.
-    got = np.append(rows["source"], "")
-    want = np.array([SOURCE_VACUUM, SOURCE_FOCK, ""])[np.searchsorted(
-        [n_vacuum, n_vacuum + n_fock], np.arange(got.size), side="right")]
-    differs = np.flatnonzero(got != want)
-    if differs.size:
-        row = int(differs[0])
-        found, expected = (repr(str(s)) if s else "none" for s in (got[row], want[row]))
-        raise DatasetFormatError(f"sample {row + 1}: source {found}, expected {expected}; "
-                                 f"the source column must read n_vacuum={n_vacuum} times "
-                                 f"'V', then n_fock={n_fock} times 'F'")
-    return rows["phase"].copy(), rows["raw_value"].copy()
 
 
 def _read_floats(fh) -> tuple[np.ndarray, int]:
@@ -290,56 +258,38 @@ def _read_floats(fh) -> tuple[np.ndarray, int]:
     return buf, filled
 
 
-def _binary_body(body: np.ndarray, nbytes: int, n_vacuum: int, n_fock: int):
-    # format_version=2: n phases, then n raw values, as little-endian float64.
-    n = n_vacuum + n_fock
-    if nbytes != 16 * n:
-        raise DatasetFormatError(f"binary body holds {nbytes} bytes, expected 16 * "
-                                 f"(n_vacuum + n_fock) = {16 * n}")
-    return body.reshape(2, n)
-
-
 def read_dataset(path) -> HomodyneDataset:
     """Read a dataset written by write_dataset, validating header and body.
 
-    The header is the leading block of '#' lines, decoded as UTF-8; unknown
-    keys are ignored.  In format_version=2 the line '# end_header' ends it and
-    the body is exactly 16 * (n_vacuum + n_fock) bytes, read as write_dataset
-    writes them.  A format_version=1 file has no end line and is UTF-8 text
-    throughout: every later non-blank line must be a sample 'source phase
-    raw_value', so a '#' line after the first sample is rejected, and the
-    source column must read n_vacuum times V, then n_fock times F.  Both
-    bodies pass the checks write_dataset makes.  The file is read once, front
-    to back, so `path` may be a pipe.  A format_version=2 body is read in
-    place into one float64 buffer, sized by the bytes the file holds and
-    never by the header's counts, whose two rows are the returned columns
-    (writable, not copied)."""
+    The header is the leading block of '#' lines, decoded as UTF-8, and the
+    line '# end_header' ends it; unknown keys are ignored.  A file that ends,
+    or holds any other line, before the end line is rejected with a message
+    naming scripts/convert_v1.py, the converter of the earlier text format.
+    Any format_version but 2 is rejected.  The body is exactly 16 * (n_vacuum
+    + n_fock) bytes, read as write_dataset writes them, and passes the checks
+    write_dataset makes.  The file is read once, front
+    to back, so `path` may be a pipe.  The body is read in place into one
+    float64 buffer, sized by the bytes the file holds and never by the
+    header's counts, whose two rows are the returned columns (writable, not
+    copied)."""
     with open(path, "rb") as fh:
-        header_lines, first_line = _read_header(fh)
-        binary = first_line is None
-        body = _read_floats(fh) if binary else fh.read()  # (floats, bytes read) or bytes
-    if not binary:
-        try:
-            text = (first_line + body).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DatasetFormatError(f"dataset has no '{_END_HEADER}' line and is "
-                                     f"not UTF-8 text: {exc}") from exc
+        header_lines = _read_header(fh)
+        body, nbytes = _read_floats(fh)
     header = parse_kv(header_lines, _HEADER_TYPES, "header", required=_HEADER_TYPES)
     version = header["format_version"]
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported format_version {version}, "
-                                 f"expected 1 or {FORMAT_VERSION}")
-    if binary != (version == FORMAT_VERSION):
-        raise DatasetFormatError(f"format_version={version} "
-                                 f"{'needs an' if version == FORMAT_VERSION else 'takes no'} "
-                                 f"'{_END_HEADER}' line")
+                                 f"expected {FORMAT_VERSION}")
     spec = RunSpec(
         eta_true=header["eta_true"], n_vacuum=header["n_vacuum"], n_fock=header["n_fock"],
         detector=DetectorModel(scale=header["scale"], offset=header["offset"],
                                dark_fraction=header["dark_fraction"]),
         seed=header["seed"],
     )
-    columns = (_binary_body(*body, spec.n_vacuum, spec.n_fock) if binary
-               else _text_body(text, spec.n_vacuum, spec.n_fock))
-    phase, raw = _check_body(*columns, spec.n_vacuum, spec.n_fock, DatasetFormatError)
+    n = spec.n_vacuum + spec.n_fock
+    if nbytes != 16 * n:
+        raise DatasetFormatError(f"binary body holds {nbytes} bytes, expected 16 * "
+                                 f"(n_vacuum + n_fock) = {16 * n}")
+    phase, raw = _check_body(*body.reshape(2, n), spec.n_vacuum, spec.n_fock,
+                             DatasetFormatError)
     return HomodyneDataset(spec=spec, phase=phase, raw_value=raw, rng_name=header["rng"])

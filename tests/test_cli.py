@@ -11,7 +11,7 @@ import pytest
 
 from focktomo import pipeline
 from focktomo.cli import ENV_CONFIG, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from focktomo.simulator import read_dataset
+from focktomo.simulator import read_dataset, write_dataset
 
 
 def _simulate(tmp_path, name="run.txt", extra=()):
@@ -213,27 +213,24 @@ def test_missing_dataset_is_validation_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def _rewrite_as_v1(path, version=1, raw_value=None):
-    # The dataset at `path` as format_version=1 text: its header lines with
-    # `version` and no end line, then one 'source phase raw_value' line per
-    # sample, every raw value replaced by `raw_value` if one is given.
-    ds = read_dataset(path)
-    header = path.read_bytes().split(b"# end_header\n")[0]
-    header = header.replace(b"# format_version=2\n", b"# format_version=%d\n" % version)
-    raw = ds.raw_value.tolist() if raw_value is None else [raw_value] * ds.n_samples
-    source = np.repeat(["V", "F"], [ds.spec.n_vacuum, ds.spec.n_fock]).tolist()
-    body = "".join(f"{s} {p!r} {v!r}\n" for s, p, v in zip(source, ds.phase.tolist(), raw))
-    path.write_bytes(header + body.encode())
-
-
 def test_corrupt_dataset_is_validation_error(tmp_path, capsys):
     path = _simulate(tmp_path)
-    _rewrite_as_v1(path, version=99)
+    path.write_bytes(path.read_bytes().replace(b"# format_version=2\n", b"# format_version=99\n"))
     outdir = tmp_path / "o"
     code = main(["reconstruct", str(path), "-o", str(outdir)])
     assert code == EXIT_VALIDATION
     assert not outdir.exists()  # no partial output
     assert "format_version" in capsys.readouterr().err
+
+
+def test_v1_dataset_exits_3_naming_the_converter(tmp_path, capsys, write_v1):
+    path = write_v1(read_dataset(_simulate(tmp_path)), tmp_path / "run_v1.txt")
+    outdir = tmp_path / "o"
+    code = main(["reconstruct", str(path), "-o", str(outdir)])
+    assert code == EXIT_VALIDATION
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "convert_v1.py" in err and "Traceback" not in err
 
 
 def test_invalid_eta_is_validation_error(tmp_path, capsys):
@@ -380,7 +377,9 @@ def test_reference_round_trip_is_frozen(reference_run, tmp_path, monkeypatch):
 
 def test_degenerate_dataset_is_numerics_error(tmp_path, capsys):
     path = _simulate(tmp_path)
-    _rewrite_as_v1(path, raw_value=0.5)
+    ds = read_dataset(path)
+    ds.raw_value[:] = 0.5
+    write_dataset(ds, path)
     code = main(["reconstruct", str(path), "-o", str(tmp_path / "o")])
     assert code == EXIT_NUMERICS
     assert "variance" in capsys.readouterr().err
@@ -507,7 +506,7 @@ def test_binary_dataset_is_validation_error(tmp_path, capsys):
     code = main(["reconstruct", str(path), "-o", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "UTF-8" in err and "Traceback" not in err
+    assert err.startswith("error:") and "end_header" in err and "Traceback" not in err
 
 
 def test_binary_factor_table_is_validation_error(tmp_path, capsys):

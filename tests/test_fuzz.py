@@ -1,5 +1,6 @@
-"""Fuzz tests of the four readers: whatever a file holds, a reader returns
-or raises a ValidationError subclass, and the CLI exits 0 or 3."""
+"""Fuzz tests of the readers: whatever a file holds, a reader returns or
+raises a ValidationError subclass, and the CLI and scripts/convert_v1.py exit
+0 or 3."""
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from focktomo.budget import parse_factors
 from focktomo.cli import EXIT_OK, EXIT_VALIDATION, main
-from focktomo.errors import ValidationError
+from focktomo.errors import DatasetFormatError, ValidationError
 from focktomo.report import parse_budget_kv
 from focktomo.simulator import read_dataset
 
@@ -50,10 +51,26 @@ _V2_DATASET = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
 def test_read_dataset_returns_or_raises_validation_error(tmp_path_factory, content):
     path = tmp_path_factory.getbasetemp() / "fuzz_dataset.txt"
     path.write_bytes(content)
+    # with no end line, the content is at best the earlier text format
+    if not any(line.strip() == b"# end_header" for line in content.split(b"\n")):
+        with pytest.raises(DatasetFormatError):
+            read_dataset(path)
+        return
     try:
         read_dataset(path)
     except ValidationError:
         pass
+
+
+@given(st.one_of(_CONTENT, _V2_DATASET))
+def test_any_file_converts_or_exits_3(tmp_path_factory, convert_v1, content):
+    base = tmp_path_factory.getbasetemp()
+    old, new = base / "fuzz_v1.txt", base / "fuzz_converted.dat"
+    old.write_bytes(content)
+    new.unlink(missing_ok=True)
+    code = convert_v1.main([str(old), str(new)])
+    assert code in (EXIT_OK, EXIT_VALIDATION)
+    assert new.exists() == (code == EXIT_OK)
 
 
 @given(_V2_DATASET)

@@ -50,6 +50,15 @@ distinct |X|.  Bin edges on a lattice of grid steps, symmetric about 0 (the
 pipeline bins over -grid_max..grid_max), take the folded counts
 counts + counts[::-1], one short convolution per polyphase slice; any other
 bins the dense knots x occupied-bins sum of (K(x - c) + K(x + c)) / 2.
+Either sum counts a kernel term below the smallest normal double (more
+than about 37.6 bandwidths out) as 0: subnormal arithmetic made the
+default smoothing's convolutions twice as slow, and on the reference runs
+those terms moved no density value by more than 1e-311.  The
+smoother is prepared once for the bin edges and the grid (knots, mirrored
+grid, lattice test and the lag offsets from the first bin), then evaluated
+per count vector; bootstrap_profile prepares it once and evaluates every
+replicate with it, each replicate drawing, tallying and choosing its
+bandwidth as smooth_marginal would.
 
 The module needs numpy alone: the efficiency likelihood is maximized by a
 safeguarded Newton iteration and the histogram fit has a closed form.
@@ -237,7 +246,9 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     spanning fewer nodes than the grid (the default 1200 bins over [-6, 6]
     on 2401 points, m = 2), it sums the folded counts counts + counts[::-1],
     one convolution with the kernel's polyphase slice per m-th knot.  Any
-    other bins take the dense sum of (K(x - c) + K(x + c)) / 2.
+    other bins take the dense sum of (K(x - c) + K(x + c)) / 2.  A kernel
+    term below the smallest normal double (2.2e-308, |x - c| more than
+    about 37.6 bandwidths) counts as 0.
 
     With bandwidth=None the Silverman rule scaled by `bandwidth_scale` is
     used and at least MIN_SMOOTH_SAMPLES in-range samples are required; an
@@ -245,44 +256,9 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     the bandwidth used must be positive and finite, and at least the grid
     spacing and the bin width (a narrower kernel spikes on the grid nodes
     nearest each bin centre).  Samples so far off the grid that every
-    kernel term on it underflows to 0 are rejected.
+    kernel term on it is below the smallest normal double are rejected.
     """
-    half = _smoothing_grid(grid_max, grid_points)
-    x = np.concatenate((-half[:0:-1], half))
-    n_in = hist.n_in_range
-    if n_in == 0:
-        raise ValidationError("histogram holds no in-range samples")
-    if bandwidth is None:
-        if n_in < MIN_SMOOTH_SAMPLES:
-            raise ValidationError(
-                f"rule-based bandwidth needs >= {MIN_SMOOTH_SAMPLES} samples, got {n_in}; "
-                "pass an explicit bandwidth"
-            )
-        check_positive("bandwidth_scale", bandwidth_scale)
-        # Python floats: a product that overflows is inf, without a warning.
-        bandwidth = float(bandwidth_scale) * silverman_bandwidth(hist)
-    check_positive("bandwidth", bandwidth)
-    if bandwidth < max(half[1], hist.bin_width):
-        raise ValidationError(f"bandwidth {bandwidth:g} too small for the grid spacing "
-                              f"{half[1]:g} and the bin width {hist.bin_width:g}")
-    kernel_norm = n_in * float(bandwidth) * math.sqrt(2.0 * math.pi)
-    if not math.isfinite(kernel_norm):
-        raise ValidationError(f"bandwidth {bandwidth:g} too large: the kernel normalisation "
-                              f"n * bandwidth * sqrt(2 pi) overflows")
-
-    # A kernel argument beyond about 38.6 underflows to 0; on the way its
-    # square may overflow to inf, which gives the same 0.
-    with np.errstate(over="ignore"):
-        kernel = _kernel_sum(hist, half, bandwidth)
-    if not np.any(kernel):
-        raise ValidationError(f"the in-range samples lie too far off the smoothing grid "
-                              f"[{x[0]:g}, {x[-1]:g}] for bandwidth {bandwidth:g}: "
-                              f"every kernel term on the grid underflows")
-    f = np.concatenate((kernel[:0:-1], kernel)) / kernel_norm
-    norm = np.trapezoid(f, x)
-    if norm <= 0.0:
-        raise NumericsError("smoothed density integrates to zero")
-    return GridDensity(x=x, density=f / norm, bandwidth=float(bandwidth))
+    return _Smoother(hist.bin_edges, grid_max, grid_points)(hist, bandwidth, bandwidth_scale)
 
 
 def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
@@ -295,39 +271,104 @@ def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
     return np.linspace(0.0, grid_max, grid_points // 2 + 1)
 
 
-def _kernel_sum(hist: MarginalHistogram, half: np.ndarray, bandwidth: float) -> np.ndarray:
-    # The even part of sum_j counts_j exp(-((x - c_j) / bandwidth)^2 / 2) on
-    # smooth_marginal's knots x = half.  On a lattice of m grid steps symmetric
-    # about 0, with the kernel at fewer than 2 * half.size - 1 lags, bin j
-    # mirrors to bin n - 1 - j: it is half the sum over the folded counts
-    # counts + counts[::-1], and x_i - c_j depends only on i - m*j (lags in
-    # steps from the mirror's first node -half[-1]).  The knots i = p (mod m)
-    # are one short convolution of the occupied folded counts with the
-    # polyphase slice kernel[p::m], from the lag of knot 0 to the last
-    # occupied bin.  Otherwise (K(x - c) + K(x + c)) / 2 over the occupied bins.
-    counts, edges = hist.counts, hist.bin_edges
-    step = half[-1] / (half.size - 1)
-    m = round(hist.bin_width / step)
-    span = m * (counts.size - 1)
-    lattice = edges[0] + m * step * np.arange(edges.size)
-    atol = 8.0 * np.finfo(float).eps * np.abs(edges).max()
-    if (m >= 1 and span < 2 * half.size - 1 and abs(edges[0] + edges[-1]) <= atol
-            and np.allclose(edges, lattice, rtol=0.0, atol=atol)):
-        folded = counts + counts[::-1]
-        first = int(np.flatnonzero(folded)[0])  # the last is n - 1 - first
-        c = folded[first:counts.size - first]
-        k = half.size - 1
-        lags = np.arange(k - m * (counts.size - 1 - first), 2 * k + 1 - m * first)
-        z = ((-half[-1] - hist.centers[0]) + step * lags) / bandwidth
-        kernel = np.exp(-0.5 * z * z)
-        out = np.empty(half.size)
-        for p in range(min(m, out.size)):  # one bin may be wider than the grid
-            out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1], mode="valid")
-        return 0.5 * out
-    mask = counts > 0
-    c = hist.centers[mask]
-    return 0.5 * sum(np.exp(-0.5 * z * z) @ counts[mask]
-                     for z in ((half[:, None] - c) / bandwidth, (half[:, None] + c) / bandwidth))
+def _gaussian(z: np.ndarray) -> np.ndarray:
+    # exp(-z^2 / 2) in place of z, each term below the smallest normal double
+    # (|z| > 37.6) set to 0, since subnormal arithmetic slows the sums that
+    # follow several times over.  A square that overflows to inf gives 0 too.
+    z *= z
+    z *= -0.5
+    np.exp(z, out=z)
+    z[z < sys.float_info.min] = 0.0
+    return z
+
+
+class _Smoother:
+    # smooth_marginal in two steps.  Made once for one set of bin edges and
+    # one grid: the knots half of [0, grid_max], the mirrored grid x and the
+    # lattice test.  On a lattice of m grid steps symmetric about 0, with the
+    # kernel at fewer than 2 * half.size - 1 lags, bin j mirrors to bin
+    # n - 1 - j: the even part is half the sum over the folded counts
+    # counts + counts[::-1], and x_i - c_j depends only on the lag i - m*j,
+    # counted in steps from the mirror's first node -half[-1].  offsets holds
+    # x - c_0 at every lag the first bin can need (m = 0 off a lattice).
+    # Called once per histogram on those edges: the bandwidth and its
+    # checks, the kernel sum and the normalisation, as smooth_marginal
+    # documents them.
+
+    def __init__(self, edges: np.ndarray, grid_max: float, grid_points: int):
+        half = self.half = _smoothing_grid(grid_max, grid_points)
+        self.x = np.concatenate((-half[:0:-1], half))
+        step = half[-1] / (half.size - 1)
+        ratio = float(edges[1] - edges[0]) / step
+        m = round(ratio) if math.isfinite(ratio) else 0
+        n = edges.size - 1
+        lattice = edges[0] + m * step * np.arange(edges.size)
+        atol = 8.0 * np.finfo(float).eps * np.abs(edges).max()
+        self.m = 0
+        if (m >= 1 and m * (n - 1) < 2 * half.size - 1 and abs(edges[0] + edges[-1]) <= atol
+                and np.allclose(edges, lattice, rtol=0.0, atol=atol)):
+            self.m = m
+            k = half.size - 1
+            first_center = 0.5 * (edges[0] + edges[1])
+            self.offsets = (-half[-1] - first_center) + step * np.arange(k - m * (n - 1), 2 * k + 1)
+
+    def __call__(self, hist: MarginalHistogram, bandwidth: float | None,
+                 bandwidth_scale: float) -> GridDensity:
+        n_in = hist.n_in_range
+        if n_in == 0:
+            raise ValidationError("histogram holds no in-range samples")
+        if bandwidth is None:
+            if n_in < MIN_SMOOTH_SAMPLES:
+                raise ValidationError(
+                    f"rule-based bandwidth needs >= {MIN_SMOOTH_SAMPLES} samples, got {n_in}; "
+                    "pass an explicit bandwidth"
+                )
+            check_positive("bandwidth_scale", bandwidth_scale)
+            # Python floats: a product that overflows is inf, without a warning.
+            bandwidth = float(bandwidth_scale) * silverman_bandwidth(hist)
+        check_positive("bandwidth", bandwidth)
+        if bandwidth < max(self.half[1], hist.bin_width):
+            raise ValidationError(f"bandwidth {bandwidth:g} too small for the grid spacing "
+                                  f"{self.half[1]:g} and the bin width {hist.bin_width:g}")
+        kernel_norm = n_in * float(bandwidth) * math.sqrt(2.0 * math.pi)
+        if not math.isfinite(kernel_norm):
+            raise ValidationError(f"bandwidth {bandwidth:g} too large: the kernel normalisation "
+                                  f"n * bandwidth * sqrt(2 pi) overflows")
+
+        with np.errstate(over="ignore"):
+            kernel = self._kernel_sum(hist, bandwidth)
+        if not np.any(kernel):
+            raise ValidationError(f"the in-range samples lie too far off the smoothing grid "
+                                  f"[{self.x[0]:g}, {self.x[-1]:g}] for bandwidth {bandwidth:g}: "
+                                  f"every kernel term on the grid is below the smallest "
+                                  f"normal double")
+        f = np.concatenate((kernel[:0:-1], kernel)) / kernel_norm
+        norm = np.trapezoid(f, self.x)
+        if norm <= 0.0:
+            raise NumericsError("smoothed density integrates to zero")
+        return GridDensity(x=self.x, density=f / norm, bandwidth=float(bandwidth))
+
+    def _kernel_sum(self, hist: MarginalHistogram, bandwidth: float) -> np.ndarray:
+        # The even part of sum_j counts_j exp(-((x - c_j) / bandwidth)^2 / 2)
+        # on the knots x = half.  On the lattice the knots i = p (mod m) are
+        # one short convolution of the occupied folded counts with the
+        # polyphase slice kernel[p::m], from the lag of knot 0 to the last
+        # occupied bin.  Otherwise (K(x - c) + K(x + c)) / 2 over the occupied bins.
+        counts, half, m = hist.counts, self.half, self.m
+        if m:
+            folded = counts + counts[::-1]
+            first = int(np.flatnonzero(folded)[0])  # the last is n - 1 - first
+            c = folded[first:counts.size - first]
+            kernel = _gaussian(self.offsets[m * first:self.offsets.size - m * first] / bandwidth)
+            out = np.empty(half.size)
+            for p in range(min(m, out.size)):  # one bin may be wider than the grid
+                out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1],
+                                        mode="valid")
+            return 0.5 * out
+        mask = counts > 0
+        c = hist.centers[mask]
+        return 0.5 * sum(_gaussian(z) @ counts[mask]
+                         for z in ((half[:, None] - c) / bandwidth, (half[:, None] + c) / bandwidth))
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +683,15 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 
     check_count("n_boot", n_boot, 2)
     check_count("seed", seed, 0)
     pos, edges = _bin_positions(values, n_bins=n_bins, lo=lo, hi=hi)
-    _check_inversion_grid(grid_max, grid_points)
-    smooth = dict(bandwidth=bandwidth, bandwidth_scale=bandwidth_scale,
-                  grid_max=grid_max, grid_points=grid_points)
-    fs, radii, matrix = _abel_grid(smooth_marginal(_tally(pos, edges), **smooth), None,
+    smooth = _Smoother(edges, grid_max, grid_points)  # every replicate shares the edges
+    _check_abel_reach(smooth.half)
+    fs, radii, matrix = _abel_grid(smooth(_tally(pos, edges), bandwidth, bandwidth_scale), None,
                                    r_max, n_radii)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     diffs = np.empty((n_boot, fs.size - 1))  # each replicate's folded differences
     for row in diffs:
-        rep = smooth_marginal(_tally(pos[rng.integers(0, pos.size, size=pos.size)], edges),
-                              **smooth)
+        rep = smooth(_tally(pos[rng.integers(0, pos.size, size=pos.size)], edges),
+                     bandwidth, bandwidth_scale)
         row[:] = np.diff(rep.density[-fs.size:])  # x >= 0 of the exact mirror
     return RadialWignerProfile(radii=radii, values=matrix @ np.diff(fs),
                                stderr=np.std(diffs @ matrix.T, axis=0, ddof=1))

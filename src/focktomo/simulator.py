@@ -268,24 +268,24 @@ def read_dataset(path) -> HomodyneDataset:
     Any format_version but 2 is rejected.  The body is exactly 16 * (n_vacuum
     + n_fock) bytes, read as write_dataset writes them, and passes the checks
     write_dataset makes.  The file is read once, front
-    to back, so `path` may be a pipe.  The body is read in place into one
-    float64 buffer, sized by the bytes the file holds and never by the
-    header's counts, whose two rows are the returned columns (writable, not
-    copied)."""
+    to back, so `path` may be a pipe.  The header is parsed and checked
+    before any body byte is read, so a rejected header costs no body read.
+    The body is read in place into one float64 buffer, sized by the bytes
+    the file holds and never by the header's counts, whose two rows are the
+    returned columns (writable, not copied)."""
     with open(path, "rb") as fh:
-        header_lines = _read_header(fh)
+        header = parse_kv(_read_header(fh), _HEADER_TYPES, "header", required=_HEADER_TYPES)
+        version = header["format_version"]
+        if version != FORMAT_VERSION:
+            raise DatasetFormatError(f"unsupported format_version {version}, "
+                                     f"expected {FORMAT_VERSION}")
+        spec = RunSpec(
+            eta_true=header["eta_true"], n_vacuum=header["n_vacuum"], n_fock=header["n_fock"],
+            detector=DetectorModel(scale=header["scale"], offset=header["offset"],
+                                   dark_fraction=header["dark_fraction"]),
+            seed=header["seed"],
+        )
         body, nbytes = _read_floats(fh)
-    header = parse_kv(header_lines, _HEADER_TYPES, "header", required=_HEADER_TYPES)
-    version = header["format_version"]
-    if version != FORMAT_VERSION:
-        raise DatasetFormatError(f"unsupported format_version {version}, "
-                                 f"expected {FORMAT_VERSION}")
-    spec = RunSpec(
-        eta_true=header["eta_true"], n_vacuum=header["n_vacuum"], n_fock=header["n_fock"],
-        detector=DetectorModel(scale=header["scale"], offset=header["offset"],
-                               dark_fraction=header["dark_fraction"]),
-        seed=header["seed"],
-    )
     n = spec.n_vacuum + spec.n_fock
     if nbytes != 16 * n:
         raise DatasetFormatError(f"binary body holds {nbytes} bytes, expected 16 * "

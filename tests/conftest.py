@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import os
 import threading
@@ -29,7 +30,8 @@ settings.load_profile("default")
 def fifo_of(tmp_path):
     """A function that makes a FIFO under tmp_path and starts one thread
     feeding it the bytes of the file at `path`; the threads are joined at
-    teardown."""
+    teardown.  A reader may stop early: the feeder then meets a broken pipe
+    and ends."""
     writers = []
 
     def make(path):
@@ -38,7 +40,7 @@ def fifo_of(tmp_path):
         data = Path(path).read_bytes()
 
         def feed():
-            with open(fifo, "wb") as fh:
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
                 fh.write(data)
 
         writers.append(threading.Thread(target=feed, daemon=True))

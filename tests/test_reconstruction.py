@@ -221,9 +221,15 @@ def test_bandwidth_below_the_bin_width_or_grid_spacing_is_rejected():
 
 
 def test_samples_off_the_smoothing_grid_are_named_as_such():
-    hist = bin_samples(28.0 + np.linspace(0.0, 1.0, 2000), n_bins=1200, lo=20.0, hi=30.0)
-    with pytest.raises(ValidationError, match="lie too far off the smoothing grid"):
-        smooth_marginal(hist, bandwidth=0.5)
+    for values, lo, hi, bandwidth in [
+        (28.0 + np.linspace(0.0, 1.0, 2000), 20.0, 30.0, 0.5),
+        # 38.35 bandwidths from the grid's end: every term is subnormal, not 0
+        (np.full(2000, 9.83), 0.0, 12.0, 0.1),
+    ]:
+        hist = bin_samples(values, n_bins=1200, lo=lo, hi=hi)
+        with pytest.raises(ValidationError, match="lie too far off the smoothing grid .* below "
+                           "the smallest normal double"):
+            smooth_marginal(hist, bandwidth=bandwidth)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
@@ -750,6 +756,24 @@ def _loop_bootstrap_stderr(values, n_boot, seed, **kwargs):
     stack = [_chain(values[rng.integers(0, values.size, size=values.size)],
                     **kwargs)[2].values for _ in range(n_boot)]
     return np.std(stack, axis=0, ddof=1)
+
+
+@pytest.mark.parametrize("grid_points", [2401, 2001])  # the lattice and the dense sum
+@pytest.mark.parametrize("bandwidth", [None, 0.15])
+def test_bootstrap_stderr_is_the_replicate_loop_bit_for_bit(grid_points, bandwidth):
+    # Each replicate smoothed on its own by smooth_marginal, from the same
+    # draws: one smoother prepared for every replicate changes no bit.
+    x = _draws(0.553, 4_000, 24)
+    n_boot, seed, k = 6, 5, grid_points // 2
+    prof = bootstrap_profile(x, n_boot=n_boot, seed=seed, bandwidth=bandwidth,
+                             grid_points=grid_points)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    diffs = np.array([np.diff(smooth_marginal(bin_samples(x[rng.integers(0, x.size, size=x.size)]),
+                                              bandwidth=bandwidth,
+                                              grid_points=grid_points).density[k:])
+                      for _ in range(n_boot)])
+    matrix = _abel_operator(6.0, k + 1, 4.0, 401)
+    assert np.array_equal(prof.stderr, np.std(diffs @ matrix.T, axis=0, ddof=1))
 
 
 @pytest.mark.parametrize("bandwidth", [None, 0.15])

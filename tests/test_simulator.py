@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -517,6 +518,34 @@ def test_read_never_allocates_the_header_count(tmp_path):
     with pytest.raises(DatasetFormatError, match="holds 32 bytes, expected 16 \\* "
                        "\\(n_vacuum \\+ n_fock\\) = 16000000000000016"):
         read_dataset(path)
+
+
+def _unsupported_version_file(tmp_path):
+    # a format_version=9 header over a 1.6 MB body of zeros, the size its
+    # counts claim
+    path = _write_and_edit(tmp_path, lambda ls: ls.__setitem__(0, "# format_version=9"))
+    header = path.read_bytes().partition(b"# end_header\n")[0]
+    header = header.replace(b"# n_vacuum=5\n", b"# n_vacuum=100000\n")
+    path.write_bytes(header + b"# end_header\n" + bytes(16 * 100_005))
+    return path
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+@pytest.mark.parametrize("piped", [False, True])
+def test_read_checks_the_header_before_the_body(tmp_path, fifo_of, piped):
+    # A rejected header costs no body read: the peak is far below the body.
+    # Piped, the reader closes the pipe with most of the body unsent, and
+    # the feeder's broken pipe is no error.
+    path = _unsupported_version_file(tmp_path)
+    source = fifo_of(path) if piped else path
+    tracemalloc.start()
+    try:
+        with pytest.raises(DatasetFormatError, match="^unsupported format_version 9, expected 2$"):
+            read_dataset(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 100_005 / 20
 
 
 @pytest.mark.parametrize("version", [1, 2])

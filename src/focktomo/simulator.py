@@ -1,7 +1,7 @@
 """Seeded synthetic homodyne runs: a calibration block of vacuum quadratures
 followed by a signal block drawn from the efficiency mixture, both passed
 through an affine detector map raw = scale * X + offset.  The two blocks are
-a run's only structure: rows [0, n_vacuum) of each column, then the rest.
+a run's only structure: rows [0, n_vacuum) of the raw values, then the rest.
 
 Quadratures are drawn as the mixture they are: each event is a photon with
 probability eta, else vacuum.  A vacuum draw is N(0, 1/4), i.e. z0 / 2 for a
@@ -17,14 +17,15 @@ photon draw with eta = 0, and each signal event is a photon with probability
 eta * (1 - d); the simulator draws that one Bernoulli per event.
 
 Reproducibility: one integer seed is split with numpy's SeedSequence into two
-independent PCG64 streams (vacuum block, signal block).  Each stream draws,
-block by block: all phase uniforms, then one photon uniform per event, then
-one standard normal per event, then two standard normals per photon event.
-Files record this stream as rng=numpy-pcg64-mixture.
+independent PCG64 streams (vacuum block, signal block).  Each stream first
+advances past n draws, where format_version=2 drew the n phases that no
+analysis reads, so every seed's raw values are those format 2 stored, bit for
+bit.  Then it draws one photon uniform per event, one standard normal per
+event, and two standard normals per photon event.  Files record this stream
+as rng=numpy-pcg64-mixture.
 
-The library reads and writes one file format, format_version=2 (see
-write_dataset).  scripts/convert_v1.py converts a file of the earlier text
-format to it.
+The library reads and writes one file format, format_version=3 (see
+write_dataset).  scripts/convert.py converts an earlier format to it.
 """
 
 from __future__ import annotations
@@ -44,10 +45,8 @@ from .errors import (
 )
 from .kvtext import format_kv, parse_kv
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 RNG_NAME = "numpy-pcg64-mixture"
-
-_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,6 @@ class HomodyneDataset:
     vacuum_values and fock_values are views of raw_value, not copies."""
 
     spec: RunSpec
-    phase: np.ndarray
     raw_value: np.ndarray
     rng_name: str = RNG_NAME
 
@@ -135,24 +133,21 @@ def generate_run(spec: RunSpec) -> HomodyneDataset:
 
     Raises ValidationError if the detector map scale * X + offset overflows
     to a non-finite raw value for any event."""
-    seq_vacuum, seq_fock = np.random.SeedSequence(spec.seed).spawn(2)
     det = spec.detector
-
-    rng_v = np.random.Generator(np.random.PCG64(seq_vacuum))
-    phase_v = _TWO_PI * rng_v.random(spec.n_vacuum)
-    x_v = sample_quadrature(0.0, spec.n_vacuum, rng_v)
-
-    rng_f = np.random.Generator(np.random.PCG64(seq_fock))
-    phase_f = _TWO_PI * rng_f.random(spec.n_fock)
-    x_f = sample_quadrature(spec.eta_true * (1.0 - det.dark_fraction), spec.n_fock, rng_f)
-
-    phase = np.concatenate([phase_v, phase_f])
+    # Each block's stream first skips the draws format_version=2 spent on
+    # phases.  advance takes a Python int: a numpy integer overflows in it.
+    blocks = zip(np.random.SeedSequence(spec.seed).spawn(2), (spec.n_vacuum, spec.n_fock),
+                 (0.0, spec.eta_true * (1.0 - det.dark_fraction)))
+    raw = np.concatenate([
+        sample_quadrature(eta, n, np.random.Generator(np.random.PCG64(seq).advance(int(n))))
+        for seq, n, eta in blocks])
     with np.errstate(over="ignore"):
-        raw = det.scale * np.concatenate([x_v, x_f]) + det.offset
+        raw *= det.scale
+        raw += det.offset
     if not np.all(np.isfinite(raw)):
         raise ValidationError(f"detector map scale * X + offset overflows for "
                               f"scale={det.scale}, offset={det.offset}")
-    return HomodyneDataset(spec=spec, phase=phase, raw_value=raw)
+    return HomodyneDataset(spec=spec, raw_value=raw)
 
 
 # Header keys, all required when reading, with their types.
@@ -163,26 +158,28 @@ _HEADER_TYPES = {"format_version": int, "rng": str, "seed": int, "eta_true": flo
 # The line that ends the header; the binary body follows it.
 _END_HEADER = "# end_header"
 
+# How read_dataset's errors name the converter of the earlier formats.
+_CONVERTER = "scripts/convert.py OLD NEW"
+
 # The first buffer for a body read from a pipe, in bytes.
 _PIPE_CHUNK = 1 << 20
 
 
 def write_dataset(dataset: HomodyneDataset, path) -> None:
-    """Write a run in format_version=2: '# key=value' header lines, the line
-    '# end_header', then the body as two little-endian float64 columns, all
-    n_vacuum + n_fock phases and then all raw values.
+    """Write a run in format_version=3: '# key=value' header lines, the line
+    '# end_header', then the body, the n_vacuum + n_fock raw values as
+    little-endian float64 and nothing else.
 
-    The run must pass read_dataset's checks: phase and raw_value of the
-    spec's n_vacuum + n_fock rows, finite, and phases in [0, 2 pi).  rng_name
-    must be printable with no surrounding whitespace, so that it reads back
-    unchanged.  A ValidationError is raised before `path` is opened."""
+    The run must pass read_dataset's checks: raw_value holds the spec's
+    n_vacuum + n_fock rows, all finite.  rng_name must be printable with no
+    surrounding whitespace, so that it reads back unchanged.  A
+    ValidationError is raised before `path` is opened."""
     spec, det = dataset.spec, dataset.spec.detector
     name = dataset.rng_name
     if not (isinstance(name, str) and name.isprintable() and name == name.strip()):
         raise ValidationError(f"rng_name must be printable, with no surrounding "
                               f"whitespace, got {name!r}")
-    columns = _check_body(dataset.phase, dataset.raw_value, spec.n_vacuum, spec.n_fock,
-                          ValidationError)
+    raw = _check_body(dataset.raw_value, spec.n_vacuum + spec.n_fock, ValidationError)
     header = format_kv({
         "format_version": FORMAT_VERSION, "rng": name,
         "seed": spec.seed, "eta_true": spec.eta_true, "scale": det.scale,
@@ -191,24 +188,19 @@ def write_dataset(dataset: HomodyneDataset, path) -> None:
     }, prefix="# ")
     with open(path, "wb") as fh:
         fh.write("\n".join([*header, _END_HEADER, ""]).encode("utf-8"))
-        for column in columns:
-            fh.write(np.ascontiguousarray(column, dtype="<f8"))
+        fh.write(np.ascontiguousarray(raw, dtype="<f8"))
 
 
-def _check_body(phase, raw_value, n_vacuum: int, n_fock: int, error):
+def _check_body(raw_value, n: int, error) -> np.ndarray:
     # The body rules shared by read_dataset and write_dataset; raises `error`
-    # naming the first one broken.  Returns both columns as arrays.
-    n = n_vacuum + n_fock
-    phase = np.asarray(phase, dtype=float)
+    # naming the first one broken.  Returns the raw values as an array.
     raw_value = np.asarray(raw_value, dtype=float)
-    if phase.shape != (n,) or raw_value.shape != (n,):
-        raise error(f"phase and raw_value must be 1-d of one length n_vacuum + n_fock = "
-                    f"{n}, got shapes {phase.shape} and {raw_value.shape}")
-    if not np.all(np.isfinite(phase)) or not np.all(np.isfinite(raw_value)):
+    if raw_value.shape != (n,):
+        raise error(f"raw_value must be 1-d of length n_vacuum + n_fock = {n}, "
+                    f"got shape {raw_value.shape}")
+    if not np.all(np.isfinite(raw_value)):
         raise error("non-finite sample values")
-    if np.any((phase < 0.0) | (phase >= _TWO_PI)):
-        raise error("phase outside [0, 2*pi)")
-    return phase, raw_value
+    return raw_value
 
 
 def _read_header(fh) -> list[tuple[int, str]]:
@@ -225,7 +217,7 @@ def _read_header(fh) -> list[tuple[int, str]]:
             return header
         if not line or (stripped and not stripped.startswith(b"#")):
             raise DatasetFormatError(f"dataset has no '{_END_HEADER}' line; a version 1 "
-                                     f"text file converts with scripts/convert_v1.py OLD NEW")
+                                     f"text file converts with {_CONVERTER}")
         lineno += 1
         if stripped:
             try:
@@ -264,21 +256,22 @@ def read_dataset(path) -> HomodyneDataset:
     The header is the leading block of '#' lines, decoded as UTF-8, and the
     line '# end_header' ends it; unknown keys are ignored.  A file that ends,
     or holds any other line, before the end line is rejected with a message
-    naming scripts/convert_v1.py, the converter of the earlier text format.
-    Any format_version but 2 is rejected.  The body is exactly 16 * (n_vacuum
-    + n_fock) bytes, read as write_dataset writes them, and passes the checks
-    write_dataset makes.  The file is read once, front
-    to back, so `path` may be a pipe.  The header is parsed and checked
-    before any body byte is read, so a rejected header costs no body read.
-    The body is read in place into one float64 buffer, sized by the bytes
-    the file holds and never by the header's counts, whose two rows are the
-    returned columns (writable, not copied)."""
+    naming scripts/convert.py, the converter of the earlier formats; so is a
+    format_version=2 file.  Any other format_version but 3 is rejected.  The
+    body is exactly 8 * (n_vacuum + n_fock) bytes, read as write_dataset
+    writes them, and passes the checks write_dataset makes.  The file is
+    read once, front to back, so `path` may be a pipe.  The header is parsed
+    and checked before any body byte is read, so a rejected header costs no
+    body read.  The body is read in place into one float64 buffer, sized by
+    the bytes the file holds and never by the header's counts, which is the
+    returned raw_value (writable, not copied)."""
     with open(path, "rb") as fh:
         header = parse_kv(_read_header(fh), _HEADER_TYPES, "header", required=_HEADER_TYPES)
         version = header["format_version"]
         if version != FORMAT_VERSION:
-            raise DatasetFormatError(f"unsupported format_version {version}, "
-                                     f"expected {FORMAT_VERSION}")
+            hint = f"; a version {version} file converts with {_CONVERTER}"
+            raise DatasetFormatError(f"unsupported format_version {version}, expected "
+                                     f"{FORMAT_VERSION}{hint if version in (1, 2) else ''}")
         spec = RunSpec(
             eta_true=header["eta_true"], n_vacuum=header["n_vacuum"], n_fock=header["n_fock"],
             detector=DetectorModel(scale=header["scale"], offset=header["offset"],
@@ -287,9 +280,8 @@ def read_dataset(path) -> HomodyneDataset:
         )
         body, nbytes = _read_floats(fh)
     n = spec.n_vacuum + spec.n_fock
-    if nbytes != 16 * n:
-        raise DatasetFormatError(f"binary body holds {nbytes} bytes, expected 16 * "
-                                 f"(n_vacuum + n_fock) = {16 * n}")
-    phase, raw = _check_body(*body.reshape(2, n), spec.n_vacuum, spec.n_fock,
-                             DatasetFormatError)
-    return HomodyneDataset(spec=spec, phase=phase, raw_value=raw, rng_name=header["rng"])
+    if nbytes != 8 * n:
+        raise DatasetFormatError(f"binary body holds {nbytes} bytes, expected 8 * "
+                                 f"(n_vacuum + n_fock) = {8 * n}")
+    raw = _check_body(body, n, DatasetFormatError)
+    return HomodyneDataset(spec=spec, raw_value=raw, rng_name=header["rng"])

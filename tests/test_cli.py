@@ -215,7 +215,7 @@ def test_missing_dataset_is_validation_error(tmp_path, capsys):
 
 def test_corrupt_dataset_is_validation_error(tmp_path, capsys):
     path = _simulate(tmp_path)
-    path.write_bytes(path.read_bytes().replace(b"# format_version=2\n", b"# format_version=99\n"))
+    path.write_bytes(path.read_bytes().replace(b"# format_version=3\n", b"# format_version=99\n"))
     outdir = tmp_path / "o"
     code = main(["reconstruct", str(path), "-o", str(outdir)])
     assert code == EXIT_VALIDATION
@@ -230,7 +230,7 @@ def test_v1_dataset_exits_3_naming_the_converter(tmp_path, capsys, write_v1):
     assert code == EXIT_VALIDATION
     assert not outdir.exists()
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "convert_v1.py" in err and "Traceback" not in err
+    assert err.startswith("error:") and "convert.py" in err and "Traceback" not in err
 
 
 def test_invalid_eta_is_validation_error(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Fuzz tests of the readers: whatever a file holds, a reader returns or
-raises a ValidationError subclass, and the CLI and scripts/convert_v1.py exit
-0 or 3."""
+raises a ValidationError subclass, and the CLI and scripts/convert.py exit 0
+or 3."""
 
 import pytest
 from hypothesis import given
@@ -17,8 +17,8 @@ from focktomo.simulator import read_dataset
 _NEAR_VALID_LINES = st.sampled_from([
     "# format_version=1", "# rng=numpy-pcg64", "# seed=3", "# eta_true=0.5",
     "# scale=1.0", "# offset=0.0", "# dark_fraction=0.0", "# n_vacuum=1", "# n_fock=1",
-    "# n_fock=-1", "# format_version=2", "# end_header", "# eta_true=nan", "# =5", "#",
-    "# seed=1.5",
+    "# n_fock=-1", "# format_version=2", "# format_version=3", "# end_header",
+    "# eta_true=nan", "# =5", "#", "# seed=1.5",
     "V 0.5 0.1", "F 1.0 -0.2", "F 7.0 0.1", "V 0.5 nan", "VX 0.1 0.1", "F 1.0",
     "budget_format_version=1", "eta_predicted=0.5", "eta_uncertainty=0.01",
     "n_factors=2", "eta_predicted=nan", "eta_uncertainty=-1", "n_factors=x",
@@ -33,21 +33,23 @@ _TEXT = st.one_of(
 _CONTENT = st.one_of(st.binary(), _TEXT.map(lambda text: text.encode("utf-8")))
 
 
-def _v2_header(n_vacuum: int, n_fock: int) -> bytes:
-    return (f"# format_version=2\n# rng=numpy-pcg64-mixture\n# seed=3\n# eta_true=0.5\n"
-            f"# scale=1.0\n# offset=0.0\n# dark_fraction=0.0\n# n_vacuum={n_vacuum}\n"
-            f"# n_fock={n_fock}\n# end_header\n").encode()
+def _header(version: int, n_vacuum: int, n_fock: int) -> bytes:
+    return (f"# format_version={version}\n# rng=numpy-pcg64-mixture\n# seed=3\n"
+            f"# eta_true=0.5\n# scale=1.0\n# offset=0.0\n# dark_fraction=0.0\n"
+            f"# n_vacuum={n_vacuum}\n# n_fock={n_fock}\n# end_header\n").encode()
 
 
-# A valid format_version=2 header, then any bytes: of any length, or of the
-# length the header asks for.
-_V2_DATASET = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
-    lambda counts: st.one_of(
-        st.binary(), st.binary(min_size=16 * sum(counts), max_size=16 * sum(counts))
-    ).map(lambda body: _v2_header(*counts) + body))
+# A valid format_version=2 or 3 header, then any bytes: of any length, or of
+# the length the header asks for (16 or 8 bytes per event).
+_EVENT_BYTES = {2: 16, 3: 8}
+_DATASET = st.tuples(st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda head: st.one_of(
+        st.binary(), st.binary(min_size=_EVENT_BYTES[head[0]] * (head[1] + head[2]),
+                               max_size=_EVENT_BYTES[head[0]] * (head[1] + head[2]))
+    ).map(lambda body: _header(*head) + body))
 
 
-@given(st.one_of(_CONTENT, _V2_DATASET))
+@given(st.one_of(_CONTENT, _DATASET))
 def test_read_dataset_returns_or_raises_validation_error(tmp_path_factory, content):
     path = tmp_path_factory.getbasetemp() / "fuzz_dataset.txt"
     path.write_bytes(content)
@@ -62,19 +64,20 @@ def test_read_dataset_returns_or_raises_validation_error(tmp_path_factory, conte
         pass
 
 
-@given(st.one_of(_CONTENT, _V2_DATASET))
-def test_any_file_converts_or_exits_3(tmp_path_factory, convert_v1, content):
+@given(st.one_of(_CONTENT, _DATASET))
+def test_any_file_converts_or_exits_3(tmp_path_factory, convert, content):
     base = tmp_path_factory.getbasetemp()
     old, new = base / "fuzz_v1.txt", base / "fuzz_converted.dat"
     old.write_bytes(content)
     new.unlink(missing_ok=True)
-    code = convert_v1.main([str(old), str(new)])
+    code = convert.main([str(old), str(new)])
     assert code in (EXIT_OK, EXIT_VALIDATION)
     assert new.exists() == (code == EXIT_OK)
 
 
-@given(_V2_DATASET)
+@given(_DATASET)
 def test_any_v2_dataset_reconstructs_or_exits_3(tmp_path_factory, content):
+    # a version 2 file exits 3 on its header; a version 3 one may reconstruct
     base = tmp_path_factory.getbasetemp()
     path = base / "fuzz_v2.dat"
     path.write_bytes(content)

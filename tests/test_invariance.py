@@ -66,7 +66,7 @@ def test_event_order_within_a_block_does_not_matter(seed, eta, shuffle_seed):
     run = _run(eta, seed)
     rng = np.random.default_rng(shuffle_seed)
     perm = np.concatenate([rng.permutation(N_VACUUM), N_VACUUM + rng.permutation(N_FOCK)])
-    shuffled = HomodyneDataset(spec=run.spec, phase=run.phase[perm], raw_value=run.raw_value[perm])
+    shuffled = HomodyneDataset(spec=run.spec, raw_value=run.raw_value[perm])
     got, want = reconstruct_dataset(shuffled), reconstruct_dataset(run)
     assert np.array_equal(got.histogram.counts, want.histogram.counts)
     assert np.array_equal(got.profile.values, want.profile.values)
@@ -85,7 +85,7 @@ def test_reflecting_the_signal_about_the_vacuum_mean(seed, eta):
     run = _run(eta, seed)
     raw = run.raw_value.copy()
     raw[N_VACUUM:] = 2.0 * np.mean(raw[:N_VACUUM]) - raw[N_VACUUM:]
-    got = reconstruct_dataset(HomodyneDataset(spec=run.spec, phase=run.phase, raw_value=raw))
+    got = reconstruct_dataset(HomodyneDataset(spec=run.spec, raw_value=raw))
     want = reconstruct_dataset(run)
     assert np.array_equal(got.histogram.counts, want.histogram.counts[::-1])
     assert np.max(np.abs(got.profile.values - want.profile.values)) <= 1e-12
@@ -100,5 +100,4 @@ def test_dark_counts_are_a_lower_efficiency(seed, eta, dark):
     # Measured: identical arrays.
     got = _run(eta, seed, DetectorModel(dark_fraction=dark))
     want = _run(eta * (1.0 - dark), seed)
-    assert np.array_equal(got.phase, want.phase)
     assert np.array_equal(got.raw_value, want.raw_value)

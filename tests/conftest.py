@@ -65,6 +65,25 @@ def convert():
     return module
 
 
+def _exits_3_and_writes_no_new(old, convert, capsys, message):
+    fresh, kept = old.parent / "fresh.dat", old.parent / "kept.dat"
+    kept.write_bytes(b"earlier contents")
+    for new in (fresh, kept):
+        assert convert.main([str(old), str(new)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier contents"
+
+
+@pytest.fixture(scope="session")
+def exits_3_and_writes_no_new():
+    """A function that checks scripts/convert.py (the `convert` module)
+    exits 3 on the file `old` with `message` on stderr, and leaves NEW as it
+    was, whether NEW was absent or held earlier contents."""
+    return _exits_3_and_writes_no_new
+
+
 def _format2_columns(spec):
     # The phase and raw_value columns generate_run drew for `spec` in
     # format_version=2: per block, one PCG64 stream drew n phase uniforms

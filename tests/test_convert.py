@@ -1,12 +1,11 @@
-"""scripts/convert.py OLD NEW on the command line, run in-process through the
-convert fixture.  Its version 1 parser's rules are tested in
-test_simulator.py, beside the format_version=3 reader's."""
+"""scripts/convert.py OLD NEW on format_version=2 and 3 files, run in-process
+through the convert fixture.  Its format_version=1 text files are tested in
+test_convert_v1.py."""
 
 import numpy as np
 import pytest
 
 from focktomo.cli import main
-from focktomo.errors import DatasetFormatError
 from focktomo.simulator import (
     DetectorModel,
     HomodyneDataset,
@@ -17,55 +16,18 @@ from focktomo.simulator import (
 )
 
 
-def _old_file(tmp_path, write_old, edit=lambda data: data):
-    # a format_version=1 or 2 file of a 5 + 5 run, its bytes passed through
-    # `edit`
-    path = write_old(generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8)),
-                     tmp_path / "run.old")
+def _v2_file(tmp_path, write_v2, edit=lambda data: data):
+    # a format_version=2 file of a 5 + 5 run, its bytes passed through `edit`
+    path = write_v2(generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8)),
+                    tmp_path / "run_v2.dat")
     path.write_bytes(edit(path.read_bytes()))
     return path
-
-
-def _first_sample(data, field, value):
-    # the first sample line with its field 0, 1 or 2 (source, phase, raw
-    # value) replaced by `value`
-    lines = data.split(b"\n")
-    parts = lines[9].split()
-    parts[field] = value
-    lines[9] = b" ".join(parts)
-    return b"\n".join(lines)
 
 
 def _v2_float(data, index, value):
     # body float `index` (10 phases, then 10 raw values) set to `value`
     at = len(data) - 160 + 8 * index
     return data[:at] + np.array(value, dtype="<f8").tobytes() + data[at + 8:]
-
-
-def _assert_exits_3_and_writes_no_new(old, convert, capsys, message):
-    fresh, kept = old.parent / "fresh.dat", old.parent / "kept.dat"
-    kept.write_bytes(b"earlier contents")
-    for new in (fresh, kept):
-        assert convert.main([str(old), str(new)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err and "Traceback" not in err
-    assert not fresh.exists()
-    assert kept.read_bytes() == b"earlier contents"
-
-
-@pytest.mark.parametrize("edit,message", [
-    (lambda data: _first_sample(data, 0, b"X"), "sample 1: source 'X'"),
-    (lambda data: _first_sample(data, 1, b"6.9"), "phase outside"),
-    (lambda data: _first_sample(data, 2, b"nan"), "non-finite"),
-    (lambda data: _first_sample(data, 2, b"\xff"), "not UTF-8"),
-    (lambda data: data.replace(b"# n_fock=5\n", b""), "missing keys: n_fock"),
-    (lambda data: data.replace(b"# n_fock=5\n", b"# n_fock=-5\n"), "n_fock must be"),
-    (lambda data: b"", "missing keys"),
-], ids=["source", "phase", "non-finite", "non-utf8", "missing-key", "bad-count", "empty"])
-def test_malformed_input_exits_3_and_writes_no_new(tmp_path, write_v1, convert, capsys,
-                                                    edit, message):
-    _assert_exits_3_and_writes_no_new(_old_file(tmp_path, write_v1, edit), convert, capsys,
-                                      message)
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -77,15 +39,8 @@ def test_malformed_input_exits_3_and_writes_no_new(tmp_path, write_v1, convert, 
     (lambda data: data.replace(b"# end_header\n", b""), "format_version=2 takes an '# end"),
 ], ids=["short", "long", "phase", "nan-phase", "non-finite", "no-end-line"])
 def test_malformed_v2_input_exits_3_and_writes_no_new(tmp_path, write_v2, convert, capsys,
-                                                       edit, message):
-    _assert_exits_3_and_writes_no_new(_old_file(tmp_path, write_v2, edit), convert, capsys,
-                                      message)
-
-
-def test_missing_old_exits_3(tmp_path, convert, capsys):
-    assert convert.main([str(tmp_path / "nope.txt"), str(tmp_path / "new.dat")]) == 3
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "new.dat").exists()
+                                                       exits_3_and_writes_no_new, edit, message):
+    exits_3_and_writes_no_new(_v2_file(tmp_path, write_v2, edit), convert, capsys, message)
 
 
 def test_v3_file_is_not_converted(tmp_path, convert, capsys):
@@ -94,24 +49,6 @@ def test_v3_file_is_not_converted(tmp_path, convert, capsys):
     assert convert.main([str(old), str(tmp_path / "new.dat")]) == 3
     assert "unsupported format_version 3, expected 1 or 2" in capsys.readouterr().err
     assert not (tmp_path / "new.dat").exists()
-
-
-def test_v1_file_with_an_end_line_is_rejected(tmp_path, write_v1, convert):
-    path = _old_file(tmp_path, write_v1,
-                     lambda data: data.replace(b"# n_fock=5\n", b"# n_fock=5\n# end_header\n"))
-    with pytest.raises(DatasetFormatError, match="format_version=1 takes no '# end_header'"):
-        convert.read_old(path)
-
-
-def test_rng_tag_is_kept(tmp_path, write_v1, convert):
-    # rng=numpy-pcg64 marks a file of the inverse-CDF sampler
-    ds = generate_run(RunSpec(eta_true=0.5, n_vacuum=5, n_fock=5, seed=8))
-    ds.rng_name = "numpy-pcg64"
-    new = tmp_path / "new.dat"
-    assert convert.main([str(write_v1(ds, tmp_path / "run.txt")), str(new)]) == 0
-    back = read_dataset(new)
-    assert back.rng_name == "numpy-pcg64" and back.spec == ds.spec
-    assert np.array_equal(back.raw_value.view(np.uint64), ds.raw_value.view(np.uint64))
 
 
 def test_v2_mixture_file_converts_to_what_simulate_writes(tmp_path, write_v2, convert,

@@ -26,7 +26,9 @@ inverse-CDF sampler, all of them version 1, and rng=numpy-pcg64-mixture the
 mixture sampler, whose format 2 files convert to the bytes focktomo
 simulate now writes for the same header.
 
-The run is written with focktomo.simulator.write_dataset, whose checks (n
+The header is read, and its RunSpec built, by focktomo.simulator's own
+reader, the one read_dataset uses, so a header reads the same in both.  The
+run is written with focktomo.simulator.write_dataset, whose checks (n
 finite raw values) the samples must pass.  OLD is read once, front to back,
 so it may be a pipe, and its header is checked before its body is read.  A
 malformed OLD prints 'error: ...' and exits 3, and NEW is not written.
@@ -46,10 +48,10 @@ from focktomo.kvtext import parse_kv
 from focktomo.simulator import (
     _END_HEADER,
     _HEADER_TYPES,
-    DetectorModel,
     HomodyneDataset,
-    RunSpec,
     _read_floats,
+    _read_header,
+    _run_spec,
     write_dataset,
 )
 
@@ -58,30 +60,6 @@ from focktomo.simulator import (
 # whole and rejected, not truncated to "V".
 _SAMPLE_DTYPE = np.dtype([("source", "U2"), ("phase", float), ("raw_value", float)])
 SOURCE_VACUUM, SOURCE_FOCK = "V", "F"
-
-
-def _read_header(fh) -> tuple[list[tuple[int, str]], bytes | None]:
-    # The header is the leading block of '#' and blank lines, ended early by
-    # an '# end_header' line.  Returns its (line number, text after '#')
-    # pairs, and None if the end line was found, leaving fh at the first body
-    # byte, else the first body line (b"" at the end of the file).  fh is only
-    # read forward, so it may be a pipe.  Only header lines are decoded.
-    header: list[tuple[int, str]] = []
-    lineno = 0
-    while True:
-        line = fh.readline()
-        stripped = line.strip()
-        if stripped == _END_HEADER.encode():
-            return header, None
-        if not line or (stripped and not stripped.startswith(b"#")):
-            return header, line
-        lineno += 1
-        if stripped:
-            try:
-                header.append((lineno, stripped[1:].decode("utf-8")))
-            except UnicodeDecodeError as exc:
-                raise DatasetFormatError(f"line {lineno}: header is not UTF-8 text: {exc}"
-                                         ) from exc
 
 
 def _text_body(data: bytes, n_vacuum: int, n_fock: int):
@@ -138,12 +116,7 @@ def read_old(path) -> HomodyneDataset:
         if (first_line is None) != (version == 2):
             raise DatasetFormatError(f"format_version={version} takes "
                                      f"{'an' if version == 2 else 'no'} '{_END_HEADER}' line")
-        spec = RunSpec(
-            eta_true=header["eta_true"], n_vacuum=header["n_vacuum"], n_fock=header["n_fock"],
-            detector=DetectorModel(scale=header["scale"], offset=header["offset"],
-                                   dark_fraction=header["dark_fraction"]),
-            seed=header["seed"],
-        )
+        spec = _run_spec(header)
         if version == 1:
             phase, raw = _text_body(first_line + fh.read(), spec.n_vacuum, spec.n_fock)
         else:

@@ -57,6 +57,8 @@ def build_report(summary: ReconstructionSummary, dataset: HomodyneDataset,
                  dataset_path: str | None = None,
                  timestamp: str | None = None) -> RunReport:
     """Assemble the report sections for one reconstructed run."""
+    from .states import wigner_radial  # loaded by the reconstruction already
+
     spec = dataset.spec
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -66,6 +68,7 @@ def build_report(summary: ReconstructionSummary, dataset: HomodyneDataset,
         diagonals[f"rho_{d.n}{d.n}"] = d.rho_nn
         diagonals[f"sigma_{d.n}{d.n}"] = d.sigma_nn
         diagonals[f"sigma_{d.n}{d.n}_uncentered"] = d.sigma_nn_uncentered
+    diagonals["rho_sum"] = sum(d.rho_nn for d in summary.diagonals)
 
     sections = {
         "dataset": {
@@ -101,6 +104,7 @@ def build_report(summary: ReconstructionSummary, dataset: HomodyneDataset,
             "origin_reconstructed": summary.wigner_origin_reconstructed,
             "profile_normalization": summary.profile.normalization(),
             "origin_consistent_with_fit": summary.origin_consistent_with_fit(),
+            "origin_model": wigner_radial(summary.efficiency.eta_hat, 0.0),
         },
         "analysis": {
             "source": summary.analysis_source,

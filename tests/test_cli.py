@@ -12,6 +12,7 @@ import pytest
 from focktomo import pipeline
 from focktomo.cli import ENV_CONFIG, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from focktomo.simulator import read_dataset, write_dataset
+from focktomo.states import wigner_radial
 
 
 def _simulate(tmp_path, name="run.txt", extra=()):
@@ -107,6 +108,10 @@ def test_vacuum_only_reconstruct(tmp_path):
     assert report["analysis"]["source"] == "vacuum_control"
     assert report["efficiency"]["eta_hat"] == pytest.approx(0.0, abs=0.02)
     assert report["diagonals"]["rho_00"] == pytest.approx(1.0, abs=0.02)
+    # the two summary lines are what they name, bit for bit
+    diagonals = report["diagonals"]
+    assert diagonals["rho_sum"] == sum(diagonals[f"rho_{n}{n}"] for n in range(4))
+    assert report["wigner"]["origin_model"] == wigner_radial(report["efficiency"]["eta_hat"], 0.0)
 
 
 def test_budget_stdout_and_file(tmp_path, capsys):
@@ -345,9 +350,11 @@ _REFERENCE_REPORT = {
                    "objective": 12624.618780815292},
     "calibration": {"scale_hat": 1.002638970801738, "offset_hat": -0.0005086163680511723,
                     "fit_residual": 0.006080729749422906},
-    "diagonals": {"rho_11": 0.5807048215710435, "sigma_11": 0.011554037616833926},
+    "diagonals": {"rho_11": 0.5807048215710435, "sigma_11": 0.011554037616833926,
+                  "rho_sum": 0.9840856067970885},
     "wigner": {"origin_reconstructed": -0.040146971249130026,
-               "profile_normalization": 1.0000021054417183},
+               "profile_normalization": 1.0000021054417183,
+               "origin_model": -0.07969736396811171},
     "config": {"bandwidth": 0.09980960492801365},
 }
 _REFERENCE_CONFIG = {"fit_method": "mle", "bandwidth_scale": 1.0, "grid_max": 6.0,

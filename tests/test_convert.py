@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from focktomo.cli import main
+from focktomo.errors import DatasetFormatError
 from focktomo.simulator import (
     DetectorModel,
     HomodyneDataset,
@@ -80,3 +81,13 @@ def test_v2_file_exits_3_in_reconstruct_naming_the_converter(tmp_path, write_v2,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "scripts/convert.py" in err and "Traceback" not in err
     assert not outdir.exists()
+
+
+def test_non_utf8_header_reads_the_same_in_the_library_and_the_converter(
+        tmp_path, write_v2, convert, capsys, exits_3_and_writes_no_new):
+    # one header reader serves both: line 2, the rng line, is not UTF-8
+    old = _v2_file(tmp_path, write_v2,
+                   lambda data: data.replace(b"# rng=numpy-pcg64-mixture", b"# rng=\xff\xfe\x81"))
+    with pytest.raises(DatasetFormatError, match="line 2: header is not UTF-8 text") as exc:
+        read_dataset(old)
+    exits_3_and_writes_no_new(old, convert, capsys, f"error: {exc.value}\n")

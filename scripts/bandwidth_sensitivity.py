@@ -8,9 +8,7 @@ several times, scaling the rule-of-thumb kernel bandwidth by each requested
 factor, and reports W(0) read off the inverted radial profile next to the
 bandwidth-independent references (the rho_11 sampler and the efficiency
 fit).  The efficiency fit and the diagonals work on the raw samples, so only
-the profile column should move: reconstruct_dataset computes the
-calibration, fit and diagonals once per sweep and reuses them at each later
-scale.
+the profile column should move: the run is prepared once for all scales.
 
 A dataset the reader rejects, or a scale the reconstruction rejects, prints
 'error: ...' and exits 3; a numerical failure exits 4.  A malformed --scales
@@ -24,7 +22,7 @@ import sys
 
 from focktomo.cli import EXIT_NUMERICS, EXIT_OK, EXIT_VALIDATION
 from focktomo.errors import NumericsError, ValidationError
-from focktomo.pipeline import ReconstructionConfig, reconstruct_dataset
+from focktomo.pipeline import ReconstructionConfig, prepare_run
 from focktomo.simulator import read_dataset
 
 
@@ -50,9 +48,9 @@ def main(argv=None) -> int:
               f"  seed={spec.seed}")
         print()
         print("  scale   bandwidth   W(0) profile   W(0) from rho_11   eta_hat")
-        origins = []
+        origins, run = [], prepare_run(dataset)
         for s in args.scales:
-            summary = reconstruct_dataset(dataset, ReconstructionConfig(bandwidth_scale=s))
+            summary = run.reconstruct(ReconstructionConfig(bandwidth_scale=s))
             w0 = summary.wigner_origin_reconstructed
             origins.append(w0)
             print(f"  {s:5.2f}   {summary.density.bandwidth:9.5f}   {w0:+12.5f}"

@@ -18,7 +18,8 @@ _EXPORTS = {
                "combine", "default_factors", "load_factors"),
     "calibration": ("CalibrationResult", "fit_vacuum", "rescale"),
     "errors": ("DatasetFormatError", "NumericsError", "ValidationError"),
-    "pipeline": ("ReconstructionConfig", "ReconstructionSummary", "reconstruct_dataset"),
+    "pipeline": ("PreparedRun", "ReconstructionConfig", "ReconstructionSummary", "prepare_run",
+                 "reconstruct_dataset"),
     "reconstruction": ("DiagonalEstimate", "EfficiencyFit", "GridDensity", "MarginalHistogram",
                        "RadialWignerProfile", "abel_inverse", "bin_samples", "fit_efficiency",
                        "sample_diagonals", "smooth_marginal"),

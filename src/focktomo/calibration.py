@@ -64,7 +64,8 @@ def fit_vacuum(values, method: str = "moments") -> CalibrationResult:
     """Estimate (scale, offset) from a vacuum block.
 
     `values` must be a 1-d array of at least MIN_CALIBRATION_SAMPLES finite
-    raw values.  "moments" takes the mean and sample standard deviation;
+    raw values whose mean and spread are finite in float64 (else
+    NumericsError).  "moments" takes the mean and sample standard deviation;
     "histogram" starts there and takes Gauss-Newton steps until both are at
     most 1e-15 (scale + |offset|), raising NumericsError if the scale leaves
     (0, inf) or after MAX_GAUSS_NEWTON_STEPS steps.  fit_residual is the
@@ -74,8 +75,11 @@ def fit_vacuum(values, method: str = "moments") -> CalibrationResult:
         raise ValidationError(f"unknown calibration method {method!r}")
     values = check_samples(values, "vacuum calibration", MIN_CALIBRATION_SAMPLES)
 
-    offset_hat = float(np.mean(values))
-    std = float(np.std(values, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        offset_hat = float(np.mean(values))
+        std = float(np.std(values, ddof=1))
+    if not (np.isfinite(offset_hat) and np.isfinite(std)):
+        raise NumericsError("vacuum block's mean or spread overflows float64; cannot calibrate")
     if std == 0.0:
         raise NumericsError("vacuum block has zero variance; cannot calibrate")
     scale_hat = std / VACUUM_STD

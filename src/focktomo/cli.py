@@ -142,12 +142,12 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace, config: dict) -> int:
-    from .pipeline import ReconstructionConfig, reconstruct_dataset
+    from .pipeline import ReconstructionConfig, prepare_run
     from .report import build_report, write_histogram_table, write_profile_table
     from .simulator import read_dataset
 
     dataset = read_dataset(args.dataset)
-    summary = reconstruct_dataset(dataset, ReconstructionConfig(**_settings(args, config)))
+    summary = prepare_run(dataset, ReconstructionConfig(**_settings(args, config))).reconstruct()
     report = build_report(summary, dataset, dataset_path=str(args.dataset))
 
     outdir = Path(args.output)

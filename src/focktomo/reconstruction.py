@@ -763,7 +763,8 @@ def fit_efficiency(values, method: str = "mle") -> EfficiencyFit:
     """Fit the efficiency of the vacuum/one-photon mixture.
 
     `values` must be a 1-d array of at least MIN_FIT_SAMPLES finite
-    calibrated quadratures.
+    calibrated quadratures, each with 4 x^2 - 1 finite in float64 (else
+    NumericsError).
 
     The density is pr_eta(X) = pr_0(X) (1 + eta (4 X^2 - 1)), linear in eta,
     so the log-likelihood is strictly concave and the score equation
@@ -787,8 +788,12 @@ def fit_efficiency(values, method: str = "mle") -> EfficiencyFit:
         raise ValidationError(f"unknown fit method {method!r}")
     values = check_samples(values, "efficiency fit", MIN_FIT_SAMPLES)
 
-    x2 = values * values
-    t = 4.0 * x2 - 1.0
+    with np.errstate(over="ignore"):  # checked below
+        x2 = values * values
+        t = 4.0 * x2 - 1.0
+    if not np.all(np.isfinite(t)):
+        raise NumericsError("efficiency fit: 4 x^2 - 1 overflows float64 at "
+                            f"|x| = {float(np.max(np.abs(values))):.3g}")
 
     if method == "mle":
         if _mle_score(0.0, t)[0] <= 0.0:
@@ -843,20 +848,27 @@ def sample_diagonals(values, n_max: int = MAX_ORDER) -> list[DiagonalEstimate]:
 
     `values` must be a non-empty 1-d array of finite floats.  rho_nn is the
     sample mean of pi f_nn(x_k); no binning or smoothing is involved, so the
-    estimates carry clean statistical errors.
+    estimates carry clean statistical errors.  NumericsError is raised if an
+    estimate or its error is not finite in float64 (a sample far out, say
+    |x| = 1e52 for n = 3).
     """
     values = check_samples(values, "diagonal sampling", 1)
     n_max = check_count("n_max", n_max, 0, MAX_ORDER)
     n_samples = values.size
     out = []
-    for n, v in enumerate(_scaled_kernels(values, n_max)):
-        rho = float(np.mean(v))
-        m2 = float(np.mean(v * v))
-        var_centered = max(m2 - rho * rho, 0.0)
-        out.append(DiagonalEstimate(
-            n=n,
-            rho_nn=rho,
-            sigma_nn=float(np.sqrt(var_centered / n_samples)),
-            sigma_nn_uncentered=float(np.sqrt(m2 / n_samples)),
-        ))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for n, v in enumerate(_scaled_kernels(values, n_max)):
+            rho = float(np.mean(v))
+            m2 = float(np.mean(v * v))
+            var_centered = max(m2 - rho * rho, 0.0)
+            out.append(DiagonalEstimate(
+                n=n,
+                rho_nn=rho,
+                sigma_nn=float(np.sqrt(var_centered / n_samples)),
+                sigma_nn_uncentered=float(np.sqrt(m2 / n_samples)),
+            ))
+    for d in out:
+        if not np.all(np.isfinite([d.rho_nn, d.sigma_nn, d.sigma_nn_uncentered])):
+            raise NumericsError(f"diagonal sampling: rho_{d.n}{d.n} or its error is not finite "
+                                f"in float64 (largest |x| {float(np.max(np.abs(values))):.3g})")
     return out

@@ -139,6 +139,14 @@ def test_degenerate_input_rejected():
         fit_vacuum(np.full(2000, 1.25))
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e306])
+def test_a_spread_or_mean_that_overflows_is_numerics_error(scale):
+    # finite values whose squared spread (1e160) or sum (1e306) overflows
+    values = scale * _vacuum(2_000, seed=11)
+    with pytest.raises(NumericsError, match="overflows float64"):
+        fit_vacuum(values)
+
+
 def test_non_finite_rejected():
     values = _vacuum(2_000, seed=9)
     values[17] = np.nan

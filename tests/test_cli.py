@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focktomo import pipeline
 from focktomo.cli import ENV_CONFIG, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from focktomo.simulator import read_dataset, write_dataset
 from focktomo.states import wigner_radial
@@ -66,7 +65,6 @@ def test_reconstruct_deterministic_up_to_timestamp(tmp_path):
     path = _simulate(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["reconstruct", str(path), "-o", str(out1)]) == EXIT_OK
-    pipeline._last_prefix = None  # calibrate, fit and sample the diagonals again
     assert main(["reconstruct", str(path), "-o", str(out2)]) == EXIT_OK
     t1 = _strip_timestamp((out1 / "report.txt").read_text())
     t2 = _strip_timestamp((out2 / "report.txt").read_text())
@@ -392,6 +390,34 @@ def test_degenerate_dataset_is_numerics_error(tmp_path, capsys):
     assert "variance" in capsys.readouterr().err
 
 
+def _exits_4_and_writes_nothing(path, tmp_path, capsys, message):
+    outdir = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["reconstruct", str(path), "-o", str(outdir)]) == EXIT_NUMERICS
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not outdir.exists()
+
+
+def test_a_vacuum_spread_that_overflows_is_numerics_error(tmp_path, capsys):
+    path = tmp_path / "r.dat"
+    assert main(["simulate", "--n-vacuum", "20000", "--n-fock", "2000", "--scale", "1e160",
+                 "-o", str(path)]) == EXIT_OK
+    _exits_4_and_writes_nothing(path, tmp_path, capsys, "overflows float64")
+
+
+@pytest.mark.parametrize("far, message", [(1e200, "efficiency fit: 4 x^2 - 1 overflows"),
+                                          (1e52, "rho_22 or its error is not finite")])
+def test_a_signal_sample_that_overflows_is_numerics_error(tmp_path, capsys, far, message):
+    # the estimates would be NaN, which report.json cannot hold
+    path = tmp_path / "r.dat"
+    assert main(["simulate", "--n-vacuum", "20000", "--n-fock", "2000", "-o", str(path)]) == EXIT_OK
+    ds = read_dataset(path)
+    ds.raw_value[-1] = far
+    write_dataset(ds, path)
+    _exits_4_and_writes_nothing(path, tmp_path, capsys, message)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -582,15 +608,15 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.report"}
 
 
-# The package namespace, name for name and in order, as eagerly imported before.
+# The package namespace, name for name and in order.
 _PUBLIC = [
     "AgreementCheck", "BudgetResult", "CalibrationResult", "DatasetFormatError", "DetectorModel",
     "DiagonalEstimate", "EfficiencyFactor", "EfficiencyFit", "GridDensity", "HomodyneDataset",
-    "MarginalHistogram", "NumericsError", "RadialWignerProfile", "ReconstructionConfig",
-    "ReconstructionSummary", "RunSpec", "ValidationError", "abel_inverse", "bin_samples",
-    "check_agreement", "combine", "default_factors", "fit_efficiency", "fit_vacuum",
-    "generate_run", "load_factors", "marginal_cdf", "marginal_density", "marginal_ppf",
-    "read_dataset", "reconstruct_dataset", "rescale", "sample_diagonals", "sample_quadrature",
+    "MarginalHistogram", "NumericsError", "PreparedRun", "RadialWignerProfile",
+    "ReconstructionConfig", "ReconstructionSummary", "RunSpec", "ValidationError", "abel_inverse",
+    "bin_samples", "check_agreement", "combine", "default_factors", "fit_efficiency",
+    "fit_vacuum", "generate_run", "load_factors", "marginal_cdf", "marginal_density",
+    "marginal_ppf", "prepare_run", "read_dataset", "reconstruct_dataset", "rescale", "sample_diagonals", "sample_quadrature",
     "smooth_marginal", "wigner_radial", "write_dataset",
 ]
 

@@ -14,7 +14,7 @@ from focktomo import pipeline
 from focktomo.calibration import rescale
 from focktomo.errors import NumericsError, ValidationError
 from focktomo.patterns import pattern_function
-from focktomo.pipeline import ReconstructionConfig, reconstruct_dataset
+from focktomo.pipeline import ReconstructionConfig, prepare_run, reconstruct_dataset
 from focktomo.reconstruction import (
     ABEL_MAX_SPACING,
     ABEL_MIN_RANGE,
@@ -600,13 +600,16 @@ def _bits(value):
 
 
 def _fresh(ds, config=None):
-    # reconstruct_dataset with the previous call forgotten.
-    pipeline._last_prefix = None
-    return reconstruct_dataset(ds, config)
+    # reconstruct_dataset's result, computed without its memo.
+    return prepare_run(ds, config).reconstruct(config)
 
 
 def _memo_run(n_fock=4_000):
     return generate_run(RunSpec(eta_true=0.553, n_vacuum=20_000, n_fock=n_fock, seed=17))
+
+
+_SWEEP = [ReconstructionConfig(bandwidth_scale=s) for s in (0.5, 0.75, 1.0, 1.5, 2.0)]
+_CROSS_CHECK = ReconstructionConfig(fit_method="hist", calibration_method="histogram")
 
 
 @pytest.fixture
@@ -623,7 +626,7 @@ def prefix_calls(monkeypatch):
 
     for name in ("fit_vacuum", "fit_efficiency", "sample_diagonals"):
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
-    monkeypatch.setattr(pipeline, "_last_prefix", None)
+    monkeypatch.setattr(pipeline, "_last_run", None)
     return calls
 
 
@@ -634,10 +637,9 @@ PREFIX = ["fit_vacuum", "fit_efficiency", "sample_diagonals"]
 def test_bandwidth_sweep_reuses_the_prefix_bit_for_bit(prefix_calls, n_fock):
     ds = _memo_run(n_fock)
     configs = [ReconstructionConfig(bandwidth_scale=s) for s in (0.5, 1.0, 2.0)]
-    configs.append(ReconstructionConfig(fit_method="hist", calibration_method="histogram"))
+    configs.append(_CROSS_CHECK)
     want = [_bits(_fresh(ds, config)) for config in configs]
     prefix_calls.clear()
-    pipeline._last_prefix = None
     got = [_bits(reconstruct_dataset(ds, config)) for config in configs]
     assert got == want
     # once for the sweep, once for the cross-check's other methods
@@ -693,8 +695,7 @@ def test_the_memo_shares_nothing_with_the_caller(prefix_calls):
     first.diagonals.append(first.diagonals[0])
     first.diagonals[0] = None
     assert _bits(reconstruct_dataset(ds)) == kept
-    stored = pipeline._last_prefix
-    for block in (stored.vacuum, stored.fock):
+    for block in pipeline._last_run[:2]:
         assert block.dtype == np.float64
         assert not np.shares_memory(block, ds.raw_value)
 
@@ -703,11 +704,11 @@ def test_a_miss_frees_the_previous_copies_before_it_smooths(prefix_calls, monkey
     # Else the old and new copies would both add to the peak memory.
     ds = _memo_run()
     reconstruct_dataset(ds)
-    previous = weakref.ref(pipeline._last_prefix)
+    previous = [weakref.ref(block) for block in pipeline._last_run[:2]]
     alive = []
 
     def smooth(*args, **kwargs):
-        alive.append(previous() is not None)
+        alive.append(any(ref() is not None for ref in previous))
         return smooth_marginal(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "smooth_marginal", smooth)
@@ -721,14 +722,56 @@ def test_a_failed_call_leaves_the_next_one_correct(prefix_calls):
     spike = ReconstructionConfig(bandwidth=0.001)  # below the 0.005 grid step
     with pytest.raises(ValidationError, match="bandwidth"):
         reconstruct_dataset(ds, spike)
-    assert pipeline._last_prefix is None
+    assert pipeline._last_run is None
     _move_signal(ds)
-    want = _bits(_fresh(ds))
+    want = _bits(reconstruct_dataset(ds))
     computed = len(prefix_calls)
     with pytest.raises(ValidationError, match="bandwidth"):
         reconstruct_dataset(ds, spike)  # a hit that fails after the prefix
     assert _bits(reconstruct_dataset(ds)) == want
     assert len(prefix_calls) == computed
+    assert _bits(_fresh(ds)) == want
+
+
+@pytest.mark.parametrize("n_fock", [4_000, 0])
+def test_a_prepared_run_reconstructs_what_reconstruct_dataset_does(n_fock):
+    ds = _memo_run(n_fock)
+    run = prepare_run(ds)
+    for config in _SWEEP:
+        assert _bits(run.reconstruct(config)) == _bits(reconstruct_dataset(ds, config))
+    cross = prepare_run(ds, _CROSS_CHECK)
+    assert _bits(cross.reconstruct()) == _bits(reconstruct_dataset(ds, _CROSS_CHECK))
+    signal = ds.fock_values if n_fock else ds.vacuum_values
+    assert run.analysis_source == ("fock_block" if n_fock else "vacuum_control")
+    assert run.n_signal == signal.size
+    assert np.array_equal(run.x, rescale(signal, run.calibration))
+
+
+@pytest.mark.parametrize("prepared, asked", [
+    ({}, {"calibration_method": "histogram"}),
+    ({}, {"fit_method": "hist"}),
+    ({}, {"n_max": 2}),
+    ({"n_max": 1}, {"n_max": True}),  # True == 1, but sample_diagonals rejects a bool
+])
+def test_a_prepared_run_rejects_other_prefix_settings(prepared, asked):
+    run = prepare_run(_memo_run(), ReconstructionConfig(**prepared))
+    with pytest.raises(ValidationError, match="must equal the prepared run's"):
+        run.reconstruct(ReconstructionConfig(**asked))
+    other = run.reconstruct(ReconstructionConfig(bandwidth_scale=2.0, **prepared))
+    assert other.efficiency is run.efficiency
+
+
+def test_a_prepared_run_keeps_x_read_only_and_shares_no_list():
+    ds = _memo_run()
+    run = prepare_run(ds)
+    assert run.x.dtype == np.float64 and not run.x.flags.writeable
+    assert not np.shares_memory(run.x, ds.raw_value)
+    with pytest.raises(ValueError, match="read-only"):
+        run.x[0] = 0.0
+    first, second = run.reconstruct(), run.reconstruct()
+    assert type(first.diagonals) is list and first.diagonals is not second.diagonals
+    first.diagonals[1] = None
+    assert second.diagonals == sample_diagonals(run.x) == list(run.diagonals)
 
 
 def test_bootstrap_profile_stderr():
@@ -1106,6 +1149,15 @@ def test_hist_fit_degenerate_model_is_numerics_error():
         fit_efficiency(x, method="hist")
 
 
+@pytest.mark.parametrize("method", ["mle", "hist"])
+def test_efficiency_fit_overflow_is_numerics_error(method):
+    # 4 x^2 - 1 is inf at |x| = 1e200; the score would be NaN
+    x = _draws(0.553, 2_000, 48)
+    x[7] = -1e200
+    with pytest.raises(NumericsError, match="overflows"):
+        fit_efficiency(x, method=method)
+
+
 # ---------------------------------------------------------------------------
 # Diagonal sampling
 
@@ -1168,3 +1220,13 @@ def test_diagonals_validation():
     with pytest.raises(ValidationError):
         sample_diagonals(x, n_max=-1)
     assert len(sample_diagonals(x, n_max=0)) == 1
+
+
+@pytest.mark.parametrize("far, order", [(1e52, 3), (1e150, 1)])
+def test_a_diagonal_that_overflows_is_numerics_error(far, order):
+    # one vacuum sample far out: rho_33 is NaN at |x| = 1e52, rho_11 -inf at 1e150
+    x = _draws(0.0, 5_000, 21)
+    x[0] = far
+    with pytest.raises(NumericsError, match=f"rho_{order}{order} or its error is not finite"):
+        sample_diagonals(x)
+    assert len(sample_diagonals(x[1:])) == 4

@@ -10,9 +10,10 @@ bandwidth-independent references (the rho_11 sampler and the efficiency
 fit).  The efficiency fit and the diagonals work on the raw samples, so only
 the profile column should move: the run is prepared once for all scales.
 
-A dataset the reader rejects, or a scale the reconstruction rejects, prints
-'error: ...' and exits 3; a numerical failure exits 4.  A malformed --scales
-is a usage error (exit 2).
+Every scale is reconstructed before anything is printed, so a failure
+leaves stdout empty: a dataset the reader rejects, or a scale the
+reconstruction rejects, prints 'error: ...' to stderr and exits 3; a
+numerical failure exits 4.  A malformed --scales is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -43,24 +44,24 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         dataset = read_dataset(args.dataset)
-        spec = dataset.spec
-        print(f"eta_true={spec.eta_true}  n_vacuum={spec.n_vacuum}  n_fock={spec.n_fock}"
-              f"  seed={spec.seed}")
-        print()
-        print("  scale   bandwidth   W(0) profile   W(0) from rho_11   eta_hat")
-        origins, run = [], prepare_run(dataset)
-        for s in args.scales:
-            summary = run.reconstruct(ReconstructionConfig(bandwidth_scale=s))
-            w0 = summary.wigner_origin_reconstructed
-            origins.append(w0)
-            print(f"  {s:5.2f}   {summary.density.bandwidth:9.5f}   {w0:+12.5f}"
-                  f"   {summary.wigner_origin_from_rho:+16.5f}"
-                  f"   {summary.efficiency.eta_hat:7.4f}")
+        run = prepare_run(dataset)
+        summaries = [run.reconstruct(ReconstructionConfig(bandwidth_scale=s)) for s in args.scales]
     except (ValidationError, OSError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS if isinstance(exc, NumericsError) else EXIT_VALIDATION
 
-    if len(origins) > 1:
+    spec = dataset.spec
+    print(f"eta_true={spec.eta_true}  n_vacuum={spec.n_vacuum}  n_fock={spec.n_fock}"
+          f"  seed={spec.seed}")
+    print()
+    print("  scale   bandwidth   W(0) profile   W(0) from rho_11   eta_hat")
+    for s, summary in zip(args.scales, summaries):
+        print(f"  {s:5.2f}   {summary.density.bandwidth:9.5f}"
+              f"   {summary.wigner_origin_reconstructed:+12.5f}"
+              f"   {summary.wigner_origin_from_rho:+16.5f}"
+              f"   {summary.efficiency.eta_hat:7.4f}")
+    if len(summaries) > 1:
+        origins = [summary.wigner_origin_reconstructed for summary in summaries]
         print()
         print(f"W(0) spread across scales: {max(origins) - min(origins):.5f}")
     return EXIT_OK

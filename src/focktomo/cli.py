@@ -57,10 +57,9 @@ _SETTINGS: dict[str, dict[str, tuple]] = {
         "fit_method": (str, None, "efficiency fit method", ("mle", "hist")),
         "grid_max": (float, None, "half-width of the smoothing grid", None),
         "grid_points": (int, None,
-                        "number of smoothing grid points (odd); with grid_points - 1 a "
-                        "multiple of the 1200 bins (1201, 2401, 3601, 4801) the kernel sum "
-                        "runs on the bin lattice, other sizes (say 2001) take a dense sum "
-                        "tens of times slower", None),
+                        "number of smoothing grid points (odd, >= 101); the histogram has "
+                        "(grid_points - 1) / 2 bins over [-grid_max, grid_max], two grid "
+                        "steps each", None),
     },
 }
 

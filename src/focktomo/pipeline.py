@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationResult, fit_vacuum, rescale
-from .errors import ValidationError, check_positive
+from .errors import ValidationError, check_count, check_positive
+from .patterns import MAX_ORDER
 from .reconstruction import (
     DiagonalEstimate,
     EfficiencyFit,
@@ -30,14 +31,15 @@ class ReconstructionConfig:
     """Tunable knobs of the reconstruction chain, with working defaults.
 
     grid_max and bandwidth_scale must be positive and finite; the stages
-    check the other fields when they run."""
+    check the other fields when they run.  The histogram's bins follow the
+    smoothing grid: n_bins = (grid_points - 1) / 2 bins over [-grid_max,
+    grid_max], two grid steps each."""
 
     fit_method: str = "mle"
     bandwidth_scale: float = 1.0
     bandwidth: float | None = None
     grid_max: float = 6.0
     grid_points: int = 2401
-    n_bins: int = 1200
     r_max: float = 4.0
     n_radii: int = 401
     n_max: int = 3
@@ -46,6 +48,11 @@ class ReconstructionConfig:
     def __post_init__(self) -> None:
         check_positive("grid_max", self.grid_max)
         check_positive("bandwidth_scale", self.bandwidth_scale)
+
+    @property
+    def n_bins(self) -> int:
+        """(grid_points - 1) // 2, once grid_points is an integer >= 101."""
+        return (check_count("grid_points", self.grid_points, 101) - 1) // 2
 
 
 def _prefix_settings(config: ReconstructionConfig) -> tuple:
@@ -128,12 +135,15 @@ def prepare_run(dataset: HomodyneDataset,
     """Calibrate on the vacuum block, then fit the efficiency and sample the
     diagonals of the calibrated signal: the fock block, or for a vacuum-only
     dataset (n_fock = 0) the vacuum block itself, the standard consistency
-    control (expected: eta_hat at the 0 boundary, rho_00 near 1)."""
+    control (expected: eta_hat at the 0 boundary, rho_00 near 1).  n_max
+    must lie in 1..MAX_ORDER, checked before calibrating: the run's W(0)
+    reads rho_11."""
     if config is None:
         config = ReconstructionConfig()
     vacuum, fock = dataset.vacuum_values, dataset.fock_values
     if vacuum.size == 0:
         raise ValidationError("dataset has no vacuum block; cannot calibrate")
+    check_count("n_max", config.n_max, 1, MAX_ORDER)
     cal = fit_vacuum(vacuum, method=config.calibration_method)
     x = rescale(fock if fock.size > 0 else vacuum, cal)
     x.flags.writeable = False

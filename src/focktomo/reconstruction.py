@@ -46,16 +46,17 @@ bin_samples computes each value's bin by arithmetic and checks it against
 the edges once in each direction.  smooth_marginal works on the half-line:
 it sums the kernels' even part over the occupied bins on the knots j * step
 of [0, grid_max] and mirrors that exactly, so its grid has one node per
-distinct |X|.  Bin edges on a lattice of grid steps, symmetric about 0 (the
-pipeline bins over -grid_max..grid_max), take the folded counts
-counts + counts[::-1], one short convolution per polyphase slice; any other
-bins the dense knots x occupied-bins sum of (K(x - c) + K(x + c)) / 2.
-Either sum counts a kernel term below the smallest normal double (more
-than about 37.6 bandwidths out) as 0: subnormal arithmetic made the
-default smoothing's convolutions twice as slow, and on the reference runs
-those terms moved no density value by more than 1e-311.  The
+distinct |X|.  It takes bin edges on a lattice of whole grid steps,
+symmetric about 0, with every bin centre on the grid (the pipeline bins
+-grid_max..grid_max into (grid_points - 1) / 2 bins of two steps each) and
+rejects any other: the kernel sum is then over the folded counts
+counts + counts[::-1], one short convolution per polyphase slice.  It
+counts a kernel term below the smallest normal double (more than about
+37.6 bandwidths out) as 0: subnormal arithmetic made the default
+smoothing's convolutions twice as slow, and on the reference runs those
+terms moved no density value by more than 1e-311.  The
 smoother is prepared once for the bin edges and the grid (knots, mirrored
-grid, lattice test and the lag offsets from the first bin), then evaluated
+grid, lattice check and the lag offsets from the first bin), then evaluated
 per count vector; bootstrap_profile prepares it once and evaluates every
 replicate with it, each replicate drawing, tallying and choosing its
 bandwidth as smooth_marginal would.
@@ -241,12 +242,13 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     Kernels are centred on the histogram bins (weights = counts).  Their
     sum's even part is taken over the occupied bins on the grid_points // 2
     + 1 knots j * step of [0, grid_max] (grid_points odd, >= 101), mirrored
-    exactly to x < 0 and renormalized to unit integral on the grid.  When
-    the edges lie on a lattice of m grid spacings, symmetric about 0 and
-    spanning fewer nodes than the grid (the default 1200 bins over [-6, 6]
-    on 2401 points, m = 2), it sums the folded counts counts + counts[::-1],
-    one convolution with the kernel's polyphase slice per m-th knot.  Any
-    other bins take the dense sum of (K(x - c) + K(x + c)) / 2.  A kernel
+    exactly to x < 0 and renormalized to unit integral on the grid.  The
+    bin edges must lie on a lattice of m >= 1 whole grid steps, symmetric
+    about 0, with every bin centre on the grid (the pipeline's
+    (grid_points - 1) / 2 bins over [-grid_max, grid_max], m = 2, as the
+    default 1200 bins over [-6, 6] on 2401 points); any other bins raise
+    ValidationError.  It sums the folded counts counts + counts[::-1], one
+    convolution with the kernel's polyphase slice per m-th knot.  A kernel
     term below the smallest normal double (2.2e-308, |x - c| more than
     about 37.6 bandwidths) counts as 0.
 
@@ -255,8 +257,7 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     explicit `bandwidth` lifts that floor.  grid_max, bandwidth_scale and
     the bandwidth used must be positive and finite, and at least the grid
     spacing and the bin width (a narrower kernel spikes on the grid nodes
-    nearest each bin centre).  Samples so far off the grid that every
-    kernel term on it is below the smallest normal double are rejected.
+    nearest each bin centre).
     """
     return _Smoother(hist.bin_edges, grid_max, grid_points)(hist, bandwidth, bandwidth_scale)
 
@@ -274,7 +275,7 @@ def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
 def _gaussian(z: np.ndarray) -> np.ndarray:
     # exp(-z^2 / 2) in place of z, each term below the smallest normal double
     # (|z| > 37.6) set to 0, since subnormal arithmetic slows the sums that
-    # follow several times over.  A square that overflows to inf gives 0 too.
+    # follow several times over.
     z *= z
     z *= -0.5
     np.exp(z, out=z)
@@ -285,32 +286,31 @@ def _gaussian(z: np.ndarray) -> np.ndarray:
 class _Smoother:
     # smooth_marginal in two steps.  Made once for one set of bin edges and
     # one grid: the knots half of [0, grid_max], the mirrored grid x and the
-    # lattice test.  On a lattice of m grid steps symmetric about 0, with the
-    # kernel at fewer than 2 * half.size - 1 lags, bin j mirrors to bin
-    # n - 1 - j: the even part is half the sum over the folded counts
-    # counts + counts[::-1], and x_i - c_j depends only on the lag i - m*j,
-    # counted in steps from the mirror's first node -half[-1].  offsets holds
-    # x - c_0 at every lag the first bin can need (m = 0 off a lattice).
-    # Called once per histogram on those edges: the bandwidth and its
-    # checks, the kernel sum and the normalisation, as smooth_marginal
-    # documents them.
+    # lattice check.  On a lattice of m grid steps symmetric about 0, with
+    # every bin centre on the grid, bin j mirrors to bin n - 1 - j: the even
+    # part is half the sum over the folded counts counts + counts[::-1], and
+    # x_i - c_j depends only on the lag i - m*j, counted in steps from the
+    # mirror's first node -half[-1].  offsets holds x - c_0 at every lag the
+    # first bin can need.  Called once per histogram on those edges: the
+    # bandwidth and its checks, the kernel sum and the normalisation, as
+    # smooth_marginal documents them.
 
     def __init__(self, edges: np.ndarray, grid_max: float, grid_points: int):
         half = self.half = _smoothing_grid(grid_max, grid_points)
         self.x = np.concatenate((-half[:0:-1], half))
         step = half[-1] / (half.size - 1)
         ratio = float(edges[1] - edges[0]) / step
-        m = round(ratio) if math.isfinite(ratio) else 0
-        n = edges.size - 1
+        m = self.m = round(ratio) if math.isfinite(ratio) else 0
+        n, k = edges.size - 1, half.size - 1
         lattice = edges[0] + m * step * np.arange(edges.size)
         atol = 8.0 * np.finfo(float).eps * np.abs(edges).max()
-        self.m = 0
-        if (m >= 1 and m * (n - 1) < 2 * half.size - 1 and abs(edges[0] + edges[-1]) <= atol
+        if not (m >= 1 and m * (n - 1) <= 2 * k and abs(edges[0] + edges[-1]) <= atol
                 and np.allclose(edges, lattice, rtol=0.0, atol=atol)):
-            self.m = m
-            k = half.size - 1
-            first_center = 0.5 * (edges[0] + edges[1])
-            self.offsets = (-half[-1] - first_center) + step * np.arange(k - m * (n - 1), 2 * k + 1)
+            raise ValidationError(f"bin edges must lie on a lattice of whole grid steps "
+                                  f"{step:g}, symmetric about 0, with every bin centre on the "
+                                  f"smoothing grid [{self.x[0]:g}, {self.x[-1]:g}]")
+        first_center = 0.5 * (edges[0] + edges[1])
+        self.offsets = (-half[-1] - first_center) + step * np.arange(k - m * (n - 1), 2 * k + 1)
 
     def __call__(self, hist: MarginalHistogram, bandwidth: float | None,
                  bandwidth_scale: float) -> GridDensity:
@@ -335,40 +335,24 @@ class _Smoother:
             raise ValidationError(f"bandwidth {bandwidth:g} too large: the kernel normalisation "
                                   f"n * bandwidth * sqrt(2 pi) overflows")
 
-        with np.errstate(over="ignore"):
-            kernel = self._kernel_sum(hist, bandwidth)
-        if not np.any(kernel):
-            raise ValidationError(f"the in-range samples lie too far off the smoothing grid "
-                                  f"[{self.x[0]:g}, {self.x[-1]:g}] for bandwidth {bandwidth:g}: "
-                                  f"every kernel term on the grid is below the smallest "
-                                  f"normal double")
-        f = np.concatenate((kernel[:0:-1], kernel)) / kernel_norm
+        # The even part of sum_j counts_j exp(-((x - c_j) / bandwidth)^2 / 2)
+        # on the knots x = half, half the folded counts' sum: the knots
+        # i = p (mod m) are one short convolution of the occupied folded
+        # counts with the polyphase slice kernel[p::m], from the lag of knot 0
+        # to the last occupied bin.
+        m, folded = self.m, hist.counts + hist.counts[::-1]
+        first = int(np.flatnonzero(folded)[0])  # the last is n - 1 - first
+        c = folded[first:folded.size - first]
+        kernel = _gaussian(self.offsets[m * first:self.offsets.size - m * first] / bandwidth)
+        out = np.empty(self.half.size)
+        for p in range(min(m, out.size)):  # one bin may be wider than the grid
+            out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1], mode="valid")
+        out *= 0.5
+        f = np.concatenate((out[:0:-1], out)) / kernel_norm
         norm = np.trapezoid(f, self.x)
         if norm <= 0.0:
             raise NumericsError("smoothed density integrates to zero")
         return GridDensity(x=self.x, density=f / norm, bandwidth=float(bandwidth))
-
-    def _kernel_sum(self, hist: MarginalHistogram, bandwidth: float) -> np.ndarray:
-        # The even part of sum_j counts_j exp(-((x - c_j) / bandwidth)^2 / 2)
-        # on the knots x = half.  On the lattice the knots i = p (mod m) are
-        # one short convolution of the occupied folded counts with the
-        # polyphase slice kernel[p::m], from the lag of knot 0 to the last
-        # occupied bin.  Otherwise (K(x - c) + K(x + c)) / 2 over the occupied bins.
-        counts, half, m = hist.counts, self.half, self.m
-        if m:
-            folded = counts + counts[::-1]
-            first = int(np.flatnonzero(folded)[0])  # the last is n - 1 - first
-            c = folded[first:counts.size - first]
-            kernel = _gaussian(self.offsets[m * first:self.offsets.size - m * first] / bandwidth)
-            out = np.empty(half.size)
-            for p in range(min(m, out.size)):  # one bin may be wider than the grid
-                out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1],
-                                        mode="valid")
-            return 0.5 * out
-        mask = counts > 0
-        c = hist.centers[mask]
-        return 0.5 * sum(_gaussian(z) @ counts[mask]
-                         for z in ((half[:, None] - c) / bandwidth, (half[:, None] + c) / bandwidth))
 
 
 # ---------------------------------------------------------------------------

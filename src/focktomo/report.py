@@ -49,7 +49,7 @@ class RunReport:
 
 
 def _config_hash(config) -> str:
-    payload = json.dumps(asdict(config), sort_keys=True)
+    payload = json.dumps({**asdict(config), "n_bins": config.n_bins}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 

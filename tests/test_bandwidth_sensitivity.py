@@ -3,7 +3,7 @@ run, run in-process through the bandwidth_sensitivity fixture."""
 
 import pytest
 
-from focktomo.simulator import RunSpec, generate_run, write_dataset
+from focktomo.simulator import RunSpec, generate_run, read_dataset, write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +57,24 @@ def test_malformed_scales_are_a_usage_error(run, bandwidth_sensitivity, capsys, 
         bandwidth_sensitivity.main([str(run), "--scales", scales])
     assert exc.value.code == 2
     assert "--scales" in capsys.readouterr().err
+
+
+def _far_last_value(run, tmp_path):
+    # the stored run with its last raw value at 1e200: the analysis fails
+    dataset = read_dataset(run)
+    dataset.raw_value[-1] = 1e200
+    write_dataset(dataset, tmp_path / "far.dat")
+    return tmp_path / "far.dat"
+
+
+@pytest.mark.parametrize("dataset,scales,code,message", [
+    (lambda run, tmp_path: run, "1,0.01", 3, "too small"),
+    (_far_last_value, "1", 4, "error:"),
+], ids=["second-scale-too-small", "far-value"])
+def test_a_failed_sweep_prints_no_table(run, tmp_path, bandwidth_sensitivity, capsys,
+                                        dataset, scales, code, message):
+    # every scale is reconstructed before the first line is printed
+    assert bandwidth_sensitivity.main([str(dataset(run, tmp_path)), "--scales", scales]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err

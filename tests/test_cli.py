@@ -289,6 +289,16 @@ def test_grid_spacing_at_the_inversion_bound(tmp_path, capsys, flags, code):
         assert "spacing 0.0201 too coarse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid_points", [601, 1201, 2001, 4801])
+def test_the_bins_follow_the_grid(tmp_path, grid_points):
+    # (grid_points - 1) / 2 bins over [-grid_max, grid_max], two steps each
+    assert _reconstruct_without_warnings(tmp_path, "--grid-points", str(grid_points)) == EXIT_OK
+    config = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
+    assert (config["grid_points"], config["n_bins"]) == (grid_points, (grid_points - 1) // 2)
+    table = np.loadtxt(tmp_path / "o" / "marginal_histogram.txt")
+    assert table.shape[0] == (grid_points - 1) // 2
+
+
 def test_grid_too_coarse_to_invert_is_rejected_before_smoothing(tmp_path, capsys):
     # finite, with a bin width that fits a double, but far coarser than the
     # inversion allows; the bandwidth rule's moments would overflow on it

@@ -13,7 +13,7 @@ from scipy.interpolate import CubicSpline, PPoly
 from focktomo import pipeline
 from focktomo.calibration import rescale
 from focktomo.errors import NumericsError, ValidationError
-from focktomo.patterns import pattern_function
+from focktomo.patterns import MAX_ORDER, pattern_function
 from focktomo.pipeline import ReconstructionConfig, prepare_run, reconstruct_dataset
 from focktomo.reconstruction import (
     ABEL_MAX_SPACING,
@@ -42,7 +42,7 @@ from focktomo.reconstruction import (
     wigner_to_marginal,
 )
 from focktomo.simulator import RunSpec, generate_run, sample_quadrature
-from focktomo.states import marginal_density, wigner_radial
+from focktomo.states import marginal_cdf, marginal_density, wigner_radial
 
 
 def _draws(eta, n, seed):
@@ -162,12 +162,13 @@ def test_smooth_vacuum_sup_norm_million():
     assert np.max(np.abs(dens.density - marginal_density(0.0, dens.x))) < 0.01
 
 
-@pytest.mark.parametrize("grid_points", [2401, 1201, 2001])  # lattice, lattice, dense
+@pytest.mark.parametrize("grid_points", [2401, 1201, 2001])
 def test_smooth_output_exactly_even_and_normalized(grid_points):
     # deliberately one-sided input still yields an exactly even density, on
-    # a grid that is an exact mirror with one node per distinct |X|
+    # a grid that is an exact mirror with one node per distinct |X|; the
+    # pipeline's bins, two grid steps each
     x = np.abs(_draws(0.7, 5_000, 4))
-    dens = smooth_marginal(bin_samples(x), grid_points=grid_points)
+    dens = smooth_marginal(bin_samples(x, n_bins=(grid_points - 1) // 2), grid_points=grid_points)
     assert np.array_equal(dens.x, -dens.x[::-1])
     assert np.unique(np.abs(dens.x)).size == grid_points // 2 + 1
     assert np.array_equal(dens.density, dens.density[::-1])
@@ -216,19 +217,23 @@ def test_bandwidth_below_the_bin_width_or_grid_spacing_is_rejected():
     with pytest.raises(ValidationError, match="grid spacing 0.005 and the bin width 0.01"):
         smooth_marginal(hist, bandwidth=np.nextafter(width, 0.0))
     assert smooth_marginal(hist, bandwidth=width).bandwidth == width
-    with pytest.raises(ValidationError, match="grid spacing 0.005 and the bin width 0.003"):
+    # bins finer than the grid are off the lattice, whatever the bandwidth
+    with pytest.raises(ValidationError, match="lattice of whole grid steps 0.005"):
         smooth_marginal(bin_samples(x, n_bins=4000), bandwidth=0.004)
 
 
 def test_samples_off_the_smoothing_grid_are_named_as_such():
+    # Bins whose centres leave the grid are rejected before any kernel sum;
+    # a bin centre on the grid lies within half a step of a knot, where its
+    # kernel term is at least exp(-1/8) for a bandwidth of a step or more.
     for values, lo, hi, bandwidth in [
         (28.0 + np.linspace(0.0, 1.0, 2000), 20.0, 30.0, 0.5),
-        # 38.35 bandwidths from the grid's end: every term is subnormal, not 0
+        # 38.35 bandwidths from the grid's end
         (np.full(2000, 9.83), 0.0, 12.0, 0.1),
     ]:
         hist = bin_samples(values, n_bins=1200, lo=lo, hi=hi)
-        with pytest.raises(ValidationError, match="lie too far off the smoothing grid .* below "
-                           "the smallest normal double"):
+        with pytest.raises(ValidationError, match=r"every bin centre on the smoothing grid "
+                           r"\[-6, 6\]"):
             smooth_marginal(hist, bandwidth=bandwidth)
 
 
@@ -257,7 +262,10 @@ def _dense_smooth_marginal(hist, bandwidth, grid_max=6.0, grid_points=2401):
     return f / np.trapezoid(f, grid)
 
 
-@pytest.mark.parametrize("bins,grid_points,convolved", [
+_OFF_LATTICE = "must lie on a lattice of whole grid steps"
+
+
+@pytest.mark.parametrize("bins,grid_points,lattice", [
     (dict(n_bins=1200), 2401, True),                 # the default: m = 2
     (dict(n_bins=1200), 1201, True),                 # m = 1
     (dict(n_bins=800), 2401, True),                  # m = 3
@@ -267,45 +275,70 @@ def _dense_smooth_marginal(hist, bandwidth, grid_max=6.0, grid_points=2401):
     (dict(n_bins=1200, lo=-12.0, hi=12.0), 2401, False),  # bins span more than the grid
     (dict(n_bins=900, lo=-3.0, hi=6.0), 2401, False),  # m = 2, lattice not symmetric about 0
     (dict(n_bins=301, lo=-3.01, hi=3.01), 2401, True),  # m = 4, a bin centred on 0
+    (dict(n_bins=300), 601, True),                   # (grid_points - 1) / 2 bins, m = 2
+    (dict(n_bins=600), 1201, True),
+    (dict(n_bins=1000), 2001, True),
+    (dict(n_bins=2400), 4801, True),
 ])
-def test_smoothing_matches_dense_kernel_sum(bins, grid_points, convolved):
-    hist = bin_samples(_draws(0.553, 12_000, 21), **bins)
-    cases = [(hist, None), (hist, 0.03)]
-    if convolved:
-        # The sum runs over the occupied bins only: one occupied bin at the
-        # first, the middle and the last bin, and both end bins with a gap.
-        n = hist.counts.size
-        for occupied in ([0], [n // 2], [n - 1], [0, n - 1]):
-            counts = np.zeros_like(hist.counts)
-            counts[occupied] = 1000
-            cases.append((replace(hist, counts=counts), 0.03))
-    for case, bandwidth in cases:
-        dens = smooth_marginal(case, bandwidth=bandwidth, grid_points=grid_points)
+def test_smoothing_matches_dense_kernel_sum(bins, grid_points, lattice):
+    draws = _draws(0.553, 12_000, 21)
+    hist = bin_samples(draws, **bins)
+    if not lattice:
+        # Bins off the lattice are rejected, in the bootstrap too; the same
+        # samples on the grid's own bins, two steps each, are summed instead.
+        with pytest.raises(ValidationError, match=_OFF_LATTICE):
+            smooth_marginal(hist, grid_points=grid_points)
+        with pytest.raises(ValidationError, match=_OFF_LATTICE):
+            bootstrap_profile(draws, n_boot=2, grid_points=grid_points, **bins)
+        hist = bin_samples(draws, n_bins=(grid_points - 1) // 2)
+    bandwidth = max(0.03, hist.bin_width)
+    cases = [(hist, None), (hist, bandwidth)]
+    # The sum runs over the occupied bins only: one occupied bin at the
+    # first, the middle and the last bin, and both end bins with a gap.
+    n = hist.counts.size
+    for occupied in ([0], [n // 2], [n - 1], [0, n - 1]):
+        counts = np.zeros_like(hist.counts)
+        counts[occupied] = 1000
+        cases.append((replace(hist, counts=counts), bandwidth))
+    for case, h in cases:
+        dens = smooth_marginal(case, bandwidth=h, grid_points=grid_points)
         reference = _dense_smooth_marginal(case, dens.bandwidth, grid_points=grid_points)
         assert np.all(dens.density >= 0.0)
         # the half-line sum is mirrored exactly, with no averaging afterwards
         assert np.array_equal(dens.x, -dens.x[::-1])
         assert np.array_equal(dens.density, dens.density[::-1])
-        if convolved:
-            assert np.max(np.abs(dens.density - reference)) <= 1e-13 * np.max(reference)
-        else:
-            # summed in another order (the two sides averaged before the
-            # kernel normalisation, not after; half the rows per product)
-            assert np.max(np.abs(dens.density - reference)) <= 1e-15 * np.max(reference)
+        assert np.max(np.abs(dens.density - reference)) <= 1e-13 * np.max(reference)
 
 
 @pytest.mark.parametrize("edges", [
     np.concatenate([[-6.0, -1.0, 0.0], np.linspace(0.5, 6.0, 12)]),  # grossly uneven
     np.linspace(-6.0, 6.0, 1201) + np.where(np.arange(1201) == 600, 3e-3, 0.0),  # one edge moved
 ])
-def test_smoothing_non_uniform_edges_uses_dense_sum(edges):
+def test_smoothing_rejects_non_uniform_edges(edges):
     rng = np.random.Generator(np.random.PCG64(22))
     hist = MarginalHistogram(bin_edges=edges, counts=rng.integers(0, 50, edges.size - 1),
                              n_total=0, underflow=0, overflow=0)
-    bandwidth = max(0.2, hist.bin_width)  # the grossly uneven first bin is 5 wide
-    dens = smooth_marginal(hist, bandwidth=bandwidth)
-    reference = _dense_smooth_marginal(hist, bandwidth)
-    assert np.max(np.abs(dens.density - reference)) <= 1e-15 * np.max(reference)
+    with pytest.raises(ValidationError, match=_OFF_LATTICE):
+        smooth_marginal(hist, bandwidth=max(0.2, hist.bin_width))
+
+
+@pytest.mark.parametrize("grid_points,tol", [(1201, 3e-6), (2401, 1e-6), (4801, 1e-6)])
+@pytest.mark.parametrize("eta", [0.0, 0.553, 1.0])
+def test_chain_matches_the_smoothed_closed_form(grid_points, tol, eta):
+    # Bin counts proportional to the exact bin probabilities, smoothed and
+    # inverted: the kernel (variance h^2) and the bin (w^2 / 12) blur the
+    # quadratures, and a Gaussian blur of variance v maps W_eta to
+    # W_{eta/s}(R / sqrt(s)) / s with s = 1 + 4 v.
+    edges = np.linspace(-6.0, 6.0, (grid_points - 1) // 2 + 1)
+    counts = np.rint(1e12 * np.diff(marginal_cdf(eta, edges))).astype(np.int64)
+    hist = MarginalHistogram(bin_edges=edges, counts=counts, n_total=int(counts.sum()),
+                             underflow=0, overflow=0)
+    for h in (0.0998, 0.2):
+        profile = abel_inverse(smooth_marginal(hist, bandwidth=h, grid_points=grid_points))
+        s = 1.0 + 4.0 * (h * h + hist.bin_width ** 2 / 12.0)
+        inside = profile.radii <= 3.0
+        exact = wigner_radial(eta / s, profile.radii[inside] / np.sqrt(s)) / s
+        assert np.max(np.abs(profile.values[inside] - exact)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +807,23 @@ def test_a_prepared_run_keeps_x_read_only_and_shares_no_list():
     assert second.diagonals == sample_diagonals(run.x) == list(run.diagonals)
 
 
+@pytest.mark.parametrize("n_max", [0, -1, MAX_ORDER + 1, 1.0])
+def test_prepare_run_rejects_n_max_outside_one_to_max_order_before_calibrating(
+        prefix_calls, monkeypatch, n_max):
+    # The run's W(0) reads rho_11, so with n_max = 0 the report would fail
+    # only after the whole analysis; sample_diagonals alone accepts it.
+    def calibrate(*args, **kwargs):
+        raise AssertionError("calibrated before checking n_max")
+
+    monkeypatch.setattr(pipeline, "fit_vacuum", calibrate)
+    ds = _memo_run()
+    message = rf"n_max must be an integer in 1\.\.{MAX_ORDER}"
+    for analyse in (prepare_run, reconstruct_dataset):
+        with pytest.raises(ValidationError, match=message):
+            analyse(ds, ReconstructionConfig(n_max=n_max))
+    assert len(sample_diagonals(ds.fock_values, n_max=0)) == 1
+
+
 def test_bootstrap_profile_stderr():
     x = _draws(0.7, 4_000, 10)
     prof = bootstrap_profile(x, n_boot=6, seed=3, bandwidth=0.15)
@@ -801,17 +851,18 @@ def _loop_bootstrap_stderr(values, n_boot, seed, **kwargs):
     return np.std(stack, axis=0, ddof=1)
 
 
-@pytest.mark.parametrize("grid_points", [2401, 2001])  # the lattice and the dense sum
+@pytest.mark.parametrize("grid_points", [2401, 2001])  # each with its own bins, two steps each
 @pytest.mark.parametrize("bandwidth", [None, 0.15])
 def test_bootstrap_stderr_is_the_replicate_loop_bit_for_bit(grid_points, bandwidth):
     # Each replicate smoothed on its own by smooth_marginal, from the same
     # draws: one smoother prepared for every replicate changes no bit.
     x = _draws(0.553, 4_000, 24)
     n_boot, seed, k = 6, 5, grid_points // 2
-    prof = bootstrap_profile(x, n_boot=n_boot, seed=seed, bandwidth=bandwidth,
+    prof = bootstrap_profile(x, n_boot=n_boot, seed=seed, bandwidth=bandwidth, n_bins=k,
                              grid_points=grid_points)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    diffs = np.array([np.diff(smooth_marginal(bin_samples(x[rng.integers(0, x.size, size=x.size)]),
+    diffs = np.array([np.diff(smooth_marginal(bin_samples(x[rng.integers(0, x.size, size=x.size)],
+                                                          n_bins=k),
                                               bandwidth=bandwidth,
                                               grid_points=grid_points).density[k:])
                       for _ in range(n_boot)])

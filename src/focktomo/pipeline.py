@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .calibration import CalibrationResult, fit_vacuum, rescale
-from .errors import ValidationError, check_count, check_positive
+from .errors import ValidationError, check_positive
 from .patterns import MAX_ORDER
 from .reconstruction import (
     DiagonalEstimate,
@@ -17,6 +18,7 @@ from .reconstruction import (
     MarginalHistogram,
     RadialWignerProfile,
     _check_inversion_grid,
+    _grid_bins,
     abel_inverse,
     bin_samples,
     fit_efficiency,
@@ -28,22 +30,24 @@ from .simulator import HomodyneDataset
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Tunable knobs of the reconstruction chain, with working defaults.
-
-    grid_max and bandwidth_scale must be positive and finite; the stages
-    check the other fields when they run.  The histogram's bins follow the
-    smoothing grid: n_bins = (grid_points - 1) / 2 bins over [-grid_max,
-    grid_max], two grid steps each."""
+    """The settings a caller chooses, with working defaults, and the chain's
+    constants: the Silverman bandwidth times bandwidth_scale (bandwidth =
+    None), n_radii radii on [0, r_max] and diagonals up to n_max; for others,
+    call abel_inverse or sample_diagonals directly.  grid_max and
+    bandwidth_scale must be positive and finite; the stages check the other
+    settings when they run.  The histogram's bins follow the grid: n_bins =
+    (grid_points - 1) / 2 bins over [-grid_max, grid_max], two steps each."""
 
     fit_method: str = "mle"
     bandwidth_scale: float = 1.0
-    bandwidth: float | None = None
     grid_max: float = 6.0
     grid_points: int = 2401
-    r_max: float = 4.0
-    n_radii: int = 401
-    n_max: int = 3
     calibration_method: str = "moments"
+
+    bandwidth: ClassVar[None] = None
+    r_max: ClassVar[float] = 4.0
+    n_radii: ClassVar[int] = 401
+    n_max: ClassVar[int] = MAX_ORDER
 
     def __post_init__(self) -> None:
         check_positive("grid_max", self.grid_max)
@@ -52,12 +56,12 @@ class ReconstructionConfig:
     @property
     def n_bins(self) -> int:
         """(grid_points - 1) // 2, once grid_points is an integer >= 101."""
-        return (check_count("grid_points", self.grid_points, 101) - 1) // 2
+        return _grid_bins(self.grid_points)
 
 
-def _prefix_settings(config: ReconstructionConfig) -> tuple:
-    # The settings the bandwidth-independent half depends on, by type and value.
-    return tuple((type(v), v) for v in (config.calibration_method, config.fit_method, config.n_max))
+def _prefix_settings(config: ReconstructionConfig) -> tuple[str, str]:
+    # The settings the bandwidth-independent half depends on.
+    return config.calibration_method, config.fit_method
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,8 @@ class PreparedRun:
     signal x (read-only) they came from and the config that set them.
 
     reconstruct(config) runs the other half, bin -> smooth -> invert, for any
-    config whose calibration_method, fit_method and n_max equal the run's in
-    type and value, so a bandwidth sweep prepares the run once."""
+    config whose calibration_method and fit_method equal the run's, so a
+    bandwidth sweep prepares the run once."""
 
     calibration: CalibrationResult
     efficiency: EfficiencyFit
@@ -100,9 +104,8 @@ class PreparedRun:
             config = self.config
         want, got = _prefix_settings(self.config), _prefix_settings(config)
         if got != want:
-            raise ValidationError("calibration_method, fit_method and n_max must equal the "
-                                  f"prepared run's {tuple(v for _, v in want)} in type and "
-                                  f"value, got {tuple(v for _, v in got)}")
+            raise ValidationError("calibration_method and fit_method must equal the "
+                                  f"prepared run's {want}, got {got}")
         hist = bin_samples(self.x, n_bins=config.n_bins, lo=-config.grid_max, hi=config.grid_max)
         _check_inversion_grid(config.grid_max, config.grid_points)
         dens = smooth_marginal(hist, bandwidth=config.bandwidth,
@@ -135,15 +138,12 @@ def prepare_run(dataset: HomodyneDataset,
     """Calibrate on the vacuum block, then fit the efficiency and sample the
     diagonals of the calibrated signal: the fock block, or for a vacuum-only
     dataset (n_fock = 0) the vacuum block itself, the standard consistency
-    control (expected: eta_hat at the 0 boundary, rho_00 near 1).  n_max
-    must lie in 1..MAX_ORDER, checked before calibrating: the run's W(0)
-    reads rho_11."""
+    control (expected: eta_hat at the 0 boundary, rho_00 near 1)."""
     if config is None:
         config = ReconstructionConfig()
     vacuum, fock = dataset.vacuum_values, dataset.fock_values
     if vacuum.size == 0:
         raise ValidationError("dataset has no vacuum block; cannot calibrate")
-    check_count("n_max", config.n_max, 1, MAX_ORDER)
     cal = fit_vacuum(vacuum, method=config.calibration_method)
     x = rescale(fock if fock.size > 0 else vacuum, cal)
     x.flags.writeable = False

@@ -42,24 +42,6 @@ its knot count, r_max and n_radii.  On the default grid (2401 points, 401
 radii) M holds 401 x 1200 doubles, about 3.9 MB.  wigner_to_marginal
 evaluates its spline on the chord nodes directly, once per distinct |X|,
 in blocks of chords that stay in cache.
-bin_samples computes each value's bin by arithmetic and checks it against
-the edges once in each direction.  smooth_marginal works on the half-line:
-it sums the kernels' even part over the occupied bins on the knots j * step
-of [0, grid_max] and mirrors that exactly, so its grid has one node per
-distinct |X|.  It takes bin edges on a lattice of whole grid steps,
-symmetric about 0, with every bin centre on the grid (the pipeline bins
--grid_max..grid_max into (grid_points - 1) / 2 bins of two steps each) and
-rejects any other: the kernel sum is then over the folded counts
-counts + counts[::-1], one short convolution per polyphase slice.  It
-counts a kernel term below the smallest normal double (more than about
-37.6 bandwidths out) as 0: subnormal arithmetic made the default
-smoothing's convolutions twice as slow, and on the reference runs those
-terms moved no density value by more than 1e-311.  The
-smoother is prepared once for the bin edges and the grid (knots, mirrored
-grid, lattice check and the lag offsets from the first bin), then evaluated
-per count vector; bootstrap_profile prepares it once and evaluates every
-replicate with it, each replicate drawing, tallying and choosing its
-bandwidth as smooth_marginal would.
 
 The module needs numpy alone: the efficiency likelihood is maximized by a
 safeguarded Newton iteration and the histogram fit has a closed form.
@@ -262,6 +244,11 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     return _Smoother(hist.bin_edges, grid_max, grid_points)(hist, bandwidth, bandwidth_scale)
 
 
+def _grid_bins(grid_points: int) -> int:
+    # The count of bins two grid steps wide over the grid, grid_points checked.
+    return (check_count("grid_points", grid_points, 101) - 1) // 2
+
+
 def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
     # smooth_marginal's knots j * step on [0, grid_max], checked; its grid is
     # their exact mirror, grid_points nodes with 0 in the middle.
@@ -275,7 +262,8 @@ def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
 def _gaussian(z: np.ndarray) -> np.ndarray:
     # exp(-z^2 / 2) in place of z, each term below the smallest normal double
     # (|z| > 37.6) set to 0, since subnormal arithmetic slows the sums that
-    # follow several times over.
+    # follow several times over; on the reference runs such terms moved no
+    # density value by more than 1e-311.
     z *= z
     z *= -0.5
     np.exp(z, out=z)
@@ -651,10 +639,10 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 1200,
-                      lo: float = -6.0, hi: float = 6.0, bandwidth: float | None = None,
-                      bandwidth_scale: float = 1.0, grid_max: float = 6.0,
-                      grid_points: int = 2401, r_max: float = 4.0,
+def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int | None = None,
+                      lo: float | None = None, hi: float | None = None,
+                      bandwidth: float | None = None, bandwidth_scale: float = 1.0,
+                      grid_max: float = 6.0, grid_points: int = 2401, r_max: float = 4.0,
                       n_radii: int = 401) -> RadialWignerProfile:
     """The profile of bin_samples -> smooth_marginal -> abel_inverse (the
     keywords of each) with pointwise bootstrap standard errors: the per-radius
@@ -662,10 +650,15 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int = 
     with replacement and rerunning bin -> smooth -> invert.  With
     bandwidth=None each replicate re-estimates its Silverman bandwidth, so
     the band includes bandwidth variability; an explicit bandwidth makes the
-    band conditional on it (Silverman 1986).
+    band conditional on it (Silverman 1986).  By default the bins follow the
+    grid as the pipeline's do: (grid_points - 1) / 2 over [-grid_max, grid_max].
     """
     check_count("n_boot", n_boot, 2)
     check_count("seed", seed, 0)
+    n_bins = _grid_bins(grid_points) if n_bins is None else n_bins
+    check_positive("grid_max", grid_max)  # named here, before it sets the range
+    lo = -grid_max if lo is None else lo
+    hi = grid_max if hi is None else hi
     pos, edges = _bin_positions(values, n_bins=n_bins, lo=lo, hi=hi)
     smooth = _Smoother(edges, grid_max, grid_points)  # every replicate shares the edges
     _check_abel_reach(smooth.half)
@@ -832,7 +825,9 @@ def sample_diagonals(values, n_max: int = MAX_ORDER) -> list[DiagonalEstimate]:
 
     `values` must be a non-empty 1-d array of finite floats.  rho_nn is the
     sample mean of pi f_nn(x_k); no binning or smoothing is involved, so the
-    estimates carry clean statistical errors.  NumericsError is raised if an
+    estimates carry clean statistical errors.  Each term is within 1e-10 of
+    pi f_nn(x_k) for |x_k| <= 6; further out f_33's relative error grows, to
+    2e-7 at 8, 8e-4 at 20 and 0.19 at 50.  NumericsError is raised if an
     estimate or its error is not finite in float64 (a sample far out, say
     |x| = 1e52 for n = 3).
     """

@@ -49,7 +49,9 @@ class RunReport:
 
 
 def _config_hash(config) -> str:
-    payload = json.dumps({**asdict(config), "n_bins": config.n_bins}, sort_keys=True)
+    # The chain's constants are hashed by name, so editing one changes the hash.
+    constants = {k: getattr(config, k) for k in ("bandwidth", "r_max", "n_radii", "n_max")}
+    payload = json.dumps({**asdict(config), **constants, "n_bins": config.n_bins}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 

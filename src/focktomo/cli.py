@@ -6,9 +6,10 @@ reconstruction and budget outputs into one document).
 
 Defaults may be overridden by a key=value config file named by the
 FOCKTOMO_CONFIG environment variable; explicit flags always win. The
-simulate defaults are in the settings table below; the reconstruct defaults
-are those of focktomo.pipeline.ReconstructionConfig, which fills in every
-setting that neither a flag nor the config file gives.
+simulate defaults are in the settings table below.  reconstruct takes one
+setting, bandwidth_scale; the rest of the chain (fit methods, grid, radii)
+is that of a default focktomo.pipeline.ReconstructionConfig, which also
+supplies bandwidth_scale when neither a flag nor the config file gives it.
 
 Each subcommand imports only the modules it runs: simulate loads
 focktomo.simulator (with errors and kvtext), never the reconstruction chain.
@@ -37,29 +38,22 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICS = 4
 
 # The settings of each subcommand, in flag order: name -> (type, default,
-# help, choices).  A setting is the flag --name (underscores as dashes) and
-# the config file key name; a flag beats the config file, which beats the
-# default.  A default of None leaves the setting out, so that
-# ReconstructionConfig supplies its own.
+# help).  A setting is the flag --name (underscores as dashes) and the config
+# file key name; a flag beats the config file, which beats the default.  A
+# default of None leaves the setting out, so that ReconstructionConfig
+# supplies its own.
 _SETTINGS: dict[str, dict[str, tuple]] = {
     "simulate": {
-        "eta": (float, 0.553, "true efficiency of the signal block", None),
-        "n_vacuum": (int, 200000, "vacuum block size", None),
-        "n_fock": (int, 12000, "signal block size", None),
-        "seed": (int, 42, "run seed", None),
-        "scale": (float, 1.0, "detector scale", None),
-        "offset": (float, 0.0, "detector offset", None),
-        "dark_fraction": (float, 0.0, "fraction of signal events replaced by vacuum draws", None),
+        "eta": (float, 0.553, "true efficiency of the signal block"),
+        "n_vacuum": (int, 200000, "vacuum block size"),
+        "n_fock": (int, 12000, "signal block size"),
+        "seed": (int, 42, "run seed"),
+        "scale": (float, 1.0, "detector scale"),
+        "offset": (float, 0.0, "detector offset"),
+        "dark_fraction": (float, 0.0, "fraction of signal events replaced by vacuum draws"),
     },
     "reconstruct": {
-        "bandwidth_scale": (float, None, "multiplier on the rule-based smoothing bandwidth",
-                            None),
-        "fit_method": (str, None, "efficiency fit method", ("mle", "hist")),
-        "grid_max": (float, None, "half-width of the smoothing grid", None),
-        "grid_points": (int, None,
-                        "number of smoothing grid points (odd, >= 101); the histogram has "
-                        "(grid_points - 1) / 2 bins over [-grid_max, grid_max], two grid "
-                        "steps each", None),
+        "bandwidth_scale": (float, None, "multiplier on the rule-based smoothing bandwidth"),
     },
 }
 
@@ -79,16 +73,15 @@ def _load_env_config() -> dict:
 
 
 def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
-    for name, (caster, _, text, choices) in _SETTINGS[command].items():
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=caster,
-                            choices=choices, help=text)
+    for name, (caster, _, text) in _SETTINGS[command].items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=caster, help=text)
 
 
 def _settings(args: argparse.Namespace, config: dict) -> dict:
     # Each setting of the command: its flag if given, else the config value,
     # else the default; a setting with none of the three is left out.
     out = {}
-    for name, (_, default, _, _) in _SETTINGS[args.command].items():
+    for name, (_, default, _) in _SETTINGS[args.command].items():
         value = getattr(args, name)
         value = value if value is not None else config.get(name, default)
         if value is not None:

@@ -12,13 +12,16 @@ from .calibration import CalibrationResult, fit_vacuum, rescale
 from .errors import ValidationError, check_positive
 from .patterns import MAX_ORDER
 from .reconstruction import (
+    GRID_MAX,
+    GRID_POINTS,
+    N_BINS,
+    N_RADII,
+    R_MAX,
     DiagonalEstimate,
     EfficiencyFit,
     GridDensity,
     MarginalHistogram,
     RadialWignerProfile,
-    _check_inversion_grid,
-    _grid_bins,
     abel_inverse,
     bin_samples,
     fit_efficiency,
@@ -32,31 +35,26 @@ from .simulator import HomodyneDataset
 class ReconstructionConfig:
     """The settings a caller chooses, with working defaults, and the chain's
     constants: the Silverman bandwidth times bandwidth_scale (bandwidth =
-    None), n_radii radii on [0, r_max] and diagonals up to n_max; for others,
-    call abel_inverse or sample_diagonals directly.  grid_max and
-    bandwidth_scale must be positive and finite; the stages check the other
-    settings when they run.  The histogram's bins follow the grid: n_bins =
-    (grid_points - 1) / 2 bins over [-grid_max, grid_max], two steps each."""
+    None), the grid of grid_points nodes on [-grid_max, grid_max] with its
+    n_bins histogram bins, two grid steps each, n_radii radii on [0, r_max]
+    and diagonals up to n_max.  For another grid, radii or order, call the
+    stage functions directly.  bandwidth_scale must be positive and finite;
+    the stages check the method names when they run."""
 
     fit_method: str = "mle"
     bandwidth_scale: float = 1.0
-    grid_max: float = 6.0
-    grid_points: int = 2401
     calibration_method: str = "moments"
 
     bandwidth: ClassVar[None] = None
-    r_max: ClassVar[float] = 4.0
-    n_radii: ClassVar[int] = 401
+    grid_max: ClassVar[float] = GRID_MAX
+    grid_points: ClassVar[int] = GRID_POINTS
+    n_bins: ClassVar[int] = N_BINS
+    r_max: ClassVar[float] = R_MAX
+    n_radii: ClassVar[int] = N_RADII
     n_max: ClassVar[int] = MAX_ORDER
 
     def __post_init__(self) -> None:
-        check_positive("grid_max", self.grid_max)
         check_positive("bandwidth_scale", self.bandwidth_scale)
-
-    @property
-    def n_bins(self) -> int:
-        """(grid_points - 1) // 2, once grid_points is an integer >= 101."""
-        return _grid_bins(self.grid_points)
 
 
 def _prefix_settings(config: ReconstructionConfig) -> tuple[str, str]:
@@ -107,7 +105,6 @@ class PreparedRun:
             raise ValidationError("calibration_method and fit_method must equal the "
                                   f"prepared run's {want}, got {got}")
         hist = bin_samples(self.x, n_bins=config.n_bins, lo=-config.grid_max, hi=config.grid_max)
-        _check_inversion_grid(config.grid_max, config.grid_points)
         dens = smooth_marginal(hist, bandwidth=config.bandwidth,
                                bandwidth_scale=config.bandwidth_scale,
                                grid_max=config.grid_max, grid_points=config.grid_points)

@@ -69,6 +69,16 @@ ABEL_MAX_SPACING = 0.02
 # r_max, n_radii) keys.
 ABEL_CACHED_GRIDS = 4
 
+# The chain's grid, the stages' defaults and ReconstructionConfig's
+# constants: GRID_POINTS smoothing nodes on [-GRID_MAX, GRID_MAX], N_BINS
+# histogram bins over the same range, two grid steps each, and N_RADII
+# profile radii on [0, R_MAX].
+GRID_MAX = 6.0
+GRID_POINTS = 2401
+N_BINS = (GRID_POINTS - 1) // 2
+R_MAX = 4.0
+N_RADII = 401
+
 # Rule-based bandwidths and the efficiency fit need this many samples.
 MIN_FIT_SAMPLES = 1000
 MIN_SMOOTH_SAMPLES = 1000
@@ -112,8 +122,8 @@ class MarginalHistogram:
         return int(self.counts.sum())
 
 
-def bin_samples(values, *, n_bins: int = 1200, lo: float = -6.0,
-                hi: float = 6.0) -> MarginalHistogram:
+def bin_samples(values, *, n_bins: int = N_BINS, lo: float = -GRID_MAX,
+                hi: float = GRID_MAX) -> MarginalHistogram:
     """Bin calibrated quadratures into `n_bins` uniform bins over [lo, hi].
 
     `values` must be a 1-d array of finite floats, and `lo` and `hi` finite
@@ -217,8 +227,8 @@ def silverman_bandwidth(hist: MarginalHistogram) -> float:
 
 
 def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
-                    bandwidth_scale: float = 1.0, grid_max: float = 6.0,
-                    grid_points: int = 2401) -> GridDensity:
+                    bandwidth_scale: float = 1.0, grid_max: float = GRID_MAX,
+                    grid_points: int = GRID_POINTS) -> GridDensity:
     """Gaussian-kernel estimate of the even quadrature marginal.
 
     Kernels are centred on the histogram bins (weights = counts).  Their
@@ -242,11 +252,6 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     nearest each bin centre).
     """
     return _Smoother(hist.bin_edges, grid_max, grid_points)(hist, bandwidth, bandwidth_scale)
-
-
-def _grid_bins(grid_points: int) -> int:
-    # The count of bins two grid steps wide over the grid, grid_points checked.
-    return (check_count("grid_points", grid_points, 101) - 1) // 2
 
 
 def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
@@ -555,13 +560,6 @@ def _check_abel_reach(xs: np.ndarray) -> float:
     return x_max
 
 
-def _check_inversion_grid(grid_max: float, grid_points: int) -> None:
-    # The smoothing grid's checks and the inversion's, before any smoothing:
-    # a grid too coarse to invert would otherwise first meet the bandwidth
-    # rule, whose moments can overflow on it.
-    _check_abel_reach(_smoothing_grid(grid_max, grid_points))
-
-
 def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]:
     # abel_inverse's checks; returns the folded marginal on the knots from 0,
     # the radii and the operator M for them.
@@ -587,8 +585,8 @@ def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]
     return fs, np.linspace(0.0, r_max, n_radii), matrix
 
 
-def abel_inverse(x, density=None, *, r_max: float = 4.0,
-                 n_radii: int = 401) -> RadialWignerProfile:
+def abel_inverse(x, density=None, *, r_max: float = R_MAX,
+                 n_radii: int = N_RADII) -> RadialWignerProfile:
     """Invert an even quadrature marginal to the radial Wigner profile.
 
     Accepts a GridDensity or a pair of arrays (grid, density values); the
@@ -642,8 +640,8 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
 def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int | None = None,
                       lo: float | None = None, hi: float | None = None,
                       bandwidth: float | None = None, bandwidth_scale: float = 1.0,
-                      grid_max: float = 6.0, grid_points: int = 2401, r_max: float = 4.0,
-                      n_radii: int = 401) -> RadialWignerProfile:
+                      grid_max: float = GRID_MAX, grid_points: int = GRID_POINTS,
+                      r_max: float = R_MAX, n_radii: int = N_RADII) -> RadialWignerProfile:
     """The profile of bin_samples -> smooth_marginal -> abel_inverse (the
     keywords of each) with pointwise bootstrap standard errors: the per-radius
     standard deviation over `n_boot` replicates, each resampling the values
@@ -655,13 +653,14 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int | 
     """
     check_count("n_boot", n_boot, 2)
     check_count("seed", seed, 0)
-    n_bins = _grid_bins(grid_points) if n_bins is None else n_bins
+    if n_bins is None:  # grid_points checked here, before it sets the bins
+        n_bins = (check_count("grid_points", grid_points, 101) - 1) // 2
     check_positive("grid_max", grid_max)  # named here, before it sets the range
     lo = -grid_max if lo is None else lo
     hi = grid_max if hi is None else hi
     pos, edges = _bin_positions(values, n_bins=n_bins, lo=lo, hi=hi)
     smooth = _Smoother(edges, grid_max, grid_points)  # every replicate shares the edges
-    _check_abel_reach(smooth.half)
+    _check_abel_reach(smooth.half)  # before smoothing, whose bandwidth rule can overflow
     fs, radii, matrix = _abel_grid(smooth(_tally(pos, edges), bandwidth, bandwidth_scale), None,
                                    r_max, n_radii)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

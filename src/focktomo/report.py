@@ -50,8 +50,9 @@ class RunReport:
 
 def _config_hash(config) -> str:
     # The chain's constants are hashed by name, so editing one changes the hash.
-    constants = {k: getattr(config, k) for k in ("bandwidth", "r_max", "n_radii", "n_max")}
-    payload = json.dumps({**asdict(config), **constants, "n_bins": config.n_bins}, sort_keys=True)
+    constants = {k: getattr(config, k) for k in ("bandwidth", "grid_max", "grid_points", "n_bins",
+                                                 "r_max", "n_radii", "n_max")}
+    payload = json.dumps({**asdict(config), **constants}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -83,6 +84,10 @@ def build_report(summary: ReconstructionSummary, dataset: HomodyneDataset,
             "scale": spec.detector.scale,
             "offset": spec.detector.offset,
             "dark_fraction": spec.detector.dark_fraction,
+            # names the data where path cannot (a pipe reads as /dev/fd/63); for a
+            # file read, the sha256 of its body
+            "body_sha256": hashlib.sha256(np.ascontiguousarray(dataset.raw_value, "<f8")
+                                          ).hexdigest(),
         },
         "calibration": {
             "method": summary.calibration.method,

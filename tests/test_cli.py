@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from focktomo.cli import ENV_CONFIG, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from focktomo.simulator import read_dataset, write_dataset
+from focktomo.pipeline import reconstruct_dataset
+from focktomo.report import build_report
+from focktomo.simulator import RunSpec, generate_run, read_dataset, write_dataset
 from focktomo.states import wigner_radial
 
 
@@ -83,6 +85,21 @@ def test_reconstruct_reads_a_pipe(tmp_path, fifo_of):
         reports.append([line for line in lines
                         if not line.startswith(("generated_at=", "path="))])
     assert reports[0] == reports[1]
+    # the body's hash names the data a path such as /dev/fd/63 does not
+    body = path.read_bytes().split(b"# end_header\n", 1)[1]
+    assert f"body_sha256={hashlib.sha256(body).hexdigest()}" in reports[1]
+
+
+def test_body_sha256_is_the_hash_of_the_written_body(tmp_path):
+    # whatever the raw values' byte order or memory layout
+    ds = generate_run(RunSpec(eta_true=0.553, n_vacuum=2000, n_fock=2000, seed=3))
+    path = tmp_path / "run.dat"
+    write_dataset(ds, path)
+    want = hashlib.sha256(path.read_bytes().split(b"# end_header\n", 1)[1]).hexdigest()
+    summary = reconstruct_dataset(ds)
+    for raw in (ds.raw_value, ds.raw_value.astype(">f8"), np.repeat(ds.raw_value, 2)[::2]):
+        ds.raw_value = raw
+        assert build_report(summary, ds).sections["dataset"]["body_sha256"] == want
 
 
 def test_reconstruct_flags_change_output(tmp_path):
@@ -254,58 +271,12 @@ def test_overflowing_detector_map_is_validation_error(tmp_path, capsys):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("grid_max,message", [
-    ("inf", "grid_max must be positive and finite"),
-    ("nan", "grid_max must be positive and finite"),
-    ("1e308", "bin range"),  # finite, but the bins' width 2 * grid_max overflows
-])
-def test_unusable_grid_max_is_validation_error(tmp_path, capsys, grid_max, message):
-    path = _simulate(tmp_path)
-    outdir = tmp_path / "o"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["reconstruct", str(path), "--grid-max", grid_max, "-o", str(outdir)])
-    assert code == EXIT_VALIDATION
-    assert message in capsys.readouterr().err
-    assert not outdir.exists()
-
-
 def _reconstruct_without_warnings(tmp_path, *flags):
     # Exit code of `focktomo reconstruct` on a small run; any warning fails.
     path = _simulate(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return main(["reconstruct", str(path), *flags, "-o", str(tmp_path / "o")])
-
-
-@pytest.mark.parametrize("flags,code", [
-    (("--grid-points", "601"), EXIT_OK),  # spacing 0.02, at the bound
-    (("--grid-max", "12", "--grid-points", "1201"), EXIT_OK),  # spacing 0.02
-    (("--grid-max", "6.03", "--grid-points", "601"), EXIT_VALIDATION),  # spacing 0.0201
-])
-def test_grid_spacing_at_the_inversion_bound(tmp_path, capsys, flags, code):
-    assert _reconstruct_without_warnings(tmp_path, *flags) == code
-    if code == EXIT_VALIDATION:
-        assert "spacing 0.0201 too coarse" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("grid_points", [601, 1201, 2001, 4801])
-def test_the_bins_follow_the_grid(tmp_path, grid_points):
-    # (grid_points - 1) / 2 bins over [-grid_max, grid_max], two steps each
-    assert _reconstruct_without_warnings(tmp_path, "--grid-points", str(grid_points)) == EXIT_OK
-    config = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
-    assert (config["grid_points"], config["n_bins"]) == (grid_points, (grid_points - 1) // 2)
-    table = np.loadtxt(tmp_path / "o" / "marginal_histogram.txt")
-    assert table.shape[0] == (grid_points - 1) // 2
-
-
-def test_grid_too_coarse_to_invert_is_rejected_before_smoothing(tmp_path, capsys):
-    # finite, with a bin width that fits a double, but far coarser than the
-    # inversion allows; the bandwidth rule's moments would overflow on it
-    code = _reconstruct_without_warnings(tmp_path, "--grid-max", "1e200")
-    assert code == EXIT_VALIDATION
-    assert "marginal grid spacing" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
 
 
 def test_bandwidth_overflowing_the_kernel_normalisation_is_validation_error(tmp_path, capsys):
@@ -368,6 +339,8 @@ _REFERENCE_REPORT = {
 _REFERENCE_CONFIG = {"fit_method": "mle", "bandwidth_scale": 1.0, "grid_max": 6.0,
                      "grid_points": 2401, "n_bins": 1200, "r_max": 4.0, "n_radii": 401,
                      "calibration_method": "moments", "config_hash": "08684463d3f7"}
+# sha256 of the dataset body, the last line of [dataset].
+_REFERENCE_BODY_SHA256 = "f79c789c1ad9a90144a36f7453eef770ce9afc5f03b683047252570c3c096ad5"
 # sha256 of the histogram's count column as little-endian int64.
 _REFERENCE_COUNTS_SHA256 = "a96dce32bdc58226de65b2684a7200cda49871dafa558946be7deaaf072a89c7"
 
@@ -385,6 +358,8 @@ def test_reference_round_trip_is_frozen(reference_run, tmp_path, monkeypatch):
     config = dict(report["config"])
     del config["bandwidth"]
     assert config == _REFERENCE_CONFIG
+    dataset_lines = (outdir / "report.txt").read_text().split("[dataset]\n")[1].split("\n\n")[0]
+    assert dataset_lines.splitlines()[-1] == f"body_sha256={_REFERENCE_BODY_SHA256}"
     counts = np.loadtxt(outdir / "marginal_histogram.txt", usecols=2, dtype=np.int64)
     assert counts.size == 1200 and counts.sum() == 12000
     assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == _REFERENCE_COUNTS_SHA256
@@ -448,9 +423,6 @@ _SETTING_CASES = {
     "offset": ("# offset", "-0.4", "0.2"),
     "dark_fraction": ("# dark_fraction", "0.1", "0.2"),
     "bandwidth_scale": ("bandwidth_scale", "1.5", "2.0"),
-    "fit_method": ("fit_method", "hist", "mle"),
-    "grid_max": ("grid_max", "5.0", "7.0"),
-    "grid_points": ("grid_points", "2001", "1601"),
 }
 
 
@@ -475,6 +447,31 @@ def test_env_config_defaults(tmp_path, monkeypatch, key):
         written = out if simulate else out / "report.txt"
         # the dataset's header lines are text; its body is not
         assert f"{shown_as}={expected}".encode() in written.read_bytes().split(b"\n")
+
+
+# Values of the chain that are neither a reconstruct flag nor a config key.
+_CHAIN_CONSTANTS = {"grid_max": "7.0", "grid_points": "2001", "fit_method": "hist"}
+
+
+@pytest.mark.parametrize("key", list(_CHAIN_CONSTANTS))
+def test_a_chain_constant_is_not_a_flag(tmp_path, monkeypatch, key):
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", str(tmp_path / "run.dat"), flag, _CHAIN_CONSTANTS[key],
+              "-o", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("key", list(_CHAIN_CONSTANTS))
+def test_a_chain_constant_is_not_a_config_key(tmp_path, monkeypatch, capsys, key):
+    path = _simulate(tmp_path)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key}={_CHAIN_CONSTANTS[key]}\n")
+    monkeypatch.setenv(ENV_CONFIG, str(cfg))
+    assert main(["reconstruct", str(path), "-o", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_env_config_rejects_unknown_key(tmp_path, monkeypatch, capsys):

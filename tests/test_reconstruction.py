@@ -27,7 +27,6 @@ from focktomo.reconstruction import (
     _abel_nodes,
     _abel_operator,
     _bin_positions,
-    _check_inversion_grid,
     _knot_system,
     _mle_score,
     _thomas,
@@ -202,12 +201,9 @@ def test_smooth_validation():
         smooth_marginal(hist, bandwidth_scale=0.0)
     with pytest.raises(ValidationError):
         smooth_marginal(hist, grid_max=-1.0)
-    ds = generate_run(RunSpec(eta_true=0.553, n_vacuum=2000, n_fock=1000, seed=6))
     for points in (2401.0, np.float64(2401)):  # integral, but not integers
         with pytest.raises(ValidationError, match="grid_points must be an integer"):
             smooth_marginal(hist, grid_points=points)
-        with pytest.raises(ValidationError, match="grid_points must be an integer"):
-            reconstruct_dataset(ds, ReconstructionConfig(grid_points=points))
 
 
 def test_bandwidth_below_the_bin_width_or_grid_spacing_is_rejected():
@@ -239,9 +235,8 @@ def test_samples_off_the_smoothing_grid_are_named_as_such():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
 def test_positive_settings_must_be_finite(bad):
-    for name in ("grid_max", "bandwidth_scale"):
-        with pytest.raises(ValidationError, match=name):
-            ReconstructionConfig(**{name: bad})
+    with pytest.raises(ValidationError, match="bandwidth_scale"):
+        ReconstructionConfig(bandwidth_scale=bad)
     hist = bin_samples(_draws(0.0, 2000, 6))
     for name in ("grid_max", "bandwidth_scale", "bandwidth"):
         with pytest.raises(ValidationError, match=name):
@@ -603,10 +598,9 @@ def test_chord_quadrature_scalar_and_deterministic():
 
 
 def _chain(values, bandwidth=None):
-    # Reference: the explicit bin -> check -> smooth -> invert steps on the
-    # default grid, in reconstruct_dataset's order.
+    # Reference: the explicit bin -> smooth -> invert steps on the default
+    # grid, in reconstruct_dataset's order.
     hist = bin_samples(values)
-    _check_inversion_grid(6.0, 2401)
     dens = smooth_marginal(hist, bandwidth=bandwidth)
     return hist, dens, abel_inverse(dens)
 
@@ -637,13 +631,15 @@ def _fresh(ds, config=None):
     return prepare_run(ds, config).reconstruct(config)
 
 
-_CONSTANTS = {"bandwidth": None, "r_max": 4.0, "n_radii": 401, "n_max": MAX_ORDER}
+_CONSTANTS = {"bandwidth": None, "grid_max": 6.0, "grid_points": 2401, "n_bins": 1200,
+              "r_max": 4.0, "n_radii": 401, "n_max": MAX_ORDER}
 
 
 def test_the_config_holds_five_settings_and_the_chain_constants():
+    # Three settings; the grid, the radii and the order are constants.
     assert [f.name for f in fields(ReconstructionConfig)] == [
-        "fit_method", "bandwidth_scale", "grid_max", "grid_points", "calibration_method"]
-    config = ReconstructionConfig(bandwidth_scale=0.5, grid_points=2001)
+        "fit_method", "bandwidth_scale", "calibration_method"]
+    config = ReconstructionConfig(bandwidth_scale=0.5)
     assert {name: getattr(config, name) for name in _CONSTANTS} == _CONSTANTS
     for name, value in _CONSTANTS.items():
         with pytest.raises(TypeError, match=name):
@@ -882,7 +878,7 @@ def test_bootstrap_profile_matches_replicate_loop(bandwidth):
     assert np.max(np.abs(prof.stderr - reference)) <= 1e-12
 
 
-@pytest.mark.parametrize("grid_points", [2401, 2001])
+@pytest.mark.parametrize("grid_points", [2401, 2001, 601, 1201, 4801])
 def test_bootstrap_bins_follow_the_grid_by_default(grid_points):
     x = _draws(0.553, 4_000, 24)
     got = bootstrap_profile(x, n_boot=4, seed=5, grid_points=grid_points)
@@ -890,6 +886,22 @@ def test_bootstrap_bins_follow_the_grid_by_default(grid_points):
                              n_bins=(grid_points - 1) // 2, lo=-6.0, hi=6.0)
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.stderr, want.stderr)
+
+
+@pytest.mark.parametrize("grid_max,message", [
+    (np.inf, "grid_max must be positive and finite"),
+    (np.nan, "grid_max must be positive and finite"),
+    (1e308, "bin range"),  # finite, but the bins' width 2 * grid_max overflows
+    # a bin width that fits a double, but far coarser than the inversion
+    # allows; the bandwidth rule's moments would overflow on it
+    (1e200, "marginal grid spacing"),
+])
+def test_bootstrap_rejects_an_unusable_grid_before_smoothing(grid_max, message):
+    x = _draws(0.553, 4_000, 24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            bootstrap_profile(x, n_boot=2, grid_max=grid_max)
 
 
 def test_bootstrap_names_the_grid_setting_it_derives_the_bins_from():

@@ -31,7 +31,6 @@ MAX_GAUSS_NEWTON_STEPS = 50
 class CalibrationResult:
     scale_hat: float
     offset_hat: float
-    fit_residual: float
     n_used: int
     method: str = "moments"
 
@@ -39,11 +38,6 @@ class CalibrationResult:
         check_positive("scale_hat", self.scale_hat)
         if not np.isfinite(self.offset_hat):
             raise ValidationError("offset_hat must be finite")
-
-
-def _vacuum_residuals(centers, density, scale: float, offset: float) -> np.ndarray:
-    # Binned empirical density minus the vacuum model, through the affine response.
-    return density - marginal_density(0.0, (centers - offset) / scale) / scale
 
 
 def _gauss_newton(centers, density, scale: float, offset: float) -> tuple[float, float]:
@@ -64,12 +58,12 @@ def fit_vacuum(values, method: str = "moments") -> CalibrationResult:
     """Estimate (scale, offset) from a vacuum block.
 
     `values` must be a 1-d array of at least MIN_CALIBRATION_SAMPLES finite
-    raw values whose mean and spread are finite in float64 (else
-    NumericsError).  "moments" takes the mean and sample standard deviation;
-    "histogram" starts there and takes Gauss-Newton steps until both are at
-    most 1e-15 (scale + |offset|), raising NumericsError if the scale leaves
-    (0, inf) or after MAX_GAUSS_NEWTON_STEPS steps.  fit_residual is the
-    summed squared deviation of the binned density from the model.
+    raw values whose mean and spread are finite, and whose spread is non-zero,
+    in float64 (else NumericsError).  "moments" takes the mean and sample
+    standard deviation and bins nothing; "histogram" starts there and takes
+    Gauss-Newton steps on the binned density until both are at most 1e-15
+    (scale + |offset|), raising NumericsError if the scale leaves (0, inf) or
+    after MAX_GAUSS_NEWTON_STEPS steps.
     """
     if method not in ("moments", "histogram"):
         raise ValidationError(f"unknown calibration method {method!r}")
@@ -81,14 +75,16 @@ def fit_vacuum(values, method: str = "moments") -> CalibrationResult:
     if not (np.isfinite(offset_hat) and np.isfinite(std)):
         raise NumericsError("vacuum block's mean or spread overflows float64; cannot calibrate")
     if std == 0.0:
+        if values.min() < values.max():
+            raise NumericsError("vacuum block's spread underflows float64: its values differ, "
+                                "but their squared deviations round to 0; cannot calibrate")
         raise NumericsError("vacuum block has zero variance; cannot calibrate")
     scale_hat = std / VACUUM_STD
-    centers, density = _scott_density(values, offset_hat, std)
     if method == "histogram":
-        scale_hat, offset_hat = _gauss_newton(centers, density, scale_hat, offset_hat)
-    resid = _vacuum_residuals(centers, density, scale_hat, offset_hat)
+        scale_hat, offset_hat = _gauss_newton(*_scott_density(values, offset_hat, std),
+                                              scale_hat, offset_hat)
     return CalibrationResult(scale_hat=scale_hat, offset_hat=offset_hat, method=method,
-                             fit_residual=float(np.sum(resid ** 2)), n_used=values.size)
+                             n_used=values.size)
 
 
 def rescale(values, calibration: CalibrationResult) -> np.ndarray:

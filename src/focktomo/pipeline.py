@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -74,7 +73,7 @@ class PreparedRun:
 
     calibration: CalibrationResult
     efficiency: EfficiencyFit
-    diagonals: Sequence[DiagonalEstimate]  # a tuple here, a fresh list in each summary
+    diagonals: tuple[DiagonalEstimate, ...]
     analysis_source: str
     n_signal: int
     x: np.ndarray = field(repr=False)
@@ -110,7 +109,7 @@ class PreparedRun:
                                grid_max=config.grid_max, grid_points=config.grid_points)
         return ReconstructionSummary(
             calibration=self.calibration, efficiency=self.efficiency,
-            diagonals=list(self.diagonals), analysis_source=self.analysis_source,
+            diagonals=self.diagonals, analysis_source=self.analysis_source,
             n_signal=self.n_signal, x=self.x, config=config, histogram=hist, density=dens,
             profile=abel_inverse(dens, r_max=config.r_max, n_radii=config.n_radii))
 
@@ -145,7 +144,7 @@ def prepare_run(dataset: HomodyneDataset,
     x = rescale(fock if fock.size > 0 else vacuum, cal)
     x.flags.writeable = False
     return PreparedRun(calibration=cal, efficiency=fit_efficiency(x, method=config.fit_method),
-                       diagonals=tuple(sample_diagonals(x, n_max=config.n_max)),
+                       diagonals=sample_diagonals(x, n_max=config.n_max),
                        analysis_source="fock_block" if fock.size > 0 else "vacuum_control",
                        n_signal=int(x.size), x=x, config=config)
 

@@ -807,19 +807,15 @@ class DiagonalEstimate:
     """Density-matrix diagonal rho_nn with statistical errors.
 
     sigma_nn is the centred estimate sqrt((mean(v^2) - mean(v)^2) / N) for
-    v = pi f_nn(x); sigma_nn_uncentered keeps the raw second moment
-    sqrt(mean(v^2) / N).  The centred form is the variance of the empirical
-    mean; the uncentered form is reported alongside for comparison with the
-    plain second-moment convention.
+    v = pi f_nn(x), the standard error of the empirical mean.
     """
 
     n: int
     rho_nn: float
     sigma_nn: float
-    sigma_nn_uncentered: float
 
 
-def sample_diagonals(values, n_max: int = MAX_ORDER) -> list[DiagonalEstimate]:
+def sample_diagonals(values, n_max: int = MAX_ORDER) -> tuple[DiagonalEstimate, ...]:
     """Estimate rho_nn for n = 0..n_max from calibrated quadratures.
 
     `values` must be a non-empty 1-d array of finite floats.  rho_nn is the
@@ -838,15 +834,10 @@ def sample_diagonals(values, n_max: int = MAX_ORDER) -> list[DiagonalEstimate]:
         for n, v in enumerate(_scaled_kernels(values, n_max)):
             rho = float(np.mean(v))
             m2 = float(np.mean(v * v))
-            var_centered = max(m2 - rho * rho, 0.0)
-            out.append(DiagonalEstimate(
-                n=n,
-                rho_nn=rho,
-                sigma_nn=float(np.sqrt(var_centered / n_samples)),
-                sigma_nn_uncentered=float(np.sqrt(m2 / n_samples)),
-            ))
+            sigma = float(np.sqrt(max(m2 - rho * rho, 0.0) / n_samples))
+            out.append(DiagonalEstimate(n=n, rho_nn=rho, sigma_nn=sigma))
     for d in out:
-        if not np.all(np.isfinite([d.rho_nn, d.sigma_nn, d.sigma_nn_uncentered])):
+        if not np.all(np.isfinite([d.rho_nn, d.sigma_nn])):
             raise NumericsError(f"diagonal sampling: rho_{d.n}{d.n} or its error is not finite "
                                 f"in float64 (largest |x| {float(np.max(np.abs(values))):.3g})")
-    return out
+    return tuple(out)

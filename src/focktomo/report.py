@@ -70,7 +70,6 @@ def build_report(summary: ReconstructionSummary, dataset: HomodyneDataset,
     for d in summary.diagonals:
         diagonals[f"rho_{d.n}{d.n}"] = d.rho_nn
         diagonals[f"sigma_{d.n}{d.n}"] = d.sigma_nn
-        diagonals[f"sigma_{d.n}{d.n}_uncentered"] = d.sigma_nn_uncentered
     diagonals["rho_sum"] = sum(d.rho_nn for d in summary.diagonals)
 
     sections = {
@@ -93,7 +92,6 @@ def build_report(summary: ReconstructionSummary, dataset: HomodyneDataset,
             "method": summary.calibration.method,
             "scale_hat": summary.calibration.scale_hat,
             "offset_hat": summary.calibration.offset_hat,
-            "fit_residual": summary.calibration.fit_residual,
             "n_used": summary.calibration.n_used,
         },
         "efficiency": {

@@ -327,8 +327,7 @@ def test_bandwidth_narrower_than_a_bin_is_validation_error(reference_run, tmp_pa
 _REFERENCE_REPORT = {
     "efficiency": {"eta_hat": 0.5625941632881729, "eta_stderr": 0.008065892482756205,
                    "objective": 12624.618780815292},
-    "calibration": {"scale_hat": 1.002638970801738, "offset_hat": -0.0005086163680511723,
-                    "fit_residual": 0.006080729749422906},
+    "calibration": {"scale_hat": 1.002638970801738, "offset_hat": -0.0005086163680511723},
     "diagonals": {"rho_11": 0.5807048215710435, "sigma_11": 0.011554037616833926,
                   "rho_sum": 0.9840856067970885},
     "wigner": {"origin_reconstructed": -0.040146971249130026,
@@ -355,6 +354,9 @@ def test_reference_round_trip_is_frozen(reference_run, tmp_path, monkeypatch):
             assert report[section][key] == pytest.approx(value, rel=1e-12, abs=0.0), key
     assert report["calibration"]["method"] == "moments"
     assert report["efficiency"]["method"] == "mle"
+    assert sorted(report["calibration"]) == ["method", "n_used", "offset_hat", "scale_hat"]
+    assert sorted(report["diagonals"]) == sorted([f"{k}_{n}{n}" for k in ("rho", "sigma")
+                                                  for n in range(4)] + ["rho_sum"])
     config = dict(report["config"])
     del config["bandwidth"]
     assert config == _REFERENCE_CONFIG
@@ -372,7 +374,7 @@ def test_degenerate_dataset_is_numerics_error(tmp_path, capsys):
     write_dataset(ds, path)
     code = main(["reconstruct", str(path), "-o", str(tmp_path / "o")])
     assert code == EXIT_NUMERICS
-    assert "variance" in capsys.readouterr().err
+    assert "vacuum block has zero variance" in capsys.readouterr().err
 
 
 def _exits_4_and_writes_nothing(path, tmp_path, capsys, message):
@@ -389,6 +391,16 @@ def test_a_vacuum_spread_that_overflows_is_numerics_error(tmp_path, capsys):
     assert main(["simulate", "--n-vacuum", "20000", "--n-fock", "2000", "--scale", "1e160",
                  "-o", str(path)]) == EXIT_OK
     _exits_4_and_writes_nothing(path, tmp_path, capsys, "overflows float64")
+
+
+def test_a_vacuum_spread_that_underflows_is_named(tmp_path, capsys):
+    # the values differ, but their squared deviations (about 1e-601) round to 0
+    path = tmp_path / "r.dat"
+    assert main(["simulate", "--eta", "1", "--n-vacuum", "5000", "--n-fock", "5000",
+                 "--scale", "1e-300", "-o", str(path)]) == EXIT_OK
+    vacuum = read_dataset(path).vacuum_values
+    assert np.std(vacuum, ddof=1) == 0.0 and vacuum.min() < vacuum.max()
+    _exits_4_and_writes_nothing(path, tmp_path, capsys, "vacuum block's spread underflows float64")
 
 
 @pytest.mark.parametrize("far, message", [(1e200, "efficiency fit: 4 x^2 - 1 overflows"),

@@ -1,7 +1,7 @@
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -743,8 +743,10 @@ def test_the_memo_shares_nothing_with_the_caller(prefix_calls):
     ds = _memo_run()
     first = reconstruct_dataset(ds)
     kept = _bits(first)
-    first.diagonals.append(first.diagonals[0])
-    first.diagonals[0] = None
+    # the diagonals are an immutable tuple of frozen estimates, safe to share
+    assert type(first.diagonals) is tuple
+    with pytest.raises(TypeError):
+        first.diagonals[0] = None
     assert _bits(reconstruct_dataset(ds)) == kept
     for block in pipeline._last_run[:2]:
         assert block.dtype == np.float64
@@ -818,9 +820,14 @@ def test_a_prepared_run_keeps_x_read_only_and_shares_no_list():
     with pytest.raises(ValueError, match="read-only"):
         run.x[0] = 0.0
     first, second = run.reconstruct(), run.reconstruct()
-    assert type(first.diagonals) is list and first.diagonals is not second.diagonals
-    first.diagonals[1] = None
-    assert second.diagonals == sample_diagonals(run.x) == list(run.diagonals)
+    # one immutable tuple, shared by the run and each of its summaries
+    assert type(run.diagonals) is tuple
+    assert first.diagonals is run.diagonals and second.diagonals is run.diagonals
+    with pytest.raises(TypeError):
+        first.diagonals[1] = None
+    with pytest.raises(FrozenInstanceError):
+        first.diagonals[1].rho_nn = 0.0
+    assert second.diagonals == sample_diagonals(run.x)
 
 
 def test_bootstrap_profile_stderr():
@@ -1261,7 +1268,6 @@ def test_diagonals_recover_mixture():
     assert abs(total - 1.0) < 4.0 * total_sigma
     for d in diags:
         assert d.sigma_nn > 0.0
-        assert d.sigma_nn_uncentered >= d.sigma_nn
 
 
 def test_diagonal_sigma_matches_quadrature_prediction():
@@ -1275,9 +1281,7 @@ def test_diagonal_sigma_matches_quadrature_prediction():
 
     m2, _ = integrate.quad(second_moment, -8.0, 8.0, limit=200)
     assert m2 == pytest.approx(1.906, abs=0.002)
-    sigma_unc_pred = np.sqrt(m2 / n)
     sigma_cen_pred = np.sqrt((m2 - eta ** 2) / n)
-    assert d1.sigma_nn_uncentered == pytest.approx(sigma_unc_pred, rel=0.05)
     assert d1.sigma_nn == pytest.approx(sigma_cen_pred, rel=0.05)
 
 
@@ -1286,11 +1290,13 @@ def test_vacuum_diagonal_errors_match_quadrature():
     x = _draws(0.0, n, 19)
     diags = sample_diagonals(x, n_max=1)
 
+    # the vacuum's rho_nn is delta_n0, so the centred variance is m2 - delta_n0^2
     for d, order in zip(diags, (0, 1)):
         def second_moment(t, order=order):
             return marginal_density(0.0, t) * (np.pi * pattern_function(order, t)) ** 2
         m2, _ = integrate.quad(second_moment, -8.0, 8.0, limit=200)
-        assert d.sigma_nn_uncentered == pytest.approx(np.sqrt(m2 / n), rel=0.05)
+        rho = 1.0 if order == 0 else 0.0
+        assert d.sigma_nn == pytest.approx(np.sqrt((m2 - rho ** 2) / n), rel=0.05)
 
 
 def test_diagonals_validation():

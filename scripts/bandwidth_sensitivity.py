@@ -23,7 +23,7 @@ import sys
 
 from focktomo.cli import EXIT_NUMERICS, EXIT_OK, EXIT_VALIDATION
 from focktomo.errors import NumericsError, ValidationError
-from focktomo.pipeline import ReconstructionConfig, prepare_run
+from focktomo.pipeline import prepare_run
 from focktomo.simulator import read_dataset
 
 
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     try:
         dataset = read_dataset(args.dataset)
         run = prepare_run(dataset)
-        summaries = [run.reconstruct(ReconstructionConfig(bandwidth_scale=s)) for s in args.scales]
+        summaries = [run.reconstruct(s) for s in args.scales]
     except (ValidationError, OSError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS if isinstance(exc, NumericsError) else EXIT_VALIDATION

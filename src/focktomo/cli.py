@@ -4,12 +4,10 @@ Subcommands: simulate (write a synthetic run), reconstruct (full analysis of
 a dataset file), budget (combine an efficiency factor table), report (merge
 reconstruction and budget outputs into one document).
 
-Defaults may be overridden by a key=value config file named by the
-FOCKTOMO_CONFIG environment variable; explicit flags always win. The
-simulate defaults are in the settings table below.  reconstruct takes one
-setting, bandwidth_scale; the rest of the chain (fit methods, grid, radii)
-is that of a default focktomo.pipeline.ReconstructionConfig, which also
-supplies bandwidth_scale when neither a flag nor the config file gives it.
+The simulate defaults are written on its flags below.  reconstruct takes
+one setting, --bandwidth-scale; the rest of the chain (fit methods, grid,
+radii) is that of a default focktomo.pipeline.ReconstructionConfig, which
+also supplies bandwidth_scale when the flag is not given.
 
 Each subcommand imports only the modules it runs: simulate loads
 focktomo.simulator (with errors and kvtext), never the reconstruction chain.
@@ -22,71 +20,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .errors import DatasetFormatError, NumericsError, ValidationError
-from .kvtext import content_lines, parse_kv
-
-ENV_CONFIG = "FOCKTOMO_CONFIG"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICS = 4
-
-# The settings of each subcommand, in flag order: name -> (type, default,
-# help).  A setting is the flag --name (underscores as dashes) and the config
-# file key name; a flag beats the config file, which beats the default.  A
-# default of None leaves the setting out, so that ReconstructionConfig
-# supplies its own.
-_SETTINGS: dict[str, dict[str, tuple]] = {
-    "simulate": {
-        "eta": (float, 0.553, "true efficiency of the signal block"),
-        "n_vacuum": (int, 200000, "vacuum block size"),
-        "n_fock": (int, 12000, "signal block size"),
-        "seed": (int, 42, "run seed"),
-        "scale": (float, 1.0, "detector scale"),
-        "offset": (float, 0.0, "detector offset"),
-        "dark_fraction": (float, 0.0, "fraction of signal events replaced by vacuum draws"),
-    },
-    "reconstruct": {
-        "bandwidth_scale": (float, None, "multiplier on the rule-based smoothing bandwidth"),
-    },
-}
-
-
-def _load_env_config() -> dict:
-    path = os.environ.get(ENV_CONFIG)
-    if not path:
-        return {}
-    with open(path) as fh:
-        text = fh.read()
-    types = {key: spec[0] for table in _SETTINGS.values() for key, spec in table.items()}
-    config = parse_kv(content_lines(text), types, "config")
-    unknown = [key for key in config if key not in types]
-    if unknown:
-        raise DatasetFormatError(f"config file {path!r}: unknown key {unknown[0]!r}")
-    return config
-
-
-def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
-    for name, (caster, _, text) in _SETTINGS[command].items():
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=caster, help=text)
-
-
-def _settings(args: argparse.Namespace, config: dict) -> dict:
-    # Each setting of the command: its flag if given, else the config value,
-    # else the default; a setting with none of the three is left out.
-    out = {}
-    for name, (_, default, _) in _SETTINGS[args.command].items():
-        value = getattr(args, name)
-        value = value if value is not None else config.get(name, default)
-        if value is not None:
-            out[name] = value
-    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,12 +40,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic run and write it to a file")
-    _add_settings(p_sim, "simulate")
+    p_sim.add_argument("--eta", type=float, default=0.553,
+                       help="true efficiency of the signal block")
+    p_sim.add_argument("--n-vacuum", type=int, default=200000, help="vacuum block size")
+    p_sim.add_argument("--n-fock", type=int, default=12000, help="signal block size")
+    p_sim.add_argument("--seed", type=int, default=42, help="run seed")
+    p_sim.add_argument("--scale", type=float, default=1.0, help="detector scale")
+    p_sim.add_argument("--offset", type=float, default=0.0, help="detector offset")
+    p_sim.add_argument("--dark-fraction", type=float, default=0.0,
+                       help="fraction of signal events replaced by vacuum draws")
     p_sim.add_argument("-o", "--output", required=True, help="dataset file to write")
 
     p_rec = sub.add_parser("reconstruct", help="run the full analysis on a dataset file")
     p_rec.add_argument("dataset", help="dataset file written by simulate")
-    _add_settings(p_rec, "reconstruct")
+    p_rec.add_argument("--bandwidth-scale", type=float,
+                       help="multiplier on the rule-based smoothing bandwidth")
     p_rec.add_argument("-o", "--output", required=True,
                        help="output directory for report and tables")
 
@@ -120,12 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     from .simulator import DetectorModel, RunSpec, generate_run, write_dataset
 
-    settings = _settings(args, config)
-    detector = DetectorModel(**{f.name: settings.pop(f.name) for f in fields(DetectorModel)})
-    spec = RunSpec(eta_true=settings.pop("eta"), detector=detector, **settings)
+    detector = DetectorModel(scale=args.scale, offset=args.offset,
+                             dark_fraction=args.dark_fraction)
+    spec = RunSpec(eta_true=args.eta, n_vacuum=args.n_vacuum, n_fock=args.n_fock,
+                   detector=detector, seed=args.seed)
     dataset = generate_run(spec)
     write_dataset(dataset, args.output)
     print(f"wrote {dataset.n_samples} samples "
@@ -133,13 +85,13 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(args: argparse.Namespace, config: dict) -> int:
-    from .pipeline import ReconstructionConfig, prepare_run
+def cmd_reconstruct(args: argparse.Namespace) -> int:
+    from .pipeline import prepare_run
     from .report import build_report, write_histogram_table, write_profile_table
     from .simulator import read_dataset
 
     dataset = read_dataset(args.dataset)
-    summary = prepare_run(dataset, ReconstructionConfig(**_settings(args, config))).reconstruct()
+    summary = prepare_run(dataset).reconstruct(args.bandwidth_scale)
     report = build_report(summary, dataset, dataset_path=str(args.dataset))
 
     outdir = Path(args.output)
@@ -164,7 +116,7 @@ def cmd_reconstruct(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_budget(args: argparse.Namespace, config: dict) -> int:
+def cmd_budget(args: argparse.Namespace) -> int:
     from .budget import combine, default_factors, load_factors
     from .report import budget_to_kv
 
@@ -181,7 +133,7 @@ def _reject_constant(name: str):
     raise DatasetFormatError(f"{name} is not a valid JSON number")
 
 
-def cmd_report(args: argparse.Namespace, config: dict) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     from .report import merge_reports, parse_budget_kv
 
     try:
@@ -213,10 +165,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # Invalid input, including a missing, unreadable or non-text file (report,
-    # budget, factor table, config), exits 3; a numerical failure exits 4.
+    # budget or factor table), exits 3; a numerical failure exits 4.
     try:
-        config = _load_env_config()
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except (ValidationError, OSError, UnicodeDecodeError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS if isinstance(exc, NumericsError) else EXIT_VALIDATION

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -56,20 +56,14 @@ class ReconstructionConfig:
         check_positive("bandwidth_scale", self.bandwidth_scale)
 
 
-def _prefix_settings(config: ReconstructionConfig) -> tuple[str, str]:
-    # The settings the bandwidth-independent half depends on.
-    return config.calibration_method, config.fit_method
-
-
 @dataclass(frozen=True)
 class PreparedRun:
     """The bandwidth-independent half of one run's analysis: the vacuum
     calibration, the efficiency fit and the diagonals, with the calibrated
     signal x (read-only) they came from and the config that set them.
 
-    reconstruct(config) runs the other half, bin -> smooth -> invert, for any
-    config whose calibration_method and fit_method equal the run's, so a
-    bandwidth sweep prepares the run once."""
+    reconstruct(bandwidth_scale) runs the other half, bin -> smooth -> invert,
+    at any bandwidth scale, so a bandwidth sweep prepares the run once."""
 
     calibration: CalibrationResult
     efficiency: EfficiencyFit
@@ -95,14 +89,12 @@ class PreparedRun:
         tol = self.diagonals[1].sigma_nn + self.efficiency.eta_stderr
         return bool(abs(self.diagonals[1].rho_nn - self.efficiency.eta_hat) <= tol)
 
-    def reconstruct(self, config: ReconstructionConfig | None = None) -> ReconstructionSummary:
-        """Bin, smooth and Abel-invert x with `config`'s settings (by default the run's)."""
-        if config is None:
-            config = self.config
-        want, got = _prefix_settings(self.config), _prefix_settings(config)
-        if got != want:
-            raise ValidationError("calibration_method and fit_method must equal the "
-                                  f"prepared run's {want}, got {got}")
+    def reconstruct(self, bandwidth_scale: float | None = None) -> ReconstructionSummary:
+        """Bin, smooth and Abel-invert x at `bandwidth_scale` (by default the
+        run's); the summary's config is the run's with that scale."""
+        config = self.config
+        if bandwidth_scale is not None:
+            config = replace(config, bandwidth_scale=bandwidth_scale)
         hist = bin_samples(self.x, n_bins=config.n_bins, lo=-config.grid_max, hi=config.grid_max)
         dens = smooth_marginal(hist, bandwidth=config.bandwidth,
                                bandwidth_scale=config.bandwidth_scale,
@@ -156,21 +148,23 @@ _last_run: tuple[np.ndarray, np.ndarray, PreparedRun] | None = None
 
 def reconstruct_dataset(dataset: HomodyneDataset,
                         config: ReconstructionConfig | None = None) -> ReconstructionSummary:
-    """prepare_run(dataset, config).reconstruct(config), reusing the previous
+    """prepare_run(dataset, config).reconstruct(), reusing the previous
     successful call's run while both blocks equal its private copies
-    (np.array_equal on shape and values) and the prefix settings match.  The
-    copies cost 8 bytes per event, about 1.7 MB for 200k + 12k events."""
+    (np.array_equal on shape and values) and config differs from the run's
+    in bandwidth_scale alone.  The copies cost 8 bytes per event, about
+    1.7 MB for 200k + 12k events."""
     global _last_run
     if config is None:
         config = ReconstructionConfig()
     vacuum, fock = dataset.vacuum_values, dataset.fock_values
     last = _last_run
-    if (last is not None and _prefix_settings(config) == _prefix_settings(last[2].config)
+    if (last is not None
+            and replace(config, bandwidth_scale=last[2].config.bandwidth_scale) == last[2].config
             and np.array_equal(last[0], vacuum) and np.array_equal(last[1], fock)):
-        return last[2].reconstruct(config)
+        return last[2].reconstruct(config.bandwidth_scale)
     _last_run = last = None  # the old copies are freed before new ones are made
     run = prepare_run(dataset, config)
-    summary = run.reconstruct(config)
+    summary = run.reconstruct()
     # Stored only now, so a failed call leaves nothing and the copies do not
     # add to the smoothing's and inversion's peak memory.
     _last_run = (np.array(vacuum, dtype=np.float64), np.array(fock, dtype=np.float64), run)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focktomo.cli import ENV_CONFIG, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from focktomo.cli import EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from focktomo.pipeline import reconstruct_dataset
 from focktomo.report import build_report
 from focktomo.simulator import RunSpec, generate_run, read_dataset, write_dataset
@@ -298,20 +298,17 @@ def test_bandwidth_underflowing_every_kernel_term_is_validation_error(tmp_path, 
 @pytest.fixture(scope="module")
 def reference_run(tmp_path_factory):
     # The seed-42 reference run (200k vacuum + 12k signal) as `focktomo
-    # simulate` writes it with every default and no config file.
+    # simulate` writes it with every default.
     path = tmp_path_factory.mktemp("reference") / "run42.txt"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv(ENV_CONFIG, raising=False)
-        assert main(["simulate", "-o", str(path)]) == EXIT_OK
+    assert main(["simulate", "-o", str(path)]) == EXIT_OK
     return path
 
 
 @pytest.mark.parametrize("scale", ["1e-3", "0.05"])
 def test_bandwidth_narrower_than_a_bin_is_validation_error(reference_run, tmp_path,
-                                                           monkeypatch, capsys, scale):
+                                                           capsys, scale):
     # The rule's 0.0998 times the scale is below the 0.01 bin width: each
     # kernel would be a spike on the grid nodes, and W(0) nonsense.
-    monkeypatch.delenv(ENV_CONFIG, raising=False)
     outdir = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -344,8 +341,7 @@ _REFERENCE_BODY_SHA256 = "f79c789c1ad9a90144a36f7453eef770ce9afc5f03b68304725257
 _REFERENCE_COUNTS_SHA256 = "a96dce32bdc58226de65b2684a7200cda49871dafa558946be7deaaf072a89c7"
 
 
-def test_reference_round_trip_is_frozen(reference_run, tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_CONFIG, raising=False)
+def test_reference_round_trip_is_frozen(reference_run, tmp_path):
     outdir = tmp_path / "out"
     assert main(["reconstruct", str(reference_run), "-o", str(outdir)]) == EXIT_OK
     report = json.loads((outdir / "report.json").read_text())
@@ -424,50 +420,47 @@ def test_usage_error_exit_code():
     assert exc.value.code == EXIT_USAGE
 
 
-# Every config key: where its value shows (the dataset header line, or the
-# line in the report's [config] section), a config value and a flag value.
+# Every setting: where its value shows (the dataset header line, or the
+# line in the report's [config] section) and a flag value other than its
+# default.
 _SETTING_CASES = {
-    "eta": ("# eta_true", "0.3", "0.9"),
-    "n_vacuum": ("# n_vacuum", "4000", "3000"),
-    "n_fock": ("# n_fock", "1000", "500"),
-    "seed": ("# seed", "7", "8"),
-    "scale": ("# scale", "2.5", "1.5"),
-    "offset": ("# offset", "-0.4", "0.2"),
-    "dark_fraction": ("# dark_fraction", "0.1", "0.2"),
-    "bandwidth_scale": ("bandwidth_scale", "1.5", "2.0"),
+    "eta": ("# eta_true", "0.9"),
+    "n_vacuum": ("# n_vacuum", "3000"),
+    "n_fock": ("# n_fock", "500"),
+    "seed": ("# seed", "8"),
+    "scale": ("# scale", "1.5"),
+    "offset": ("# offset", "0.2"),
+    "dark_fraction": ("# dark_fraction", "0.2"),
+    "bandwidth_scale": ("bandwidth_scale", "2.0"),
 }
 
 
+# The test keeps its name from when a settings file could also set these.
 @pytest.mark.parametrize("key", list(_SETTING_CASES))
-def test_env_config_defaults(tmp_path, monkeypatch, key):
-    # a config value replaces the default, and an explicit flag beats it
-    shown_as, config_value, flag_value = _SETTING_CASES[key]
+def test_env_config_defaults(tmp_path, key):
+    # the flag's value replaces the default and shows where it is written
+    shown_as, value = _SETTING_CASES[key]
+    flag = "--" + key.replace("_", "-")
     simulate = shown_as.startswith("#")
     if simulate:
         counts = {"--n-vacuum": "5000", "--n-fock": "2000"}
-        counts.pop("--" + key.replace("_", "-"), None)
+        counts.pop(flag, None)
         base = ["simulate", *(arg for item in counts.items() for arg in item)]
     else:
         base = ["reconstruct", str(_simulate(tmp_path))]
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"{key}={config_value}\n")
-    monkeypatch.setenv("FOCKTOMO_CONFIG", str(cfg))
-    flag = "--" + key.replace("_", "-")
-    for name, extra, expected in (("a", [], config_value), ("b", [flag, flag_value], flag_value)):
-        out = tmp_path / name
-        assert main([*base, *extra, "-o", str(out)]) == EXIT_OK
-        written = out if simulate else out / "report.txt"
-        # the dataset's header lines are text; its body is not
-        assert f"{shown_as}={expected}".encode() in written.read_bytes().split(b"\n")
+    out = tmp_path / "out"
+    assert main([*base, flag, value, "-o", str(out)]) == EXIT_OK
+    written = out if simulate else out / "report.txt"
+    # the dataset's header lines are text; its body is not
+    assert f"{shown_as}={value}".encode() in written.read_bytes().split(b"\n")
 
 
-# Values of the chain that are neither a reconstruct flag nor a config key.
+# Values of the chain that are not a reconstruct flag.
 _CHAIN_CONSTANTS = {"grid_max": "7.0", "grid_points": "2001", "fit_method": "hist"}
 
 
 @pytest.mark.parametrize("key", list(_CHAIN_CONSTANTS))
-def test_a_chain_constant_is_not_a_flag(tmp_path, monkeypatch, key):
-    monkeypatch.delenv(ENV_CONFIG, raising=False)
+def test_a_chain_constant_is_not_a_flag(tmp_path, key):
     flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
         main(["reconstruct", str(tmp_path / "run.dat"), flag, _CHAIN_CONSTANTS[key],
@@ -475,43 +468,23 @@ def test_a_chain_constant_is_not_a_flag(tmp_path, monkeypatch, key):
     assert exc.value.code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("key", list(_CHAIN_CONSTANTS))
-def test_a_chain_constant_is_not_a_config_key(tmp_path, monkeypatch, capsys, key):
-    path = _simulate(tmp_path)
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"{key}={_CHAIN_CONSTANTS[key]}\n")
-    monkeypatch.setenv(ENV_CONFIG, str(cfg))
-    assert main(["reconstruct", str(path), "-o", str(tmp_path / "o")]) == EXIT_VALIDATION
-    assert f"unknown key {key!r}" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-def test_env_config_rejects_unknown_key(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("not_a_key=1\n")
-    monkeypatch.setenv("FOCKTOMO_CONFIG", str(cfg))
-    code = main(["simulate", "-o", str(tmp_path / "x.txt")])
-    assert code == EXIT_VALIDATION
-    assert "unknown key" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("text,message", [
-    ("=0.6\n", "line 1: malformed config line"),
-    ("eta=0.6\nseed=x\n", "line 2: unparseable config value for 'seed'"),
-    ("eta\n", "line 1: malformed config line"),
-])
-def test_env_config_format_errors(tmp_path, monkeypatch, capsys, text, message):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(text)
-    monkeypatch.setenv("FOCKTOMO_CONFIG", str(cfg))
-    assert main(["simulate", "-o", str(tmp_path / "x.txt")]) == EXIT_VALIDATION
-    assert message in capsys.readouterr().err
-
-
-def test_env_config_missing_file_is_validation_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FOCKTOMO_CONFIG", str(tmp_path / "nope.cfg"))
-    assert main(["budget"]) == EXIT_VALIDATION
-    assert "nope.cfg" in capsys.readouterr().err
+def test_the_environment_changes_no_command(tmp_path, monkeypatch, capsys):
+    # Earlier versions read a settings file named by this variable, so that
+    # a missing or malformed one failed even `budget`, which takes no setting.
+    variable = "FOCKTOMO_CONFIG"
+    monkeypatch.delenv(variable, raising=False)
+    default = tmp_path / "default.dat"
+    argv = ["simulate", "--n-vacuum", "5000", "--n-fock", "2000"]
+    assert main([*argv, "-o", str(default)]) == EXIT_OK
+    malformed = tmp_path / "cfg.txt"
+    malformed.write_text("seed=x\n")
+    for name, path in (("missing", tmp_path / "nope.cfg"), ("malformed", malformed)):
+        monkeypatch.setenv(variable, str(path))
+        assert main(["budget"]) == EXIT_OK
+        out = tmp_path / f"{name}.dat"
+        assert main([*argv, "-o", str(out)]) == EXIT_OK
+        assert out.read_bytes() == default.read_bytes()
+    assert "error" not in capsys.readouterr().err
 
 
 def test_default_run_parameters(tmp_path):

@@ -53,10 +53,9 @@ def test_v3_file_is_not_converted(tmp_path, convert, capsys):
 
 
 def test_v2_mixture_file_converts_to_what_simulate_writes(tmp_path, write_v2, convert,
-                                                          format2_columns, monkeypatch):
+                                                          format2_columns):
     # the format_version=2 file is drawn as simulate drew it then, and its
     # header is the one simulate writes for these settings
-    monkeypatch.delenv("FOCKTOMO_CONFIG", raising=False)
     settings = {"eta": 0.8, "n_vacuum": 3000, "n_fock": 700, "seed": 5, "scale": 1.7,
                 "offset": 0.3, "dark_fraction": 0.02}
     simulated = tmp_path / "simulated.dat"
@@ -71,9 +70,7 @@ def test_v2_mixture_file_converts_to_what_simulate_writes(tmp_path, write_v2, co
     assert new.read_bytes() == simulated.read_bytes()
 
 
-def test_v2_file_exits_3_in_reconstruct_naming_the_converter(tmp_path, write_v2, capsys,
-                                                             monkeypatch):
-    monkeypatch.delenv("FOCKTOMO_CONFIG", raising=False)
+def test_v2_file_exits_3_in_reconstruct_naming_the_converter(tmp_path, write_v2, capsys):
     old = write_v2(generate_run(RunSpec(eta_true=0.5, n_vacuum=2000, n_fock=200, seed=8)),
                    tmp_path / "run_v2.dat")
     outdir = tmp_path / "o"

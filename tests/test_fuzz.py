@@ -22,7 +22,7 @@ _NEAR_VALID_LINES = st.sampled_from([
     "V 0.5 0.1", "F 1.0 -0.2", "F 7.0 0.1", "V 0.5 nan", "VX 0.1 0.1", "F 1.0",
     "budget_format_version=1", "eta_predicted=0.5", "eta_uncertainty=0.01",
     "n_factors=2", "eta_predicted=nan", "eta_uncertainty=-1", "n_factors=x",
-    "eta=0.6  # note", "seed=-1", "fit_method=hist", "grid_points=3", "bogus=1",
+    "eta_predicted=0.5  # note", "bogus=1",
     "vis 0.83 0.01 visibility_squared", "a 0.9 0 direct", "b 1.5 0 direct",
     "c 0.5 nan direct", "=", "key=", "a=b=c", "",
 ])
@@ -81,10 +81,8 @@ def test_any_v2_dataset_reconstructs_or_exits_3(tmp_path_factory, content):
     base = tmp_path_factory.getbasetemp()
     path = base / "fuzz_v2.dat"
     path.write_bytes(content)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("FOCKTOMO_CONFIG", raising=False)
-        assert main(["reconstruct", str(path), "-o", str(base / "fuzz_out")]) in (
-            EXIT_OK, EXIT_VALIDATION)
+    assert main(["reconstruct", str(path), "-o", str(base / "fuzz_out")]) in (
+        EXIT_OK, EXIT_VALIDATION)
 
 
 @given(_TEXT)
@@ -103,10 +101,21 @@ def test_parse_budget_returns_or_raises_validation_error(text):
         pass
 
 
+@pytest.fixture(scope="module")
+def good_report(tmp_path_factory):
+    # report.json of a small run, for `focktomo report` to merge with a budget
+    base = tmp_path_factory.mktemp("good")
+    assert main(["simulate", "--n-vacuum", "2000", "--n-fock", "1000",
+                 "-o", str(base / "run.dat")]) == EXIT_OK
+    assert main(["reconstruct", str(base / "run.dat"), "-o", str(base)]) == EXIT_OK
+    return base / "report.json"
+
+
 @given(_CONTENT)
-def test_any_config_file_exits_0_or_3(tmp_path_factory, content):
-    path = tmp_path_factory.getbasetemp() / "fuzz_config.cfg"
+def test_any_factor_or_budget_file_exits_0_or_3(tmp_path_factory, good_report, content):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz_kv.txt"
     path.write_bytes(content)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("FOCKTOMO_CONFIG", str(path))
-        assert main(["budget"]) in (EXIT_OK, EXIT_VALIDATION)
+    assert main(["budget", "--factors", str(path)]) in (EXIT_OK, EXIT_VALIDATION)
+    assert main(["report", "--reconstruction", str(good_report), "--budget", str(path),
+                 "-o", str(base / "fuzz_merged")]) in (EXIT_OK, EXIT_VALIDATION)

@@ -12,8 +12,8 @@ also supplies bandwidth_scale when the flag is not given.
 Each subcommand imports only the modules it runs: simulate loads
 focktomo.simulator (with errors and kvtext), never the reconstruction chain.
 
-Exit codes: 0 success, 2 usage error, 3 invalid input or file format,
-4 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 invalid input or file format (a
+size too large to allocate included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -165,12 +165,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # Invalid input, including a missing, unreadable or non-text file (report,
-    # budget or factor table), exits 3; a numerical failure exits 4.
+    # budget or factor table) and a size too large to allocate, exits 3; a
+    # numerical failure exits 4.
     try:
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError, UnicodeDecodeError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS if isinstance(exc, NumericsError) else EXIT_VALIDATION
+    except MemoryError as exc:  # a size no allocation can hold, such as 10**15 events
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

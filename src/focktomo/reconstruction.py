@@ -25,22 +25,27 @@ zero, which for X_max >= 4 contributes less than 1e-6 in absolute value.
 The rule's nodes lie on chords that wigner_to_marginal shares: the forward
 projection pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv is the same
 integral over a chord of the disc of radius R_max.  Both directions
-interpolate with one cubic spline, clamped to slope 0 at the first knot and
-not-a-knot at the last, on knots j * step from 0 (the folded grid and the
-profile's radii are checked for it): written in steps, its knot system is
-the constant tridiag(1, 4, 1), and a chord node's interval is node / step.
+interpolate with one local cubic, the cubic Hermite interpolant on knots
+j * step from 0 (the folded grid and the profile's radii are checked for
+it), a chord node's interval being node / step.  Its knot slopes are the
+fourth-order central difference of the values, in steps (-d[i-2] + 7 d[i-1]
++ 7 d[i] - d[i+1]) / 12 over the interval slopes d = diff(y), with y
+mirrored evenly about the first knot (so the slope there is 0) and d = 0
+beyond the last: each slope needs four neighbouring values, and no system
+is solved.  Against the closed form at eta = 0.553, on the default grid
+and radii, the pair is within 2.2e-7 of W and 1.6e-9 of pr for |X| < 3.9.
 
 For a fixed grid and fixed radii the inversion is linear, so it is one
 matrix M (radii x grid intervals) applied to the folded marginal's interval
 differences diff(pr): abel_inverse is one matrix-vector product and
 bootstrap_profile evaluates every replicate in one matrix product.  M is
-built analytically (Simpson weights, the spline's Hermite derivative
-weights and one multi-column tridiagonal sweep), in blocks of radii and one
-buffer of M's size, and kept read-only in a module cache of the
+built analytically (Simpson weights, the cubic's Hermite derivative weights
+and the slope stencil's transpose), in one pass over blocks of radii into
+one buffer of M's size, and kept read-only in a module cache of the
 ABEL_CACHED_GRIDS most recently used keys, four numbers: the grid's reach,
 its knot count, r_max and n_radii.  On the default grid (2401 points, 401
 radii) M holds 401 x 1200 doubles, about 3.9 MB.  wigner_to_marginal
-evaluates its spline on the chord nodes directly, once per distinct |X|,
+evaluates its cubic on the chord nodes directly, once per distinct |X|,
 in blocks of chords that stay in cache.
 
 The module needs numpy alone: the efficiency likelihood is maximized by a
@@ -395,56 +400,38 @@ def _fold_even(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[k:].copy(), 0.5 * (f[k:] + f[k::-1])
 
 
-def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-            rhs: np.ndarray) -> np.ndarray:
-    # Solve a tridiagonal system by elimination without pivoting (the spline
-    # systems below are diagonally dominant but for their last row).  A 2-d
-    # rhs holds one right-hand side per column and is overwritten with the
-    # solution, row by row; the elimination factors stay scalars either way.
-    sub, diag, sup = sub.tolist(), diag.tolist(), sup.tolist()
-    rows = rhs.tolist() if rhs.ndim == 1 else list(rhs)
-    for i in range(1, len(diag)):
-        w = sub[i - 1] / diag[i - 1]
-        diag[i] -= w * sup[i - 1]
-        rows[i] -= w * rows[i - 1]
-    rows[-1] /= diag[-1]
-    for i in range(len(diag) - 2, -1, -1):
-        rows[i] -= sup[i] * rows[i + 1]
-        rows[i] /= diag[i]
-    return np.array(rows) if rhs.ndim == 1 else rhs
+def _slopes(e: np.ndarray) -> np.ndarray:
+    # The fourth-order central difference (7 (e[i+1] + e[i+2]) - (e[i] + e[i+3]))
+    # / 12 along axis 0, for i = 0 .. len(e) - 4.  On the interval slopes d =
+    # diff(y) padded as d[-2], d[-1], d, 0, 0, with d[-1] = -d[0] and d[-2] =
+    # -d[1] (y mirrored evenly about the first knot, so s[0] = 0 exactly) and 0
+    # beyond the last knot, it gives the knot slopes s of the Abel pair's cubic;
+    # _abel_operator applies its transpose.
+    s = e[1:-2] + e[2:-1]
+    s *= 7.0
+    s -= e[:-3]
+    s -= e[3:]
+    s /= 12.0
+    return s
 
 
-def _knot_system(n: int) -> tuple[np.ndarray, ...]:
-    # The tridiagonal system (sub-, main and super-diagonal) for the knot slopes
-    # s[1:] of the spline below on n >= 3 knots, in steps (so the step drops
-    # out): rows (1, 4, 1) make the second derivative continuous, the last row
-    # (2, 1) the third derivative at knot n - 2; s[0] = 0 drops out.
-    sub, diag = np.ones(n - 2), np.full(n - 1, 4.0)
-    sub[-1], diag[-1] = 2.0, 1.0
-    return sub, diag, np.ones(n - 2)
-
-
-def _spline_coefficients(y: np.ndarray) -> np.ndarray:
-    # Cubic spline through y on the knots j * step with slope 0 at the first and
-    # not-a-knot at the last (with two knots: the secant slope there), as
-    # CubicSpline(step * arange(n), y, bc_type=((1, 0.0), "not-a-knot")) builds
-    # it, in steps: knot slopes s and interval slopes d = diff(y) are per step.
-    # Returns c (4, n - 1), highest power first: on interval i the spline is
-    # c[0, i] u^3 + c[1, i] u^2 + c[2, i] u + c[3, i] with u = X / step - i.
+def _cubic_coefficients(y: np.ndarray) -> np.ndarray:
+    # The cubic Hermite interpolant of y on the knots j * step with _slopes'
+    # knot slopes, in steps: knot slopes s and interval slopes d = diff(y) are
+    # per step.  Returns c (4, n - 1), highest power first: on interval i the
+    # cubic is c[0, i] u^3 + c[1, i] u^2 + c[2, i] u + c[3, i] with u = X / step - i.
     d = np.diff(y)
-    s = np.zeros(y.size)
-    if y.size == 2:
-        s[1] = d[0]
-    else:
-        s[1:] = _thomas(*_knot_system(y.size),
-                        np.append(3.0 * (d[:-1] + d[1:]), 0.5 * (d[-2] + 5.0 * d[-1])))
+    e = np.zeros(d.size + 4)
+    e[2:-2] = d
+    e[:2] = -e[3:1:-1]
+    s = _slopes(e)
     t = s[:-1] + s[1:] - 2.0 * d
     return np.stack([t, d - s[:-1] - t, s[:-1], y[:-1]])
 
 
 def _abel_nodes(length: float, n_knots: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
     # Simpson nodes of integral_0^sqrt(L^2 - p^2) g(sqrt(p^2 + v^2)) dv, a chord
-    # of the disc of radius L = length, at each point p, for a spline on n_knots
+    # of the disc of radius L = length, at each point p, for a cubic on n_knots
     # uniform knots from 0 to L: the mask of points with |p| < L, their node
     # spacings h, the nodes (radii sqrt(p^2 + v^2), v as np.linspace(0, span, n)
     # builds them), and each node's interval and place u in it, in steps.
@@ -472,7 +459,7 @@ def _abel_node_weights(reach: float, n_knots: int,
     # reach: each node's weights w on the knot slope s[i] at its interval's left
     # end, on s[i+1] and on the interval slope d[i], and the flat (knot, radius)
     # places of the first two.  W sums -q pr'(X) / X over the nodes, q the
-    # Simpson weight / pi, and the spline's pr' at the node is the cubic
+    # Simpson weight / pi, and the interpolant's pr' at the node is the cubic
     # Hermite mix ((1-u)(1-3u) s[i] + u(3u-2) s[i+1] + 6u(1-u) d[i]) / step
     # for its place u in the interval.
     step = reach / (n_knots - 1)
@@ -507,38 +494,29 @@ def _abel_node_weights(reach: float, n_knots: int,
 def _abel_operator(reach: float, n_knots: int, r_max: float, n_radii: int) -> np.ndarray:
     # The read-only matrix M (radii x intervals) with W = M @ diff(f) for the
     # even marginal f on n_knots uniform knots from 0 to reach, at the radii
-    # np.linspace(0, r_max, n_radii).  The knot slopes are s[1:] = T^-1 B d
-    # (_knot_system's T; B maps the interval slopes d = diff(f) to T's
-    # right-hand side).  With G the node weights on s (knots x radii), M^T =
-    # (node weights on d) + B^T T^-T G.  One buffer holds G, T^-T G after one
-    # multi-column sweep, then M^T in rows 1..; the node weights are made per
-    # block of _CHORD_BLOCK radii, twice (on s, then on d), so that no more
-    # than one block's nodes are held.  Needs >= 3 knots and 0 < r_max <= reach.
+    # np.linspace(0, r_max, n_radii).  The knot slopes are s = S d, S the
+    # stencil of _slopes on the padded interval slopes d = diff(f); with G the
+    # node weights on s (knots x radii), M^T = (node weights on d) + S^T G.
+    # S^T G is the same stencil on G padded as -G[1], 0 in place of G[0] (s[0]
+    # = 0), G[1:], 0.  Each block of _CHORD_BLOCK radii bins its node weights
+    # once, on s and on d, and writes its columns of M^T in one pass, so that
+    # no more than one block's nodes are held.  Needs >= 2 knots and 0 < r_max
+    # <= reach.
     r = np.linspace(0.0, r_max, n_radii)
-    blocks = [slice(start, start + _CHORD_BLOCK) for start in range(0, n_radii, _CHORD_BLOCK)]
-    buf = np.empty((n_knots, n_radii))
-    for cols in blocks:
+    m_t = np.empty((n_knots - 1, n_radii))
+    for start in range(0, n_radii, _CHORD_BLOCK):
+        cols = slice(start, start + _CHORD_BLOCK)
         w, index = _abel_node_weights(reach, n_knots, r[cols])
-        buf[:, cols] = np.bincount(index.ravel(), w[:2].ravel(), minlength=buf[:, cols].size
-                                   ).reshape(n_knots, -1)
+        width = r[cols].size
+        g = np.bincount(index.ravel(), w[:2].ravel(),
+                        minlength=n_knots * width).reshape(n_knots, width)
+        m_t[:, cols] = np.bincount(index[0].ravel(), w[2].ravel(),
+                                   minlength=(n_knots - 1) * width).reshape(-1, width)
         del w, index  # before the next block's
-    _thomas(*_knot_system(n_knots)[::-1], buf[1:])  # Y = T^-T G, in place
-    for cols in blocks:
-        w, index = _abel_node_weights(reach, n_knots, r[cols])
-        y = buf[1:, cols]
-        m_t = np.bincount(index[0].ravel(), w[2].ravel(), minlength=y.size).reshape(y.shape)
-        m_t = m_t.astype(float, copy=False)  # a block without chords bins to integer zeros
-        del w, index
-        # B's rows: 3 (d[j] + d[j+1]), then the not-a-knot row (d[-2] + 5 d[-1]) / 2.
-        m_t[-2] += 0.5 * y[-1]
-        m_t[-1] += 2.5 * y[-1]
-        y = y[:-1]
-        y *= 3.0
-        m_t[:-1] += y
-        m_t[1:] += y
-        buf[1:, cols] = m_t
-    buf.flags.writeable = False
-    return buf[1:].T
+        g[0] = 0.0
+        m_t[:, cols] += _slopes(np.concatenate((-g[1:2], g, np.zeros((1, width)))))
+    m_t.flags.writeable = False
+    return m_t.T
 
 
 def _check_abel_reach(xs: np.ndarray) -> float:
@@ -603,7 +581,7 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     """Project a radial Wigner profile back to its quadrature marginal.
 
     pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv with V = sqrt(R_max^2 -
-    X^2); the profile is interpolated by the spline abel_inverse uses, on
+    X^2); the profile is interpolated by the cubic abel_inverse uses, on
     radii j * step from 0 (to 1e-9 of a step, as abel_inverse returns them),
     and taken as zero beyond its largest radius.  The projection is even in
     X, so it is evaluated once per distinct |X|, in blocks of _CHORD_BLOCK
@@ -617,7 +595,7 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
     if radii.ndim != 1 or radii.size < 2 or values.shape != radii.shape or radii[0] != 0.0:
         raise ValidationError("profile needs one value per radius on >= 2 radii from 0")
     _check_uniform(radii, "profile radii")
-    c = _spline_coefficients(values)
+    c = _cubic_coefficients(values)
     points, where = np.unique(np.abs(xq).ravel(), return_inverse=True)
     out = np.zeros(points.size)
     for start in range(0, points.size, _CHORD_BLOCK):

@@ -202,7 +202,7 @@ def merge_reports(recon: dict, budget: dict | None,
             f"reconstruction report must be a JSON object, got {type(recon).__name__}"
         )
     version = recon.get("report_version")
-    if version != REPORT_VERSION:
+    if type(version) is not int or version != REPORT_VERSION:  # true and 1.0 equal 1
         raise DatasetFormatError(
             f"unsupported report_version {version!r}, expected {REPORT_VERSION}"
         )

@@ -327,8 +327,8 @@ _REFERENCE_REPORT = {
     "calibration": {"scale_hat": 1.002638970801738, "offset_hat": -0.0005086163680511723},
     "diagonals": {"rho_11": 0.5807048215710435, "sigma_11": 0.011554037616833926,
                   "rho_sum": 0.9840856067970885},
-    "wigner": {"origin_reconstructed": -0.040146971249130026,
-               "profile_normalization": 1.0000021054417183,
+    "wigner": {"origin_reconstructed": -0.04014699026509442,
+               "profile_normalization": 1.0000021046373433,
                "origin_model": -0.07969736396811171},
     "config": {"bandwidth": 0.09980960492801365},
 }
@@ -682,3 +682,25 @@ def test_simulate_and_reconstruct_load_no_scipy(tmp_path, mode):
     assert read_dataset(data).n_samples == 22_000
     for name in ("report.txt", "report.json", "wigner_profile.txt", "marginal_histogram.txt"):
         assert (outdir / name).stat().st_size > 0
+
+
+def test_simulate_too_large_to_allocate_is_validation_error(tmp_path, capsys):
+    # 10**15 events is 7 PiB of doubles, more than any address space reserves.
+    out = tmp_path / "run.dat"
+    code = main(["simulate", "--n-vacuum", "1000000000000000", "--n-fock", "10",
+                 "-o", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_report_version_must_be_an_integer(tmp_path, capsys, version):
+    # Both compare equal to 1, but neither is the integer version.
+    recon = tmp_path / "report.json"
+    recon.write_text('{"report_version": %s}' % version)
+    code = main(["report", "--reconstruction", str(recon), "-o", str(tmp_path / "m")])
+    assert code == EXIT_VALIDATION
+    assert "report_version" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()

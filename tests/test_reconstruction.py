@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, optimize
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from focktomo import pipeline
 from focktomo.calibration import fit_vacuum, rescale
@@ -27,12 +27,10 @@ from focktomo.reconstruction import (
     _abel_nodes,
     _abel_operator,
     _bin_positions,
-    _knot_system,
     _mle_score,
-    _thomas,
     abel_inverse,
     bin_samples,
-    _spline_coefficients,
+    _cubic_coefficients,
     bootstrap_profile,
     fit_efficiency,
     sample_diagonals,
@@ -345,8 +343,8 @@ def test_abel_analytic_roundtrip(eta):
     x = np.linspace(0.0, 6.0, 2001)
     profile = abel_inverse(x, marginal_density(eta, x))
     exact = wigner_radial(eta, profile.radii)
-    mask = profile.radii <= 3.0
-    assert np.max(np.abs(profile.values - exact)[mask]) < 1e-5
+    # every radius to 4; the largest error, 1.83e-7 at eta = 1, doubled
+    assert np.max(np.abs(profile.values - exact)) < 3.66e-7
 
 
 def test_abel_two_sided_input_folds():
@@ -377,7 +375,7 @@ def test_forward_inverse_consistency_analytic():
     profile = abel_inverse(x, marginal_density(0.553, x))
     xq = np.linspace(0.0, 3.0, 301)
     back = wigner_to_marginal(profile, xq)
-    assert np.max(np.abs(back - marginal_density(0.553, xq))) < 1e-6
+    assert np.max(np.abs(back - marginal_density(0.553, xq))) < 1.97e-9  # 9.8e-10, doubled
 
 
 def test_forward_inverse_consistency_smoothed_data():
@@ -480,10 +478,27 @@ def _loop_simpson(g, h):
     return (h / 3.0) * (g[0] + g[-1] + 4.0 * np.sum(g[1:-1:2]) + 2.0 * np.sum(g[2:-2:2]))
 
 
+def _hermite(x, y):
+    # The Abel pair's cubic on the uniform knots x: the cubic Hermite
+    # interpolant whose knot slopes, in steps, are (-d[i-2] + 7 d[i-1] + 7 d[i]
+    # - d[i+1]) / 12 over the interval slopes d = diff(y), with d[-1] = -d[0]
+    # and d[-2] = -d[1] (y mirrored evenly about the first knot) and d = 0
+    # beyond the last knot.
+    d = np.diff(y)
+
+    def at(j):
+        if j < 0:
+            return -at(-1 - j)
+        return d[j] if j < d.size else 0.0
+
+    s = [(-at(i - 2) + 7.0 * at(i - 1) + 7.0 * at(i) - at(i + 1)) / 12.0 for i in range(y.size)]
+    return CubicHermiteSpline(x, y, np.array(s) / (x[1] - x[0]))
+
+
 def _loop_abel_inverse(xs, fs, r_max, n_radii=401):
     # Reference: one np.linspace and one Simpson sum per radius, on a
     # one-sided grid xs starting at 0.
-    spl = CubicSpline(xs, fs, bc_type=((1, 0.0), "not-a-knot"))
+    spl = _hermite(xs, fs)
     d1, d2 = spl.derivative(1), spl.derivative(2)
     x_max = float(xs[-1])
     radii = np.linspace(0.0, r_max, n_radii)
@@ -507,7 +522,7 @@ def _loop_abel_inverse(xs, fs, r_max, n_radii=401):
 def _loop_wigner_to_marginal(profile, xq):
     # Reference: one np.linspace and one Simpson sum per point.
     r_max = float(profile.radii[-1])
-    spl = CubicSpline(profile.radii, profile.values, bc_type=((1, 0.0), "not-a-knot"))
+    spl = _hermite(profile.radii, profile.values)
     out = np.zeros_like(xq)
     for i, xi in enumerate(xq):
         v_max_sq = r_max * r_max - xi * xi
@@ -960,7 +975,8 @@ def test_abel_operator_cache_is_keyed_on_the_grid_and_read_only():
 
 def _one_shot_abel_operator(reach, n_knots, r_max, n_radii):
     # Reference: M built from every chord node at once, with G and the node
-    # weights on d as two full (knots x radii) arrays side by side.
+    # weights on d as two full (knots x radii) arrays side by side, and S^T G
+    # written as the slope stencil's shifted rows.
     step = reach / (n_knots - 1)
     r = np.linspace(0.0, r_max, n_radii)
     inside, h, nodes, cell, u = _abel_nodes(reach, n_knots, r)
@@ -987,13 +1003,16 @@ def _one_shot_abel_operator(reach, n_knots, r_max, n_radii):
     g_t = np.bincount(index.ravel(), w[:2].ravel(), minlength=n_knots * n_radii)
     m_t = np.bincount(index[0].ravel(), w[2].ravel(), minlength=(n_knots - 1) * n_radii)
     g_t, m_t = g_t.reshape(n_knots, n_radii), m_t.reshape(n_knots - 1, n_radii)
-    y = _thomas(*_knot_system(n_knots)[::-1], g_t[1:])
-    m_t[-2] += 0.5 * y[-1]
-    m_t[-1] += 2.5 * y[-1]
-    y = y[:-1]
-    y *= 3.0
-    m_t[:-1] += y
-    m_t[1:] += y
+    # Interval j's d[j] enters s[j-1], s[j], s[j+1] and s[j+2] with -1, 7, 7, -1
+    # (/ 12), and d[0] enters s[1] once more through d[-1] = -d[0]; s[0] = 0.
+    g_t[0] = 0.0
+    s_t = g_t[:-1] + g_t[1:]
+    s_t *= 7.0
+    s_t[0] += g_t[1]
+    s_t[1:] -= g_t[:-2]
+    s_t[:-1] -= g_t[2:]
+    s_t /= 12.0
+    m_t += s_t
     return m_t.T
 
 
@@ -1054,9 +1073,9 @@ def _spline_cases():
 def test_spline_matches_cubicspline():
     for x, y in _spline_cases():
         step = x[1]
-        reference = CubicSpline(x, y, bc_type=((1, 0.0), "not-a-knot"))
+        reference = _hermite(x, y)
         # coefficients in steps, rescaled to powers of X - x[i]
-        ours = PPoly(_spline_coefficients(y) / step ** np.arange(3.0, -1.0, -1.0)[:, None], x)
+        ours = PPoly(_cubic_coefficients(y) / step ** np.arange(3.0, -1.0, -1.0)[:, None], x)
         # the knot span and one end interval's width beyond it on either side
         xq = np.linspace(-step, x[-1] + step, 5001)
         scale = np.max(np.abs(y))

@@ -95,15 +95,14 @@ class PreparedRun:
         config = self.config
         if bandwidth_scale is not None:
             config = replace(config, bandwidth_scale=bandwidth_scale)
-        hist = bin_samples(self.x, n_bins=config.n_bins, lo=-config.grid_max, hi=config.grid_max)
-        dens = smooth_marginal(hist, bandwidth=config.bandwidth,
-                               bandwidth_scale=config.bandwidth_scale,
-                               grid_max=config.grid_max, grid_points=config.grid_points)
+        # The stages' defaults are the config's constants.
+        hist = bin_samples(self.x)
+        dens = smooth_marginal(hist, bandwidth_scale=config.bandwidth_scale)
         return ReconstructionSummary(
             calibration=self.calibration, efficiency=self.efficiency,
             diagonals=self.diagonals, analysis_source=self.analysis_source,
             n_signal=self.n_signal, x=self.x, config=config, histogram=hist, density=dens,
-            profile=abel_inverse(dens, r_max=config.r_max, n_radii=config.n_radii))
+            profile=abel_inverse(dens))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,11 +138,6 @@ def bin_samples(values, *, n_bins: int = N_BINS, lo: float = -GRID_MAX,
     np.linspace(lo, hi, n_bins + 1) edges <= it, as np.searchsorted(...,
     side="right") gives it.
     """
-    return _tally(*_bin_positions(values, n_bins=n_bins, lo=lo, hi=hi))
-
-
-def _bin_positions(values, *, n_bins, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    # Validated (searchsorted position of every value, bin edges).
     values = check_samples(values, "binning")
     n_bins = check_count("n_bins", n_bins, 1)
     # Python floats: a width that overflows is inf, without a warning.
@@ -171,13 +166,9 @@ def _bin_positions(values, *, n_bins, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     padded = np.concatenate(([-np.inf], bin_edges, [np.inf]))
     pos -= values < padded[pos]
     pos += values >= padded[1:][pos]
-    return pos, bin_edges
-
-
-def _tally(pos: np.ndarray, bin_edges: np.ndarray) -> MarginalHistogram:
     # Position 0 is underflow, position k the bin k - 1, the last overflow.
-    tally = np.bincount(pos, minlength=bin_edges.size + 1)
-    return MarginalHistogram(bin_edges=bin_edges, counts=tally[1:-1], n_total=pos.size,
+    tally = np.bincount(pos, minlength=n_bins + 2)
+    return MarginalHistogram(bin_edges=bin_edges, counts=tally[1:-1], n_total=values.size,
                              underflow=int(tally[0]), overflow=int(tally[-1]))
 
 
@@ -256,7 +247,67 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     spacing and the bin width (a narrower kernel spikes on the grid nodes
     nearest each bin centre).
     """
-    return _Smoother(hist.bin_edges, grid_max, grid_points)(hist, bandwidth, bandwidth_scale)
+    # On a lattice of m grid steps symmetric about 0, with every bin centre on
+    # the grid, bin j mirrors to bin n - 1 - j: the even part is half the sum
+    # over the folded counts counts + counts[::-1], and x_i - c_j depends only
+    # on the lag i - m*j, counted in steps from the mirror's first node
+    # -half[-1].
+    half = _smoothing_grid(grid_max, grid_points)
+    x = np.concatenate((-half[:0:-1], half))
+    edges = hist.bin_edges
+    step = half[-1] / (half.size - 1)
+    ratio = float(edges[1] - edges[0]) / step
+    m = round(ratio) if math.isfinite(ratio) else 0
+    n, k = edges.size - 1, half.size - 1
+    lattice = edges[0] + m * step * np.arange(edges.size)
+    atol = 8.0 * np.finfo(float).eps * np.abs(edges).max()
+    if not (m >= 1 and m * (n - 1) <= 2 * k and abs(edges[0] + edges[-1]) <= atol
+            and np.abs(edges - lattice).max() <= atol):
+        raise ValidationError(f"bin edges must lie on a lattice of whole grid steps "
+                              f"{step:g}, symmetric about 0, with every bin centre on the "
+                              f"smoothing grid [{x[0]:g}, {x[-1]:g}]")
+
+    n_in = hist.n_in_range
+    if n_in == 0:
+        raise ValidationError("histogram holds no in-range samples")
+    if bandwidth is None:
+        if n_in < MIN_SMOOTH_SAMPLES:
+            raise ValidationError(
+                f"rule-based bandwidth needs >= {MIN_SMOOTH_SAMPLES} samples, got {n_in}; "
+                "pass an explicit bandwidth"
+            )
+        check_positive("bandwidth_scale", bandwidth_scale)
+        # Python floats: a product that overflows is inf, without a warning.
+        bandwidth = float(bandwidth_scale) * silverman_bandwidth(hist)
+    check_positive("bandwidth", bandwidth)
+    if bandwidth < max(half[1], hist.bin_width):
+        raise ValidationError(f"bandwidth {bandwidth:g} too small for the grid spacing "
+                              f"{half[1]:g} and the bin width {hist.bin_width:g}")
+    kernel_norm = n_in * float(bandwidth) * math.sqrt(2.0 * math.pi)
+    if not math.isfinite(kernel_norm):
+        raise ValidationError(f"bandwidth {bandwidth:g} too large: the kernel normalisation "
+                              f"n * bandwidth * sqrt(2 pi) overflows")
+
+    # The even part of sum_j counts_j exp(-((x - c_j) / bandwidth)^2 / 2) on
+    # the knots x = half, half the folded counts' sum: the knots i = p (mod m)
+    # are one short convolution of the occupied folded counts with the
+    # polyphase slice kernel[p::m], from the lag of knot 0 to the last
+    # occupied bin.  The kernel holds x - c_first at those lags.
+    folded = hist.counts + hist.counts[::-1]
+    first = int(np.flatnonzero(folded)[0])  # the last is n - 1 - first
+    c = folded[first:folded.size - first]
+    first_center = 0.5 * (edges[0] + edges[1])
+    lags = np.arange(k - m * (n - 1 - first), 2 * k + 1 - m * first)
+    kernel = _gaussian(((-half[-1] - first_center) + step * lags) / bandwidth)
+    out = np.empty(half.size)
+    for p in range(min(m, out.size)):  # one bin may be wider than the grid
+        out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1], mode="valid")
+    out *= 0.5
+    f = np.concatenate((out[:0:-1], out)) / kernel_norm
+    norm = np.trapezoid(f, x)
+    if norm <= 0.0:
+        raise NumericsError("smoothed density integrates to zero")
+    return GridDensity(x=x, density=f / norm, bandwidth=float(bandwidth))
 
 
 def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
@@ -279,78 +330,6 @@ def _gaussian(z: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z[z < sys.float_info.min] = 0.0
     return z
-
-
-class _Smoother:
-    # smooth_marginal in two steps.  Made once for one set of bin edges and
-    # one grid: the knots half of [0, grid_max], the mirrored grid x and the
-    # lattice check.  On a lattice of m grid steps symmetric about 0, with
-    # every bin centre on the grid, bin j mirrors to bin n - 1 - j: the even
-    # part is half the sum over the folded counts counts + counts[::-1], and
-    # x_i - c_j depends only on the lag i - m*j, counted in steps from the
-    # mirror's first node -half[-1].  offsets holds x - c_0 at every lag the
-    # first bin can need.  Called once per histogram on those edges: the
-    # bandwidth and its checks, the kernel sum and the normalisation, as
-    # smooth_marginal documents them.
-
-    def __init__(self, edges: np.ndarray, grid_max: float, grid_points: int):
-        half = self.half = _smoothing_grid(grid_max, grid_points)
-        self.x = np.concatenate((-half[:0:-1], half))
-        step = half[-1] / (half.size - 1)
-        ratio = float(edges[1] - edges[0]) / step
-        m = self.m = round(ratio) if math.isfinite(ratio) else 0
-        n, k = edges.size - 1, half.size - 1
-        lattice = edges[0] + m * step * np.arange(edges.size)
-        atol = 8.0 * np.finfo(float).eps * np.abs(edges).max()
-        if not (m >= 1 and m * (n - 1) <= 2 * k and abs(edges[0] + edges[-1]) <= atol
-                and np.allclose(edges, lattice, rtol=0.0, atol=atol)):
-            raise ValidationError(f"bin edges must lie on a lattice of whole grid steps "
-                                  f"{step:g}, symmetric about 0, with every bin centre on the "
-                                  f"smoothing grid [{self.x[0]:g}, {self.x[-1]:g}]")
-        first_center = 0.5 * (edges[0] + edges[1])
-        self.offsets = (-half[-1] - first_center) + step * np.arange(k - m * (n - 1), 2 * k + 1)
-
-    def __call__(self, hist: MarginalHistogram, bandwidth: float | None,
-                 bandwidth_scale: float) -> GridDensity:
-        n_in = hist.n_in_range
-        if n_in == 0:
-            raise ValidationError("histogram holds no in-range samples")
-        if bandwidth is None:
-            if n_in < MIN_SMOOTH_SAMPLES:
-                raise ValidationError(
-                    f"rule-based bandwidth needs >= {MIN_SMOOTH_SAMPLES} samples, got {n_in}; "
-                    "pass an explicit bandwidth"
-                )
-            check_positive("bandwidth_scale", bandwidth_scale)
-            # Python floats: a product that overflows is inf, without a warning.
-            bandwidth = float(bandwidth_scale) * silverman_bandwidth(hist)
-        check_positive("bandwidth", bandwidth)
-        if bandwidth < max(self.half[1], hist.bin_width):
-            raise ValidationError(f"bandwidth {bandwidth:g} too small for the grid spacing "
-                                  f"{self.half[1]:g} and the bin width {hist.bin_width:g}")
-        kernel_norm = n_in * float(bandwidth) * math.sqrt(2.0 * math.pi)
-        if not math.isfinite(kernel_norm):
-            raise ValidationError(f"bandwidth {bandwidth:g} too large: the kernel normalisation "
-                                  f"n * bandwidth * sqrt(2 pi) overflows")
-
-        # The even part of sum_j counts_j exp(-((x - c_j) / bandwidth)^2 / 2)
-        # on the knots x = half, half the folded counts' sum: the knots
-        # i = p (mod m) are one short convolution of the occupied folded
-        # counts with the polyphase slice kernel[p::m], from the lag of knot 0
-        # to the last occupied bin.
-        m, folded = self.m, hist.counts + hist.counts[::-1]
-        first = int(np.flatnonzero(folded)[0])  # the last is n - 1 - first
-        c = folded[first:folded.size - first]
-        kernel = _gaussian(self.offsets[m * first:self.offsets.size - m * first] / bandwidth)
-        out = np.empty(self.half.size)
-        for p in range(min(m, out.size)):  # one bin may be wider than the grid
-            out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1], mode="valid")
-        out *= 0.5
-        f = np.concatenate((out[:0:-1], out)) / kernel_norm
-        norm = np.trapezoid(f, self.x)
-        if norm <= 0.0:
-            raise NumericsError("smoothed density integrates to zero")
-        return GridDensity(x=self.x, density=f / norm, bandwidth=float(bandwidth))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +602,10 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int | 
     """The profile of bin_samples -> smooth_marginal -> abel_inverse (the
     keywords of each) with pointwise bootstrap standard errors: the per-radius
     standard deviation over `n_boot` replicates, each resampling the values
-    with replacement and rerunning bin -> smooth -> invert.  With
+    with replacement and rerunning smooth -> invert.  A replicate's counts,
+    underflow and overflow included, are one multinomial draw of the
+    histogram's n_total over its tally, which has the distribution of
+    binning n_total values resampled with replacement.  With
     bandwidth=None each replicate re-estimates its Silverman bandwidth, so
     the band includes bandwidth variability; an explicit bandwidth makes the
     band conditional on it (Silverman 1986).  By default the bins follow the
@@ -636,16 +618,20 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int | 
     check_positive("grid_max", grid_max)  # named here, before it sets the range
     lo = -grid_max if lo is None else lo
     hi = grid_max if hi is None else hi
-    pos, edges = _bin_positions(values, n_bins=n_bins, lo=lo, hi=hi)
-    smooth = _Smoother(edges, grid_max, grid_points)  # every replicate shares the edges
-    _check_abel_reach(smooth.half)  # before smoothing, whose bandwidth rule can overflow
-    fs, radii, matrix = _abel_grid(smooth(_tally(pos, edges), bandwidth, bandwidth_scale), None,
-                                   r_max, n_radii)
+    hist = bin_samples(values, n_bins=n_bins, lo=lo, hi=hi)
+    smooth = functools.partial(smooth_marginal, bandwidth=bandwidth,
+                               bandwidth_scale=bandwidth_scale, grid_max=grid_max,
+                               grid_points=grid_points)
+    # before smoothing, whose bandwidth rule can overflow
+    _check_abel_reach(_smoothing_grid(grid_max, grid_points))
+    fs, radii, matrix = _abel_grid(smooth(hist), None, r_max, n_radii)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    tally = np.concatenate(([hist.underflow], hist.counts, [hist.overflow]))
     diffs = np.empty((n_boot, fs.size - 1))  # each replicate's folded differences
-    for row in diffs:
-        rep = smooth(_tally(pos[rng.integers(0, pos.size, size=pos.size)], edges),
-                     bandwidth, bandwidth_scale)
+    for row, draw in zip(diffs, rng.multinomial(hist.n_total, tally / hist.n_total,
+                                                size=n_boot)):
+        rep = smooth(replace(hist, counts=draw[1:-1], underflow=int(draw[0]),
+                             overflow=int(draw[-1])))
         row[:] = np.diff(rep.density[-fs.size:])  # x >= 0 of the exact mirror
     return RadialWignerProfile(radii=radii, values=matrix @ np.diff(fs),
                                stderr=np.std(diffs @ matrix.T, axis=0, ddof=1))

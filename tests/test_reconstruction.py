@@ -26,7 +26,6 @@ from focktomo.reconstruction import (
     RadialWignerProfile,
     _abel_nodes,
     _abel_operator,
-    _bin_positions,
     _mle_score,
     abel_inverse,
     bin_samples,
@@ -105,7 +104,7 @@ def test_bin_validation():
 @st.composite
 def _bin_ranges(draw):
     # (lo, hi, n_bins) with bins from 2**-39 of max(|lo|, 1e-3) up to as wide
-    # as that: down to the narrowest bins _bin_positions accepts.
+    # as that: down to the narrowest bins bin_samples accepts.
     lo = draw(st.floats(min_value=-1e12, max_value=1e12))
     n_bins = draw(st.integers(min_value=1, max_value=2000))
     width = n_bins * max(abs(lo), 1e-3) * 2.0 ** -draw(st.floats(min_value=0.0, max_value=39.0))
@@ -113,15 +112,21 @@ def _bin_ranges(draw):
 
 
 @given(_bin_ranges(), st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
-def test_bin_positions_match_searchsorted(bin_range, extra):
-    # the arithmetic binning rule is the count of linspace edges <= x
+def test_bin_samples_match_searchsorted(bin_range, extra):
+    # the arithmetic binning rule is the count of linspace edges <= x, each
+    # value binned on its own: its one count is at that position of the
+    # tally, underflow first and overflow last
     lo, hi, n_bins = bin_range
     edges = np.linspace(lo, hi, n_bins + 1)
     x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
                         [1e300, -1e300], extra])
-    pos, bin_edges = _bin_positions(x, n_bins=n_bins, lo=lo, hi=hi)
-    assert np.array_equal(bin_edges, edges)
-    assert np.array_equal(pos, np.searchsorted(edges, x, side="right"))
+    pos = []
+    for i in range(x.size):
+        hist = bin_samples(x[i:i + 1], n_bins=n_bins, lo=lo, hi=hi)
+        pos.extend(np.flatnonzero(np.concatenate(([hist.underflow], hist.counts,
+                                                  [hist.overflow]))).tolist())
+    assert np.array_equal(hist.bin_edges, edges)
+    assert pos == np.searchsorted(edges, x, side="right").tolist()
 
 
 @pytest.mark.parametrize("lo,hi,n_bins", [
@@ -856,11 +861,20 @@ def test_bootstrap_profile_stderr():
     assert np.array_equal(numpy_ints.stderr, prof.stderr)
 
 
-def _loop_bootstrap_stderr(values, n_boot, seed, **kwargs):
-    # Reference: the whole explicit chain on every resampled array.
+def _replicate_histograms(hist, n_boot, seed):
+    # Each replicate's histogram as bootstrap_profile draws it: one
+    # multinomial draw of n_total over the tally, underflow and overflow
+    # included, from the seed's stream.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    stack = [_chain(values[rng.integers(0, values.size, size=values.size)],
-                    **kwargs)[2].values for _ in range(n_boot)]
+    tally = np.concatenate(([hist.underflow], hist.counts, [hist.overflow]))
+    return [replace(hist, counts=draw[1:-1], underflow=int(draw[0]), overflow=int(draw[-1]))
+            for draw in rng.multinomial(hist.n_total, tally / hist.n_total, size=n_boot)]
+
+
+def _loop_bootstrap_stderr(values, n_boot, seed, bandwidth=None):
+    # Reference: the explicit smooth -> invert steps on every replicate histogram.
+    stack = [abel_inverse(smooth_marginal(rep, bandwidth=bandwidth)).values
+             for rep in _replicate_histograms(bin_samples(values), n_boot, seed)]
     return np.std(stack, axis=0, ddof=1)
 
 
@@ -868,17 +882,14 @@ def _loop_bootstrap_stderr(values, n_boot, seed, **kwargs):
 @pytest.mark.parametrize("bandwidth", [None, 0.15])
 def test_bootstrap_stderr_is_the_replicate_loop_bit_for_bit(grid_points, bandwidth):
     # Each replicate smoothed on its own by smooth_marginal, from the same
-    # draws: one smoother prepared for every replicate changes no bit.
+    # draws, and inverted in one matrix product.
     x = _draws(0.553, 4_000, 24)
     n_boot, seed, k = 6, 5, grid_points // 2
     prof = bootstrap_profile(x, n_boot=n_boot, seed=seed, bandwidth=bandwidth, n_bins=k,
                              grid_points=grid_points)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    diffs = np.array([np.diff(smooth_marginal(bin_samples(x[rng.integers(0, x.size, size=x.size)],
-                                                          n_bins=k),
-                                              bandwidth=bandwidth,
+    diffs = np.array([np.diff(smooth_marginal(rep, bandwidth=bandwidth,
                                               grid_points=grid_points).density[k:])
-                      for _ in range(n_boot)])
+                      for rep in _replicate_histograms(bin_samples(x, n_bins=k), n_boot, seed)])
     matrix = _abel_operator(6.0, k + 1, 4.0, 401)
     assert np.array_equal(prof.stderr, np.std(diffs @ matrix.T, axis=0, ddof=1))
 
@@ -890,6 +901,22 @@ def test_bootstrap_profile_matches_replicate_loop(bandwidth):
     assert np.array_equal(prof.values, _chain(x, bandwidth=bandwidth)[2].values)
     reference = _loop_bootstrap_stderr(x, 8, 4, bandwidth=bandwidth)
     assert np.max(np.abs(prof.stderr - reference)) <= 1e-12
+
+
+def test_resampling_the_counts_gives_the_band_of_resampling_the_values():
+    # One multinomial draw of the tally per replicate has the distribution of
+    # binning the values resampled with replacement: the two bands agree
+    # within their own sampling error (about 5% each at 200 replicates).
+    x = _draws(0.553, 12_000, 25)
+    n_boot, bandwidth = 200, 0.1
+    prof = bootstrap_profile(x, n_boot=n_boot, seed=6, bandwidth=bandwidth)
+    rng = np.random.Generator(np.random.PCG64(7))
+    stack = [_chain(x[rng.integers(0, x.size, size=x.size)], bandwidth=bandwidth)[2].values
+             for _ in range(n_boot)]
+    values_band = np.std(stack, axis=0, ddof=1)
+    at = np.searchsorted(prof.radii, [0.0, 0.5, 1.0])
+    assert np.array_equal(prof.radii[at], [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(prof.stderr[at], values_band[at], rtol=0.25)
 
 
 @pytest.mark.parametrize("grid_points", [2401, 2001, 601, 1201, 4801])

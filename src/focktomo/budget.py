@@ -6,17 +6,21 @@ characterizations is the product of loss factors.  A factor of kind
 the product as v^2 (with uncertainty 2 v sigma_v to first order); a factor
 of kind "direct" enters as-is.  Relative uncertainties combine in
 quadrature, first order.
+
+This module also owns the budget file: format_budget writes it and
+parse_budget reads it, both under the one rule of a BudgetResult.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import math
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_unit_interval
-from .kvtext import content_lines
+from .errors import DatasetFormatError, ValidationError, check_unit_interval
+from .kvtext import content_lines, format_kv, parse_kv
 
 KINDS = ("direct", "visibility_squared")
 
@@ -43,8 +47,11 @@ class EfficiencyFactor:
     kind: str = "direct"
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("factor name must be non-empty")
+        # the name is one field of a factor table row, as parse_factors reads it
+        if self.name.split() != [self.name] or "#" in self.name:
+            raise ValidationError(
+                f"factor name must be non-empty, without whitespace or '#', got {self.name!r}"
+            )
         if not (0.0 < self.value <= 1.0):
             raise ValidationError(
                 f"factor {self.name!r}: value must lie in (0, 1], got {self.value}"
@@ -64,12 +71,6 @@ class EfficiencyFactor:
             return self.value ** 2
         return self.value
 
-    @property
-    def effective_uncertainty(self) -> float:
-        if self.kind == "visibility_squared":
-            return 2.0 * self.value * self.uncertainty
-        return self.uncertainty
-
 
 @dataclass(frozen=True)
 class BudgetResult:
@@ -78,6 +79,16 @@ class BudgetResult:
     eta_predicted: float
     eta_uncertainty: float
     n_factors: int
+
+
+def _check_result(result: BudgetResult, error) -> BudgetResult:
+    # The rule shared by combine, format_budget and parse_budget, so that the
+    # writer never leaves a file the reader rejects; raises `error`.
+    eta, sigma, n_factors = result.eta_predicted, result.eta_uncertainty, result.n_factors
+    if not (0.0 < eta <= 1.0 and 0.0 <= sigma < math.inf and n_factors >= 0):
+        raise error("budget needs 0 < eta_predicted <= 1, a finite eta_uncertainty"
+                    f" >= 0 and n_factors >= 0; got {eta}, {sigma}, {n_factors}")
+    return result
 
 
 @dataclass(frozen=True)
@@ -93,21 +104,18 @@ def combine(factors: Sequence[EfficiencyFactor]) -> BudgetResult:
     """Multiply the factors and propagate their uncertainties.
 
     eta = prod(effective values); relative uncertainties add in quadrature,
-    so sigma_eta = eta * sqrt(sum((sigma_i / value_i)^2)).
+    so sigma_eta = eta * hypot(relative sigmas), where a factor's relative
+    sigma is 2 sigma / v for a visibility and sigma / v for a direct one.  A
+    product or sigma that float64 cannot hold raises ValidationError.
     """
     factors = list(factors)
     if not factors:
         raise ValidationError("budget needs at least one factor")
-    eta = 1.0
-    rel_sq = 0.0
-    for f in factors:
-        eta *= f.effective_value
-        rel_sq += (f.effective_uncertainty / f.effective_value) ** 2
-    return BudgetResult(
-        eta_predicted=float(eta),
-        eta_uncertainty=float(eta * np.sqrt(rel_sq)),
-        n_factors=len(factors),
-    )
+    eta = float(math.prod(f.effective_value for f in factors))
+    rel = [(2.0 if f.kind == "visibility_squared" else 1.0) * f.uncertainty / f.value
+           for f in factors]
+    return _check_result(BudgetResult(eta_predicted=eta, eta_uncertainty=eta * math.hypot(*rel),
+                                      n_factors=len(factors)), ValidationError)
 
 
 def check_agreement(budget: BudgetResult, eta_fitted: float,
@@ -121,6 +129,32 @@ def check_agreement(budget: BudgetResult, eta_fitted: float,
     diff = abs(budget.eta_predicted - eta_fitted)
     tol = 2.0 * float(np.hypot(budget.eta_uncertainty, eta_fitted_stderr))
     return AgreementCheck(difference=diff, tolerance=tol, passed=bool(diff <= tol))
+
+
+def format_budget(result: BudgetResult, factors: Sequence[EfficiencyFactor]) -> str:
+    """The budget file: the result as key=value text, then one
+    factor_<i>=name value uncertainty kind line per factor."""
+    fields = {"budget_format_version": BUDGET_FORMAT_VERSION,
+              **asdict(_check_result(result, ValidationError))}
+    for i, f in enumerate(factors):
+        fields[f"factor_{i}"] = f"{f.name} {float(f.value)!r} {float(f.uncertainty)!r} {f.kind}"
+    return "\n".join(format_kv(fields)) + "\n"
+
+
+def parse_budget(text: str) -> BudgetResult:
+    """Read a budget file, checking its version and the result's rule; other
+    keys, such as the factor_<i> lines, are ignored."""
+    data = parse_kv(content_lines(text), {"budget_format_version": int, "eta_predicted": float,
+                                          "eta_uncertainty": float, "n_factors": int},
+                    "budget", required=("budget_format_version", "eta_predicted",
+                                        "eta_uncertainty"))
+    version = data["budget_format_version"]
+    if version != BUDGET_FORMAT_VERSION:
+        raise DatasetFormatError(
+            f"unsupported budget_format_version {version}, expected {BUDGET_FORMAT_VERSION}"
+        )
+    return _check_result(BudgetResult(data["eta_predicted"], data["eta_uncertainty"],
+                                      data.get("n_factors", 0)), DatasetFormatError)
 
 
 def parse_factors(text: str) -> list[EfficiencyFactor]:

@@ -117,12 +117,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    from .budget import combine, default_factors, load_factors
-    from .report import budget_to_kv
+    from .budget import combine, default_factors, format_budget, load_factors
 
     factors = load_factors(args.factors) if args.factors else default_factors()
-    result = combine(factors)
-    text = budget_to_kv(result, factors)
+    text = format_budget(combine(factors), factors)
     if args.output:
         Path(args.output).write_text(text)
     sys.stdout.write(text)
@@ -134,7 +132,7 @@ def _reject_constant(name: str):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .report import merge_reports, parse_budget_kv
+    from .report import merge_reports
 
     try:
         recon = json.loads(Path(args.reconstruction).read_text(), parse_constant=_reject_constant)
@@ -142,7 +140,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise DatasetFormatError(f"cannot parse {args.reconstruction!r}: {exc}") from exc
     budget = None
     if args.budget:
-        budget = parse_budget_kv(Path(args.budget).read_text())
+        from .budget import parse_budget
+
+        budget = parse_budget(Path(args.budget).read_text())
     merged = merge_reports(recon, budget)
 
     outdir = Path(args.output)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DatasetFormatError, ValidationError
-from .kvtext import content_lines, format_kv, parse_kv, write_table
+from .kvtext import format_kv, write_table
 
 if TYPE_CHECKING:  # annotations only: each command loads just the modules it runs
     from .budget import BudgetResult
@@ -152,45 +153,10 @@ def write_histogram_table(hist: MarginalHistogram, path, header: dict | None = N
 
 
 # ---------------------------------------------------------------------------
-# Budget output and merged reports
+# Merged reports
 
 
-def budget_to_kv(result: BudgetResult, factors) -> str:
-    """Budget result as parseable key=value text."""
-    from .budget import BUDGET_FORMAT_VERSION
-
-    fields = {"budget_format_version": BUDGET_FORMAT_VERSION,
-              "eta_predicted": float(result.eta_predicted),
-              "eta_uncertainty": float(result.eta_uncertainty), "n_factors": result.n_factors}
-    for i, f in enumerate(factors):
-        fields[f"factor_{i}"] = f"{f.name} {float(f.value)!r} {float(f.uncertainty)!r} {f.kind}"
-    return "\n".join(format_kv(fields)) + "\n"
-
-
-_BUDGET_TYPES = {"budget_format_version": int, "eta_predicted": float,
-                 "eta_uncertainty": float, "n_factors": int}
-
-
-def parse_budget_kv(text: str) -> dict:
-    """Parse budget key=value text back into a dict, checking the version and
-    the values; other keys, such as the factor_<i> lines, are ignored."""
-    from .budget import BUDGET_FORMAT_VERSION
-
-    parsed = parse_kv(content_lines(text), _BUDGET_TYPES, "budget",
-                      required=("budget_format_version", "eta_predicted", "eta_uncertainty"))
-    data = {key: parsed.get(key, 0) for key in _BUDGET_TYPES}
-    version, eta, sigma, n_factors = data.values()
-    if version != BUDGET_FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"unsupported budget_format_version {version}, expected {BUDGET_FORMAT_VERSION}"
-        )
-    if not (0.0 < eta <= 1.0 and 0.0 <= sigma < np.inf and n_factors >= 0):
-        raise DatasetFormatError("budget needs 0 < eta_predicted <= 1, a finite eta_uncertainty"
-                                 f" >= 0 and n_factors >= 0; got {eta}, {sigma}, {n_factors}")
-    return data
-
-
-def merge_reports(recon: dict, budget: dict | None,
+def merge_reports(recon: dict, budget: BudgetResult | None,
                   timestamp: str | None = None) -> RunReport:
     """Consolidate a reconstruction report and an optional budget result.
 
@@ -220,30 +186,19 @@ def merge_reports(recon: dict, budget: dict | None,
         sections[name] = dict(body)
 
     if budget is not None:
-        from .budget import BudgetResult, check_agreement
+        from .budget import check_agreement
 
-        result = BudgetResult(
-            eta_predicted=budget["eta_predicted"],
-            eta_uncertainty=budget["eta_uncertainty"],
-            n_factors=budget.get("n_factors", 0),
-        )
-        eff = recon.get("efficiency", {})
-        try:
-            eta_hat = float(eff["eta_hat"])
-            eta_stderr = float(eff["eta_stderr"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"reconstruction report lacks an efficiency fit: {exc}") from exc
-        agreement = check_agreement(result, eta_hat, eta_stderr)
-        sections["budget"] = {
-            "eta_predicted": result.eta_predicted,
-            "eta_uncertainty": result.eta_uncertainty,
-            "n_factors": result.n_factors,
-        }
-        sections["agreement"] = {
-            "difference": agreement.difference,
-            "tolerance": agreement.tolerance,
-            "passed": agreement.passed,
-        }
+        efficiency = sections.get("efficiency", {})
+        for key in ("eta_hat", "eta_stderr"):
+            value = efficiency.get(key)
+            # true is an int to Python and "0.01" a str, neither a JSON number;
+            # an int past float64's range is no double
+            if type(value) not in (int, float) or abs(value) > sys.float_info.max:
+                raise DatasetFormatError(f"reconstruction report needs [efficiency] {key} "
+                                         f"as a JSON number, got {value!r}")
+        sections["budget"] = asdict(budget)
+        sections["agreement"] = asdict(check_agreement(budget, efficiency["eta_hat"],
+                                                       efficiency["eta_stderr"]))
     sections["provenance"] = {
         "package_version": __version__,
         "generated_at": timestamp,

@@ -10,11 +10,13 @@ from focktomo.budget import (
     check_agreement,
     combine,
     default_factors,
+    format_budget,
     load_factors,
+    parse_budget,
     parse_factors,
 )
 from focktomo.errors import DatasetFormatError, ValidationError
-from focktomo.report import merge_reports, parse_budget_kv
+from focktomo.report import merge_reports
 
 # 0.83^2 * 0.95 * 0.90 * 0.98 and its first-order error, computed by hand
 ETA_PREDICTED = 0.57722931
@@ -29,9 +31,9 @@ def test_combine_default_factors_frozen():
 
 
 def test_visibility_squared_semantics():
-    f = EfficiencyFactor("vis", 0.83, 0.01, "visibility_squared")
-    assert f.effective_value == pytest.approx(0.6889, abs=1e-12)
-    assert f.effective_uncertainty == pytest.approx(0.0166, abs=1e-12)
+    result = combine([EfficiencyFactor("vis", 0.83, 0.01, "visibility_squared")])
+    assert result.eta_predicted == pytest.approx(0.6889, abs=1e-12)
+    assert result.eta_uncertainty == pytest.approx(0.0166, abs=1e-12)
 
 
 def test_single_direct_factor_passthrough():
@@ -107,6 +109,43 @@ def test_factor_validation():
         EfficiencyFactor("bad", 0.5, 0.0, "squared")
     with pytest.raises(ValidationError):
         EfficiencyFactor("", 0.5)
+    # a name that would rewrite the budget file it is written to
+    with pytest.raises(ValidationError, match="factor name"):
+        EfficiencyFactor("x\neta_predicted=0.9\n#", 0.5)
+
+
+@given(st.text(min_size=1))
+def test_a_factor_name_reads_back_or_is_refused(name):
+    # a name is one field of a table row: no whitespace, and no '#' comment
+    try:
+        factor = EfficiencyFactor(name, 0.5, 0.01, "visibility_squared")
+    except ValidationError:
+        return
+    assert parse_factors(f"{factor.name} 0.5 0.01 visibility_squared") == [factor]
+
+
+_FACTORS = st.lists(st.builds(EfficiencyFactor, st.just("f"),
+                              st.floats(min_value=1e-320, max_value=1.0),
+                              st.floats(min_value=0.0, max_value=1e308),
+                              st.sampled_from(["direct", "visibility_squared"])),
+                    min_size=1, max_size=4)
+
+
+@given(_FACTORS)
+def test_what_combine_returns_the_budget_file_reads_back(factors):
+    # a product that underflows, or a sigma that overflows, is refused
+    # before anything is written
+    try:
+        result = combine(factors)
+    except ValidationError as exc:
+        assert "budget needs" in str(exc)
+        return
+    assert parse_budget(format_budget(result, factors)) == result
+
+
+def test_format_budget_refuses_what_parse_budget_would():
+    with pytest.raises(ValidationError, match="budget needs"):
+        format_budget(BudgetResult(eta_predicted=0.0, eta_uncertainty=0.0, n_factors=0), [])
 
 
 def test_combine_requires_factors():
@@ -149,7 +188,7 @@ def test_load_factors(tmp_path):
 def test_parse_budget_rejects_non_integer_version():
     text = "budget_format_version=x\neta_predicted=0.5\neta_uncertainty=0.01\n"
     with pytest.raises(DatasetFormatError, match="budget_format_version"):
-        parse_budget_kv(text)
+        parse_budget(text)
 
 
 def test_merge_reports_rejects_non_object_report():
@@ -164,8 +203,8 @@ _BUDGET = "budget_format_version=1\neta_predicted=0.5\neta_uncertainty=0.01\nn_f
 
 def test_parse_budget_accepts_trailing_comments():
     text = _BUDGET.replace("eta_uncertainty=0.01", "eta_uncertainty=0.01  # from the bench")
-    assert parse_budget_kv(text) == {"budget_format_version": 1, "eta_predicted": 0.5,
-                                     "eta_uncertainty": 0.01, "n_factors": 2}
+    assert parse_budget(text) == BudgetResult(eta_predicted=0.5, eta_uncertainty=0.01,
+                                             n_factors=2)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -178,11 +217,11 @@ def test_parse_budget_rejects_out_of_range_values(key, value):
     text = "".join(f"{key}={value}\n" if line.startswith(key + "=") else line + "\n"
                    for line in _BUDGET.splitlines())
     with pytest.raises(DatasetFormatError, match="budget needs"):
-        parse_budget_kv(text)
+        parse_budget(text)
 
 
 def test_parse_budget_rejects_empty_key_and_missing_value():
     with pytest.raises(DatasetFormatError, match="line 5: malformed budget line"):
-        parse_budget_kv(_BUDGET + "=0.3\n")
+        parse_budget(_BUDGET + "=0.3\n")
     with pytest.raises(DatasetFormatError, match="eta_uncertainty"):
-        parse_budget_kv("budget_format_version=1\neta_predicted=0.5\n")
+        parse_budget("budget_format_version=1\neta_predicted=0.5\n")

@@ -227,6 +227,55 @@ def test_budget_with_nan_prediction_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "m" / "merged_report.json").exists()
 
 
+@pytest.mark.parametrize("table", [
+    "v 1e-200 0 visibility_squared\n",  # v^2 underflows to 0
+    "a 1e-200 0 direct\nb 1e-200 0 direct\n",  # the product underflows to 0
+    "u 0.5 1e308 direct\n",  # sigma / v overflows
+])
+def test_budget_float64_cannot_hold_is_validation_error(tmp_path, capsys, table):
+    factors, out = tmp_path / "factors.txt", tmp_path / "budget.txt"
+    factors.write_text(table)
+    assert main(["budget", "--factors", str(factors), "-o", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: budget needs") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_what_budget_writes_report_reads(tmp_path):
+    # a sigma of 1e200 is finite: written, and read back by report
+    recon = tmp_path / "report.json"
+    recon.write_text(json.dumps({"report_version": 1,
+                                 "efficiency": {"eta_hat": 0.5, "eta_stderr": 0.01}}))
+    factors, out = tmp_path / "factors.txt", tmp_path / "budget.txt"
+    factors.write_text("u 0.5 1e200 direct\n")
+    assert main(["budget", "--factors", str(factors), "-o", str(out)]) == EXIT_OK
+    assert "eta_uncertainty=1e+200\n" in out.read_text()
+    assert main(["report", "--reconstruction", str(recon), "--budget", str(out),
+                 "-o", str(tmp_path / "m")]) == EXIT_OK
+    merged = json.loads((tmp_path / "m" / "merged_report.json").read_text())
+    assert merged["budget"]["eta_uncertainty"] == 1e200
+
+
+@pytest.mark.parametrize("efficiency,key", [
+    ('{"eta_hat": true, "eta_stderr": "0.01"}', "eta_hat"),
+    ('{"eta_hat": 0.5, "eta_stderr": "0.01"}', "eta_stderr"),
+    ('{"eta_hat": 1%s, "eta_stderr": 0.01}' % ("0" * 400), "eta_hat"),  # no double holds it
+    ('{"eta_stderr": 0.01}', "eta_hat"),
+], ids=["bool", "str", "int_past_float64", "missing"])
+def test_report_fit_must_be_json_numbers(tmp_path, capsys, efficiency, key):
+    recon = tmp_path / "report.json"
+    recon.write_text('{"report_version": 1, "efficiency": %s}' % efficiency)
+    budget_file = tmp_path / "budget.txt"
+    assert main(["budget", "-o", str(budget_file)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["report", "--reconstruction", str(recon),
+                 "--budget", str(budget_file), "-o", str(tmp_path / "m")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_missing_dataset_is_validation_error(tmp_path, capsys):
     code = main(["reconstruct", str(tmp_path / "nope.txt"), "-o", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
@@ -592,9 +641,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.simulator"}
     reconstruct = _footprint("reconstruct", str(data), "-o", str(tmp_path / "out"))
     assert "focktomo.reconstruction" in reconstruct and "focktomo.budget" not in reconstruct
-    budget = _footprint("budget")
-    assert "focktomo.budget" in budget
-    assert not budget & {"focktomo.calibration", "focktomo.pipeline", "focktomo.reconstruction"}
+    assert _footprint("budget") == {
+        "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.budget"}
     assert _footprint("report", "--reconstruction", str(tmp_path / "out" / "report.json"),
                       "-o", str(tmp_path / "merged")) == {
         "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.report"}

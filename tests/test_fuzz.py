@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from focktomo.budget import parse_factors
+from focktomo.budget import parse_budget, parse_factors
 from focktomo.cli import EXIT_OK, EXIT_VALIDATION, main
 from focktomo.errors import DatasetFormatError, ValidationError
-from focktomo.report import parse_budget_kv
 from focktomo.simulator import read_dataset
 
 # Lines close to what the readers accept, so that examples get past the
@@ -25,6 +24,9 @@ _NEAR_VALID_LINES = st.sampled_from([
     "eta_predicted=0.5  # note", "bogus=1",
     "vis 0.83 0.01 visibility_squared", "a 0.9 0 direct", "b 1.5 0 direct",
     "c 0.5 nan direct", "=", "key=", "a=b=c", "",
+    # tables whose product or sigma float64 cannot hold, and one it can
+    "v 1e-200 0 visibility_squared", "a 1e-200 0 direct", "b 1e-200 0 direct",
+    "u 0.5 1e200 direct", "u 0.5 1e308 direct",
 ])
 _TEXT = st.one_of(
     st.text(),
@@ -96,7 +98,7 @@ def test_parse_factors_returns_or_raises_validation_error(text):
 @given(_TEXT)
 def test_parse_budget_returns_or_raises_validation_error(text):
     try:
-        parse_budget_kv(text)
+        parse_budget(text)
     except ValidationError:
         pass
 
@@ -116,6 +118,14 @@ def test_any_factor_or_budget_file_exits_0_or_3(tmp_path_factory, good_report, c
     base = tmp_path_factory.getbasetemp()
     path = base / "fuzz_kv.txt"
     path.write_bytes(content)
-    assert main(["budget", "--factors", str(path)]) in (EXIT_OK, EXIT_VALIDATION)
+    written = base / "fuzz_budget.txt"
+    written.unlink(missing_ok=True)
+    code = main(["budget", "--factors", str(path), "-o", str(written)])
+    assert code in (EXIT_OK, EXIT_VALIDATION)
+    assert written.exists() == (code == EXIT_OK)
+    # what budget writes, report reads
+    if code == EXIT_OK:
+        assert main(["report", "--reconstruction", str(good_report), "--budget", str(written),
+                     "-o", str(base / "fuzz_merged")]) == EXIT_OK
     assert main(["report", "--reconstruction", str(good_report), "--budget", str(path),
                  "-o", str(base / "fuzz_merged")]) in (EXIT_OK, EXIT_VALIDATION)

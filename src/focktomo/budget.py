@@ -128,6 +128,9 @@ def check_agreement(budget: BudgetResult, eta_fitted: float,
         )
     diff = abs(budget.eta_predicted - eta_fitted)
     tol = 2.0 * float(np.hypot(budget.eta_uncertainty, eta_fitted_stderr))
+    if not math.isfinite(tol):
+        raise ValidationError(f"agreement tolerance 2 * hypot({budget.eta_uncertainty!r}, "
+                              f"{eta_fitted_stderr!r}) overflows float64")
     return AgreementCheck(difference=diff, tolerance=tol, passed=bool(diff <= tol))
 
 

@@ -134,9 +134,10 @@ def _reject_constant(name: str):
 def cmd_report(args: argparse.Namespace) -> int:
     from .report import merge_reports
 
+    text = Path(args.reconstruction).read_text()
     try:
-        recon = json.loads(Path(args.reconstruction).read_text(), parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        recon = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise DatasetFormatError(f"cannot parse {args.reconstruction!r}: {exc}") from exc
     budget = None
     if args.budget:

@@ -26,8 +26,8 @@ The rule's nodes lie on chords that wigner_to_marginal shares: the forward
 projection pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv is the same
 integral over a chord of the disc of radius R_max.  Both directions
 interpolate with one local cubic, the cubic Hermite interpolant on knots
-j * step from 0 (the folded grid and the profile's radii are checked for
-it), a chord node's interval being node / step.  Its knot slopes are the
+j * step from 0 (the marginal's grid and the profile's radii are checked
+for it), a chord node's interval being node / step.  Its knot slopes are the
 fourth-order central difference of the values, in steps (-d[i-2] + 7 d[i-1]
 + 7 d[i] - d[i+1]) / 12 over the interval slopes d = diff(y), with y
 mirrored evenly about the first knot (so the slope there is 0) and d = 0
@@ -36,8 +36,8 @@ is solved.  Against the closed form at eta = 0.553, on the default grid
 and radii, the pair is within 2.2e-7 of W and 1.6e-9 of pr for |X| < 3.9.
 
 For a fixed grid and fixed radii the inversion is linear, so it is one
-matrix M (radii x grid intervals) applied to the folded marginal's interval
-differences diff(pr): abel_inverse is one matrix-vector product and
+matrix M (radii x grid intervals) applied to the interval differences
+diff(pr) on the knots from 0: abel_inverse is one matrix-vector product and
 bootstrap_profile evaluates every replicate in one matrix product.  M is
 built analytically (Simpson weights, the cubic's Hermite derivative weights
 and the slope stencil's transpose), in one pass over blocks of radii into
@@ -75,8 +75,9 @@ ABEL_MAX_SPACING = 0.02
 ABEL_CACHED_GRIDS = 4
 
 # The chain's grid, the stages' defaults and ReconstructionConfig's
-# constants: GRID_POINTS smoothing nodes on [-GRID_MAX, GRID_MAX], N_BINS
-# histogram bins over the same range, two grid steps each, and N_RADII
+# constants: GRID_POINTS smoothing nodes on [-GRID_MAX, GRID_MAX], of which
+# the even marginal keeps the GRID_POINTS // 2 + 1 on [0, GRID_MAX], N_BINS
+# histogram bins over the whole range, two grid steps each, and N_RADII
 # profile radii on [0, R_MAX].
 GRID_MAX = 6.0
 GRID_POINTS = 2401
@@ -192,7 +193,11 @@ def _scott_density(values: np.ndarray, mean: float,
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Even smoothed marginal on the exact mirror of the knots j * step on [0, grid_max]."""
+    """Smoothed marginal pr on the knots x = j * step of [0, grid_max].
+
+    The marginal is even, pr(-X) = pr(X), so the half-line holds all of it:
+    2 * trapezoid(density, x) is 1.
+    """
 
     x: np.ndarray
     density: np.ndarray
@@ -229,13 +234,14 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
 
     Kernels are centred on the histogram bins (weights = counts).  Their
     sum's even part is taken over the occupied bins on the grid_points // 2
-    + 1 knots j * step of [0, grid_max] (grid_points odd, >= 101), mirrored
-    exactly to x < 0 and renormalized to unit integral on the grid.  The
-    bin edges must lie on a lattice of m >= 1 whole grid steps, symmetric
-    about 0, with every bin centre on the grid (the pipeline's
-    (grid_points - 1) / 2 bins over [-grid_max, grid_max], m = 2, as the
-    default 1200 bins over [-6, 6] on 2401 points); any other bins raise
-    ValidationError.  It sums the folded counts counts + counts[::-1], one
+    + 1 knots j * step of [0, grid_max] (grid_points odd, >= 101), the half
+    of the grid_points nodes on [-grid_max, grid_max] that the even estimate
+    needs, and normalized to 1 over the whole grid: twice its trapezoid
+    integral on the knots is 1.  The bin edges must lie on a lattice of m >=
+    1 whole grid steps, symmetric about 0, with every bin centre on the grid
+    (the pipeline's (grid_points - 1) / 2 bins over [-grid_max, grid_max],
+    m = 2, as the default 1200 bins over [-6, 6] on 2401 points); any other
+    bins raise ValidationError.  It sums the folded counts counts + counts[::-1], one
     convolution with the kernel's polyphase slice per m-th knot.  A kernel
     term below the smallest normal double (2.2e-308, |x - c| more than
     about 37.6 bandwidths) counts as 0.
@@ -250,10 +256,9 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     # On a lattice of m grid steps symmetric about 0, with every bin centre on
     # the grid, bin j mirrors to bin n - 1 - j: the even part is half the sum
     # over the folded counts counts + counts[::-1], and x_i - c_j depends only
-    # on the lag i - m*j, counted in steps from the mirror's first node
+    # on the lag i - m*j, counted in steps from the grid's first node
     # -half[-1].
     half = _smoothing_grid(grid_max, grid_points)
-    x = np.concatenate((-half[:0:-1], half))
     edges = hist.bin_edges
     step = half[-1] / (half.size - 1)
     ratio = float(edges[1] - edges[0]) / step
@@ -265,7 +270,7 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
             and np.abs(edges - lattice).max() <= atol):
         raise ValidationError(f"bin edges must lie on a lattice of whole grid steps "
                               f"{step:g}, symmetric about 0, with every bin centre on the "
-                              f"smoothing grid [{x[0]:g}, {x[-1]:g}]")
+                              f"smoothing grid [{-half[-1]:g}, {half[-1]:g}]")
 
     n_in = hist.n_in_range
     if n_in == 0:
@@ -303,16 +308,18 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     for p in range(min(m, out.size)):  # one bin may be wider than the grid
         out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1], mode="valid")
     out *= 0.5
-    f = np.concatenate((out[:0:-1], out)) / kernel_norm
-    norm = np.trapezoid(f, x)
+    out /= kernel_norm
+    norm = 2.0 * np.trapezoid(out, half)
     if norm <= 0.0:
         raise NumericsError("smoothed density integrates to zero")
-    return GridDensity(x=x, density=f / norm, bandwidth=float(bandwidth))
+    out /= norm
+    return GridDensity(x=half, density=out, bandwidth=float(bandwidth))
 
 
 def _smoothing_grid(grid_max: float, grid_points: int) -> np.ndarray:
-    # smooth_marginal's knots j * step on [0, grid_max], checked; its grid is
-    # their exact mirror, grid_points nodes with 0 in the middle.
+    # smooth_marginal's knots j * step on [0, grid_max], checked: the
+    # non-negative half of grid_points nodes on [-grid_max, grid_max], with 0
+    # in the middle.
     grid_points = check_count("grid_points", grid_points, 101)
     if grid_points % 2 == 0:
         raise ValidationError("grid_points must be odd so 0 is a grid node")
@@ -354,29 +361,14 @@ class RadialWignerProfile:
         return float(2.0 * np.pi * np.trapezoid(self.values * self.radii, self.radii))
 
 
-def _check_uniform(x: np.ndarray, what: str) -> None:
-    # Reject knots x other than x[0] + j * step for the nominal step
-    # (x[-1] - x[0]) / (n - 1), to 1e-9 of a step: the Abel pair puts its
-    # knots on that lattice and finds a node's interval by one division.
-    step = (float(x[-1]) - float(x[0])) / (x.size - 1)
-    if not (0.0 < step < math.inf and np.allclose(x, x[0] + step * np.arange(x.size),
+def _check_knots(x: np.ndarray, what: str) -> None:
+    # Reject x other than the knots j * step from 0 for the nominal step
+    # x[-1] / (n - 1), to 1e-9 of a step: the Abel pair puts its knots on
+    # that lattice and finds a node's interval by one division.
+    step = float(x[-1]) / (x.size - 1)
+    if not (0.0 < step < math.inf and np.allclose(x, step * np.arange(x.size),
                                                   rtol=0.0, atol=1e-9 * step)):
-        raise ValidationError(f"{what} must be uniform and increasing")
-
-
-def _fold_even(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Accepts either a one-sided grid starting at 0 or a symmetric grid
-    # centred on 0; returns the non-negative half with the two sides averaged.
-    if x[0] >= 0.0:
-        if x[0] != 0.0:
-            raise ValidationError("one-sided marginal grid must start at X = 0")
-        return x, f
-    if x.size % 2 == 0 or not np.isclose(x[0], -x[-1], rtol=0, atol=1e-12 * abs(x[-1])):
-        raise ValidationError("two-sided marginal grid must be symmetric about 0")
-    k = (x.size - 1) // 2
-    if abs(x[k]) > 1e-12:
-        raise ValidationError("two-sided marginal grid must contain X = 0")
-    return x[k:].copy(), 0.5 * (f[k:] + f[k::-1])
+        raise ValidationError(f"{what} must be increasing knots j * step from 0")
 
 
 def _slopes(e: np.ndarray) -> np.ndarray:
@@ -499,11 +491,11 @@ def _abel_operator(reach: float, n_knots: int, r_max: float, n_radii: int) -> np
 
 
 def _check_abel_reach(xs: np.ndarray) -> float:
-    # Reject a one-sided grid xs from 0 that stops short of ABEL_MIN_RANGE or
-    # is coarser than ABEL_MAX_SPACING; returns its reach xs[-1].  The nominal
-    # step, not one subtraction, so that rounding does not decide at the bound.
-    h = float((xs[-1] - xs[0]) / (xs.size - 1))
+    # Reject knots xs from 0 that stop short of ABEL_MIN_RANGE or are coarser
+    # than ABEL_MAX_SPACING; returns their reach xs[-1].  The nominal step,
+    # not one subtraction, so that rounding does not decide at the bound.
     x_max = float(xs[-1])
+    h = x_max / (xs.size - 1)
     if x_max < ABEL_MIN_RANGE:
         raise ValidationError(
             f"marginal grid reaches only |X| = {x_max:g}; the inversion integral "
@@ -518,8 +510,8 @@ def _check_abel_reach(xs: np.ndarray) -> float:
 
 
 def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]:
-    # abel_inverse's checks; returns the folded marginal on the knots from 0,
-    # the radii and the operator M for them.
+    # abel_inverse's checks; returns the marginal on its knots from 0, the
+    # radii and the operator M for them.
     if density is None:
         if not isinstance(x, GridDensity):
             raise ValidationError("pass a GridDensity or two arrays (grid, density)")
@@ -531,26 +523,24 @@ def _abel_grid(x, density, r_max: float, n_radii: int) -> tuple[np.ndarray, ...]
         raise ValidationError("grid and density must be matching 1-d arrays (>= 9 points)")
     if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(f))):
         raise ValidationError("grid and density must be finite")
-    _check_uniform(grid, "marginal grid")
-
-    xs, fs = _fold_even(grid, f)
-    x_max = _check_abel_reach(xs)
+    _check_knots(grid, "marginal grid")
+    x_max = _check_abel_reach(grid)
     if not 0.0 < r_max <= x_max:
         raise ValidationError(f"r_max must lie in (0, {x_max:g}], got {r_max}")
     n_radii = check_count("n_radii", n_radii, 2)
-    matrix = _abel_operator(x_max, xs.size, float(r_max), n_radii)
-    return fs, np.linspace(0.0, r_max, n_radii), matrix
+    matrix = _abel_operator(x_max, grid.size, float(r_max), n_radii)
+    return f, np.linspace(0.0, r_max, n_radii), matrix
 
 
 def abel_inverse(x, density=None, *, r_max: float = R_MAX,
                  n_radii: int = N_RADII) -> RadialWignerProfile:
     """Invert an even quadrature marginal to the radial Wigner profile.
 
-    Accepts a GridDensity or a pair of arrays (grid, density values); the
-    grid must be uniform with spacing <= ABEL_MAX_SPACING and reach at least
-    ABEL_MIN_RANGE, either one-sided from 0 or symmetric about 0; its
-    non-negative half is taken as the knots j * step.  Returns W on n_radii
-    equally spaced radii in [0, r_max].
+    Accepts a GridDensity or a pair of arrays (grid, density values) on the
+    half-line: the grid must be the knots j * step from 0 (to 1e-9 of a
+    step), with step <= ABEL_MAX_SPACING and reach at least ABEL_MIN_RANGE,
+    and the density pr there, pr(-X) = pr(X) being implied.  Returns W on
+    n_radii equally spaced radii in [0, r_max].
     """
     fs, radii, matrix = _abel_grid(x, density, r_max, n_radii)
     return RadialWignerProfile(radii=radii, values=matrix @ np.diff(fs))
@@ -561,19 +551,20 @@ def wigner_to_marginal(profile: RadialWignerProfile, x) -> np.ndarray:
 
     pr(X) = 2 * integral_0^V W(sqrt(X^2 + v^2)) dv with V = sqrt(R_max^2 -
     X^2); the profile is interpolated by the cubic abel_inverse uses, on
-    radii j * step from 0 (to 1e-9 of a step, as abel_inverse returns them),
-    and taken as zero beyond its largest radius.  The projection is even in
-    X, so it is evaluated once per distinct |X|, in blocks of _CHORD_BLOCK
-    chords.  Returns x's shape (a float for a scalar).  Used as a
-    forward-consistency check on reconstructions.
+    radii j * step from 0 (to 1e-9 of a step, as abel_inverse returns them
+    and as it takes the marginal's grid), and taken as zero beyond its
+    largest radius.  The projection is even in X, so it is evaluated once
+    per distinct |X|, in blocks of _CHORD_BLOCK chords.  Returns x's shape
+    (a float for a scalar).  Used as a forward-consistency check on
+    reconstructions.
     """
     xq = np.asarray(x, dtype=float)
     radii, values = np.asarray(profile.radii, dtype=float), np.asarray(profile.values, dtype=float)
     if not all(np.all(np.isfinite(a)) for a in (radii, values, xq)):
         raise ValidationError("profile and x must be finite")
-    if radii.ndim != 1 or radii.size < 2 or values.shape != radii.shape or radii[0] != 0.0:
-        raise ValidationError("profile needs one value per radius on >= 2 radii from 0")
-    _check_uniform(radii, "profile radii")
+    if radii.ndim != 1 or radii.size < 2 or values.shape != radii.shape:
+        raise ValidationError("profile needs one value per radius on >= 2 radii")
+    _check_knots(radii, "profile radii")
     c = _cubic_coefficients(values)
     points, where = np.unique(np.abs(xq).ravel(), return_inverse=True)
     out = np.zeros(points.size)
@@ -627,12 +618,12 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int | 
     fs, radii, matrix = _abel_grid(smooth(hist), None, r_max, n_radii)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     tally = np.concatenate(([hist.underflow], hist.counts, [hist.overflow]))
-    diffs = np.empty((n_boot, fs.size - 1))  # each replicate's folded differences
+    diffs = np.empty((n_boot, fs.size - 1))  # each replicate's interval differences
     for row, draw in zip(diffs, rng.multinomial(hist.n_total, tally / hist.n_total,
                                                 size=n_boot)):
         rep = smooth(replace(hist, counts=draw[1:-1], underflow=int(draw[0]),
                              overflow=int(draw[-1])))
-        row[:] = np.diff(rep.density[-fs.size:])  # x >= 0 of the exact mirror
+        row[:] = np.diff(rep.density)
     return RadialWignerProfile(radii=radii, values=matrix @ np.diff(fs),
                                stderr=np.std(diffs @ matrix.T, axis=0, ddof=1))
 

@@ -96,6 +96,10 @@ def test_agreement_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValidationError, match="eta_fitted_stderr"):
             check_agreement(result, eta_fitted=0.5, eta_fitted_stderr=bad)
+    # each sigma is finite, but 2 * hypot of them overflows
+    huge = BudgetResult(eta_predicted=0.5, eta_uncertainty=1.5e308, n_factors=1)
+    with pytest.raises(ValidationError, match="agreement tolerance"):
+        check_agreement(huge, eta_fitted=0.5, eta_fitted_stderr=0.01)
 
 
 def test_factor_validation():

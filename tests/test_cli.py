@@ -256,6 +256,22 @@ def test_what_budget_writes_report_reads(tmp_path):
     assert merged["budget"]["eta_uncertainty"] == 1e200
 
 
+def test_report_agreement_tolerance_that_overflows_is_validation_error(tmp_path, capsys):
+    # a sigma of 1.5e308 is finite, but twice it is not: no tolerance to write
+    recon = tmp_path / "report.json"
+    recon.write_text(json.dumps({"report_version": 1,
+                                 "efficiency": {"eta_hat": 0.5, "eta_stderr": 0.01}}))
+    budget_file = tmp_path / "budget.txt"
+    budget_file.write_text("budget_format_version=1\neta_predicted=0.5\n"
+                           "eta_uncertainty=1.5e308\nn_factors=1\n")
+    code = main(["report", "--reconstruction", str(recon), "--budget", str(budget_file),
+                 "-o", str(tmp_path / "m")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: agreement tolerance") and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("efficiency,key", [
     ('{"eta_hat": true, "eta_stderr": "0.01"}', "eta_hat"),
     ('{"eta_hat": 0.5, "eta_stderr": "0.01"}', "eta_stderr"),
@@ -590,6 +606,18 @@ def test_binary_factor_table_is_validation_error(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error:") and "decode" in err
+
+def test_report_integer_past_the_digit_limit_is_validation_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an
+    # integer longer than int's 4300-digit conversion limit
+    recon = tmp_path / "report.json"
+    recon.write_text('{"report_version": 1, "x": 1%s}' % ("0" * 5000))
+    code = main(["report", "--reconstruction", str(recon), "-o", str(tmp_path / "m")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse") and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
+
 
 def test_report_json_list_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "report.json"

@@ -166,15 +166,26 @@ def test_smooth_vacuum_sup_norm_million():
 
 @pytest.mark.parametrize("grid_points", [2401, 1201, 2001])
 def test_smooth_output_exactly_even_and_normalized(grid_points):
-    # deliberately one-sided input still yields an exactly even density, on
-    # a grid that is an exact mirror with one node per distinct |X|; the
-    # pipeline's bins, two grid steps each
+    # deliberately one-sided input still yields the even estimate: the
+    # mirrored histogram gives the same density bit for bit, and twice its
+    # half-line integral is 1; the pipeline's bins, two grid steps each
     x = np.abs(_draws(0.7, 5_000, 4))
-    dens = smooth_marginal(bin_samples(x, n_bins=(grid_points - 1) // 2), grid_points=grid_points)
-    assert np.array_equal(dens.x, -dens.x[::-1])
-    assert np.unique(np.abs(dens.x)).size == grid_points // 2 + 1
-    assert np.array_equal(dens.density, dens.density[::-1])
-    assert np.trapezoid(dens.density, dens.x) == pytest.approx(1.0, abs=1e-9)
+    hist = bin_samples(x, n_bins=(grid_points - 1) // 2)
+    dens = smooth_marginal(hist, grid_points=grid_points)
+    mirrored = smooth_marginal(replace(hist, counts=hist.counts[::-1]), grid_points=grid_points)
+    assert np.array_equal(dens.x, mirrored.x)
+    assert np.array_equal(dens.density, mirrored.density)
+    assert 2.0 * np.trapezoid(dens.density, dens.x) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("grid_max,grid_points", [(6.0, 2401), (6.0, 1201), (5.0, 2001),
+                                                  (12.0, 4801)])
+def test_smoothed_marginal_lives_on_the_knots_from_0(grid_max, grid_points):
+    x = _draws(0.553, 5_000, 4)
+    hist = bin_samples(x, n_bins=(grid_points - 1) // 2, lo=-grid_max, hi=grid_max)
+    dens = smooth_marginal(hist, grid_max=grid_max, grid_points=grid_points)
+    assert np.array_equal(dens.x, np.linspace(0, grid_max, grid_points // 2 + 1))
+    assert dens.density.shape == dens.x.shape
 
 
 def test_explicit_bandwidth_honored_single_sample():
@@ -249,7 +260,7 @@ def test_positive_settings_must_be_finite(bad):
 def _dense_smooth_marginal(hist, bandwidth, grid_max=6.0, grid_points=2401):
     # Reference: the grid x occupied-bins kernel matrix on the whole grid, an
     # exact mirror, then symmetrize and normalize, as smooth_marginal did
-    # before the half-line sums.
+    # before the half-line sums; returns its half on the knots from 0.
     half = np.linspace(0.0, grid_max, grid_points // 2 + 1)
     grid = np.concatenate((-half[:0:-1], half))
     mask = hist.counts > 0
@@ -257,7 +268,7 @@ def _dense_smooth_marginal(hist, bandwidth, grid_max=6.0, grid_points=2401):
     f = np.exp(-0.5 * z * z) @ hist.counts[mask] / (
         hist.n_in_range * bandwidth * np.sqrt(2.0 * np.pi))
     f = 0.5 * (f + f[::-1])
-    return f / np.trapezoid(f, grid)
+    return (f / np.trapezoid(f, grid))[half.size - 1:]
 
 
 _OFF_LATTICE = "must lie on a lattice of whole grid steps"
@@ -302,9 +313,8 @@ def test_smoothing_matches_dense_kernel_sum(bins, grid_points, lattice):
         dens = smooth_marginal(case, bandwidth=h, grid_points=grid_points)
         reference = _dense_smooth_marginal(case, dens.bandwidth, grid_points=grid_points)
         assert np.all(dens.density >= 0.0)
-        # the half-line sum is mirrored exactly, with no averaging afterwards
-        assert np.array_equal(dens.x, -dens.x[::-1])
-        assert np.array_equal(dens.density, dens.density[::-1])
+        # the half-line sum, on the knots from 0
+        assert np.array_equal(dens.x, np.linspace(0.0, 6.0, grid_points // 2 + 1))
         assert np.max(np.abs(dens.density - reference)) <= 1e-13 * np.max(reference)
 
 
@@ -352,13 +362,15 @@ def test_abel_analytic_roundtrip(eta):
     assert np.max(np.abs(profile.values - exact)) < 3.66e-7
 
 
-def test_abel_two_sided_input_folds():
+def test_abel_rejects_a_two_sided_grid():
+    # The marginal is even, so only its knots from 0 are taken; a grid
+    # symmetric about 0 is refused, as arrays and as a GridDensity.
     x2 = np.linspace(-6.0, 6.0, 2401)
     pr = marginal_density(0.553, x2)
-    two_sided = abel_inverse(x2, pr)
-    one_sided = abel_inverse(np.linspace(0.0, 6.0, 1201),
-                             marginal_density(0.553, np.linspace(0.0, 6.0, 1201)))
-    assert np.allclose(two_sided.values, one_sided.values, atol=1e-12)
+    with pytest.raises(ValidationError, match="from 0"):
+        abel_inverse(x2, pr)
+    with pytest.raises(ValidationError, match="from 0"):
+        abel_inverse(GridDensity(x=x2, density=pr, bandwidth=0.1))
 
 
 def test_abel_accepts_grid_density():
@@ -401,13 +413,16 @@ def test_abel_grid_too_coarse():
 
 @pytest.mark.parametrize("x_max,points", [(6.0, 601), (12.0, 1201)])
 def test_abel_grid_at_the_spacing_bound_is_accepted(x_max, points):
-    # both grids step 0.02, though xs[1] - xs[0] rounds above it on the first
-    for x in (np.linspace(-x_max, x_max, points), np.linspace(0.0, x_max, points // 2 + 1)):
+    # both grids step 0.02, though xs[1] - xs[0] rounds above it on the
+    # non-negative half of np.linspace(-6, 6, 601)
+    halved = np.linspace(-x_max, x_max, points)[points // 2:]
+    assert halved[0] == 0.0 and (halved[1] - halved[0] > 0.02) == (x_max == 6.0)
+    for x in (halved, np.linspace(0.0, x_max, points // 2 + 1)):
         assert np.all(np.isfinite(abel_inverse(x, marginal_density(0.5, x)).values))
 
 
 def test_abel_grid_just_above_the_spacing_bound_is_rejected():
-    x = np.linspace(-6.03, 6.03, 601)  # spacing 0.0201
+    x = np.linspace(0.0, 6.03, 301)  # spacing 0.0201
     with pytest.raises(ValidationError, match="spacing 0.0201 too coarse"):
         abel_inverse(x, marginal_density(0.5, x))
 
@@ -563,10 +578,9 @@ def test_chord_quadrature_matches_loop_analytic(eta, r_max):
 
 def test_chord_quadrature_matches_loop_smoothed_data():
     dens = smooth_marginal(bin_samples(_draws(0.553, 20_000, 7)))
-    k = (dens.x.size - 1) // 2
-    xs, fs = dens.x[k:], 0.5 * (dens.density[k:] + dens.density[k::-1])
     profile = abel_inverse(dens)
-    assert np.max(np.abs(profile.values - _loop_abel_inverse(xs, fs, 4.0))) <= 1e-13
+    reference = _loop_abel_inverse(dens.x, dens.density, 4.0)
+    assert np.max(np.abs(profile.values - reference)) <= 1e-13
     xq = _forward_points(4.0)
     back = wigner_to_marginal(profile, xq)
     assert np.max(np.abs(back - _loop_wigner_to_marginal(profile, xq))) <= 1e-13
@@ -888,7 +902,7 @@ def test_bootstrap_stderr_is_the_replicate_loop_bit_for_bit(grid_points, bandwid
     prof = bootstrap_profile(x, n_boot=n_boot, seed=seed, bandwidth=bandwidth, n_bins=k,
                              grid_points=grid_points)
     diffs = np.array([np.diff(smooth_marginal(rep, bandwidth=bandwidth,
-                                              grid_points=grid_points).density[k:])
+                                              grid_points=grid_points).density)
                       for rep in _replicate_histograms(bin_samples(x, n_bins=k), n_boot, seed)])
     matrix = _abel_operator(6.0, k + 1, 4.0, 401)
     assert np.array_equal(prof.stderr, np.std(diffs @ matrix.T, axis=0, ddof=1))
@@ -955,8 +969,8 @@ def test_bootstrap_names_the_grid_setting_it_derives_the_bins_from():
 
 def test_abel_operator_cache_is_keyed_on_the_grid_and_read_only():
     # Two grids in turn: each call returns what the first call on its grid did.
-    grids = [(np.linspace(-6.0, 6.0, 2401), {}),
-             (np.linspace(-6.0, 6.0, 2001), {"r_max": 3.0})]
+    grids = [(np.linspace(0.0, 6.0, 1201), {}),
+             (np.linspace(0.0, 6.0, 1001), {"r_max": 3.0})]
     hits = _abel_operator.cache_info().hits
     first = {}
     for _ in range(3):
@@ -975,18 +989,19 @@ def test_abel_operator_cache_is_keyed_on_the_grid_and_read_only():
     with pytest.raises(ValueError):
         matrix[0, 0] = 1.0
 
-    # A symmetric grid folds onto the one-sided grid with the same reach and
-    # step, so the two share one M: the second call is a cache hit.
+    # A GridDensity and arrays on knots with the same reach and count share
+    # one M: the second call is a cache hit.
     _abel_operator.cache_clear()
-    two_sided, one_sided = np.linspace(-6.0, 6.0, 2401), np.linspace(0.0, 6.0, 1201)
-    abel_inverse(two_sided, marginal_density(0.553, two_sided))
+    dens = smooth_marginal(bin_samples(_draws(0.553, 20_000, 7)))
+    abel_inverse(dens)
     before = _abel_operator.cache_info()
-    abel_inverse(one_sided, marginal_density(0.553, one_sided))
+    knots = np.linspace(0.0, 6.0, 1201)
+    abel_inverse(knots, marginal_density(0.553, knots))
     after = _abel_operator.cache_info()
     assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
 
     # A caller's later writes to its arrays reach neither the cache nor a result
-    # (a one-sided grid is used as given, without a copy).
+    # (the grid is used as given, without a copy).
     x = np.linspace(0.0, 6.0, 1201)
     f = marginal_density(0.553, x)
     result = abel_inverse(x, f)

@@ -40,13 +40,14 @@ matrix M (radii x grid intervals) applied to the interval differences
 diff(pr) on the knots from 0: abel_inverse is one matrix-vector product and
 bootstrap_profile evaluates every replicate in one matrix product.  M is
 built analytically (Simpson weights, the cubic's Hermite derivative weights
-and the slope stencil's transpose), in one pass over blocks of radii into
-one buffer of M's size, and kept read-only in a module cache of the
+and the slope stencil's transpose), in one pass over blocks of 32 radii
+into one buffer of M's size, and kept read-only in a module cache of the
 ABEL_CACHED_GRIDS most recently used keys, four numbers: the grid's reach,
 its knot count, r_max and n_radii.  On the default grid (2401 points, 401
-radii) M holds 401 x 1200 doubles, about 3.9 MB.  wigner_to_marginal
-evaluates its cubic on the chord nodes directly, once per distinct |X|,
-in blocks of chords that stay in cache.
+radii) M holds 401 x 1200 doubles, about 3.9 MB, and a cold build's
+scratch beside it is 1.3 MB (a tracemalloc peak of 1.34 M.nbytes).
+wigner_to_marginal evaluates its cubic on the chord nodes directly, once
+per distinct |X|, in blocks of 64 chords that stay in cache.
 
 The module needs numpy alone: the efficiency likelihood is maximized by a
 safeguarded Newton iteration and the histogram fit has a closed form.
@@ -93,7 +94,11 @@ _SIMPSON_NODES = 401
 _SIMPSON_WEIGHTS = np.ones(_SIMPSON_NODES)
 _SIMPSON_WEIGHTS[1:-1:2] = 4.0
 _SIMPSON_WEIGHTS[2:-2:2] = 2.0
-_CHORD_BLOCK = 64  # chords or radii at a time in the Abel pair: 200 kB node arrays
+_CHORD_BLOCK = 64  # wigner_to_marginal's chords at a time: 200 kB node arrays
+# _abel_operator's radii at a time: 1.3 MB of scratch beside the default M
+# (3.9 MB), against 2.5 MB in blocks of 64, which raised the peak resident
+# memory of a fresh `focktomo reconstruct`.
+_ABEL_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +410,10 @@ def _abel_nodes(length: float, n_knots: int, points: np.ndarray) -> tuple[np.nda
     # of the disc of radius L = length, at each point p, for a cubic on n_knots
     # uniform knots from 0 to L: the mask of points with |p| < L, their node
     # spacings h, the nodes (radii sqrt(p^2 + v^2), v as np.linspace(0, span, n)
-    # builds them), and each node's interval and place u in it, in steps.
-    span_sq = length * length - points * points
+    # builds them), and each node's interval and place u in it, in steps.  A
+    # point so far out that p^2 overflows (|p| > 1.34e154) gets -inf: outside.
+    with np.errstate(over="ignore"):
+        span_sq = length * length - points * points
     inside = span_sq > 0.0
     span = np.sqrt(span_sq[inside])
     h = span / (_SIMPSON_NODES - 1)
@@ -469,14 +476,15 @@ def _abel_operator(reach: float, n_knots: int, r_max: float, n_radii: int) -> np
     # stencil of _slopes on the padded interval slopes d = diff(f); with G the
     # node weights on s (knots x radii), M^T = (node weights on d) + S^T G.
     # S^T G is the same stencil on G padded as -G[1], 0 in place of G[0] (s[0]
-    # = 0), G[1:], 0.  Each block of _CHORD_BLOCK radii bins its node weights
+    # = 0), G[1:], 0.  Each block of _ABEL_BLOCK radii bins its node weights
     # once, on s and on d, and writes its columns of M^T in one pass, so that
-    # no more than one block's nodes are held.  Needs >= 2 knots and 0 < r_max
-    # <= reach.
+    # no more than one block's nodes are held; each (knot, radius) sum runs
+    # over the same nodes in the same order whatever the block size.  Needs
+    # >= 2 knots and 0 < r_max <= reach.
     r = np.linspace(0.0, r_max, n_radii)
     m_t = np.empty((n_knots - 1, n_radii))
-    for start in range(0, n_radii, _CHORD_BLOCK):
-        cols = slice(start, start + _CHORD_BLOCK)
+    for start in range(0, n_radii, _ABEL_BLOCK):
+        cols = slice(start, start + _ABEL_BLOCK)
         w, index = _abel_node_weights(reach, n_knots, r[cols])
         width = r[cols].size
         g = np.bincount(index.ravel(), w[:2].ravel(),

@@ -36,6 +36,11 @@ PPF_BRACKET = 8.0
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
+# wigner_radial and marginal_density clip |X| and R to this: beyond |X| = 20
+# they are exactly 0 (exp(-2 X^2) underflows), and from 1.34e154 on X^2
+# overflows, where 0 * inf would give NaN.
+_FAR = 1e150
+
 
 def _maybe_scalar(arr: np.ndarray) -> float | np.ndarray:
     if arr.ndim == 0:
@@ -52,6 +57,7 @@ def wigner_radial(eta, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValidationError("radius must be non-negative")
+    r = np.minimum(r, _FAR)
     r2 = r * r
     out = (2.0 / np.pi) * np.exp(-2.0 * r2) * (eta * (4.0 * r2 - 1.0) + (1.0 - eta))
     return _maybe_scalar(out)
@@ -60,7 +66,7 @@ def wigner_radial(eta, r):
 def marginal_density(eta, x):
     """Quadrature marginal pr_eta(X); identical at every phase."""
     eta = check_unit_interval("eta", eta)
-    x = np.asarray(x, dtype=float)
+    x = np.minimum(np.abs(np.asarray(x, dtype=float)), _FAR)
     x2 = x * x
     out = _SQRT_2_OVER_PI * np.exp(-2.0 * x2) * (1.0 - eta + 4.0 * eta * x2)
     return _maybe_scalar(out)

@@ -406,9 +406,17 @@ _REFERENCE_BODY_SHA256 = "f79c789c1ad9a90144a36f7453eef770ce9afc5f03b68304725257
 _REFERENCE_COUNTS_SHA256 = "a96dce32bdc58226de65b2684a7200cda49871dafa558946be7deaaf072a89c7"
 
 
-def test_reference_round_trip_is_frozen(reference_run, tmp_path):
-    outdir = tmp_path / "out"
+@pytest.fixture(scope="module")
+def reference_out(reference_run, tmp_path_factory):
+    # `focktomo reconstruct` of the reference run with every default: its
+    # output directory.
+    outdir = tmp_path_factory.mktemp("reference_out")
     assert main(["reconstruct", str(reference_run), "-o", str(outdir)]) == EXIT_OK
+    return outdir
+
+
+def test_reference_round_trip_is_frozen(reference_out):
+    outdir = reference_out
     report = json.loads((outdir / "report.json").read_text())
     for section, values in _REFERENCE_REPORT.items():
         for key, value in values.items():
@@ -426,6 +434,15 @@ def test_reference_round_trip_is_frozen(reference_run, tmp_path):
     counts = np.loadtxt(outdir / "marginal_histogram.txt", usecols=2, dtype=np.int64)
     assert counts.size == 1200 and counts.sum() == 12000
     assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == _REFERENCE_COUNTS_SHA256
+
+
+def test_readme_names_every_report_section_and_key(reference_out):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    report = json.loads((reference_out / "report.json").read_text())
+    names = []  # each section as `[name]`, each key and top-level value as `name`
+    for name, body in report.items():
+        names += [f"[{name}]", *body] if isinstance(body, dict) else [name]
+    assert [name for name in names if f"`{name}`" not in readme] == []
 
 
 def test_degenerate_dataset_is_numerics_error(tmp_path, capsys):

@@ -174,6 +174,27 @@ def test_density_nonnegative():
         assert np.all(marginal_density(eta, x) >= 0.0)
 
 
+def test_density_is_zero_far_out_without_warning():
+    # x * x overflows from |x| = 1.34e154 on; the values there are 0, not
+    # 0 * inf = NaN, and no RuntimeWarning is raised
+    assert marginal_density(0.0, 1e200) == 0.0
+    assert marginal_density(0.5, [30.0, 1.4e154]).tolist() == [0.0, 0.0]
+    assert marginal_density(1.0, -np.finfo(float).max) == 0.0
+    assert wigner_radial(0.0, 1e200) == 0.0
+    assert wigner_radial(np.array(ETAS), np.finfo(float).max).tolist() == [0.0] * len(ETAS)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.553, 1.0])
+def test_density_bits_up_to_1e150_are_the_closed_form(eta):
+    x = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1e150, 601)])
+    x = np.concatenate([x, -x])
+    x2 = x * x
+    pr = np.sqrt(2.0 / np.pi) * np.exp(-2.0 * x2) * (1.0 - eta + 4.0 * eta * x2)
+    w = (2.0 / np.pi) * np.exp(-2.0 * x2) * (eta * (4.0 * x2 - 1.0) + (1.0 - eta))
+    assert np.array_equal(marginal_density(eta, x), pr)
+    assert np.array_equal(wigner_radial(eta, np.abs(x)), w)
+
+
 def test_eta_validation():
     for bad in [-0.01, 1.01, np.nan]:
         with pytest.raises(ValueError):

@@ -87,12 +87,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     from .pipeline import prepare_run
-    from .report import build_report, write_histogram_table, write_profile_table
+    from .report import build_report, dataset_section, write_histogram_table, write_profile_table
     from .simulator import read_dataset
 
+    # The raw values serve the calibration and the [dataset] section's digest
+    # alone: both are taken first, and the raw values are released before the
+    # signal is binned, smoothed and inverted.
     dataset = read_dataset(args.dataset)
-    summary = prepare_run(dataset).reconstruct(args.bandwidth_scale)
-    report = build_report(summary, dataset, dataset_path=str(args.dataset))
+    run = prepare_run(dataset)
+    section = dataset_section(dataset, str(args.dataset))
+    del dataset
+    summary = run.reconstruct(args.bandwidth_scale)
+    report = build_report(summary, section)
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

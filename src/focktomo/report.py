@@ -57,13 +57,38 @@ def _config_hash(config) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def build_report(summary: ReconstructionSummary, dataset: HomodyneDataset,
+def dataset_section(dataset: HomodyneDataset, dataset_path: str | None = None) -> dict:
+    """The report's [dataset] section: the run's header fields and the sha256
+    of its raw values.  Only it reads the raw values, so a caller that builds
+    it first may release them before reconstructing."""
+    spec = dataset.spec
+    return {
+        "path": dataset_path or "",
+        "rng": dataset.rng_name,
+        "seed": spec.seed,
+        "eta_true": spec.eta_true,
+        "n_vacuum": spec.n_vacuum,
+        "n_fock": spec.n_fock,
+        "scale": spec.detector.scale,
+        "offset": spec.detector.offset,
+        "dark_fraction": spec.detector.dark_fraction,
+        # names the data where path cannot (a pipe reads as /dev/fd/63); for a
+        # file read, the sha256 of its body
+        "body_sha256": hashlib.sha256(np.ascontiguousarray(dataset.raw_value, "<f8")
+                                      ).hexdigest(),
+    }
+
+
+def build_report(summary: ReconstructionSummary, dataset: HomodyneDataset | dict,
                  dataset_path: str | None = None,
                  timestamp: str | None = None) -> RunReport:
-    """Assemble the report sections for one reconstructed run."""
+    """Assemble the report sections for one reconstructed run.  `dataset` is
+    the run, or its section from dataset_section (then dataset_path is not
+    read)."""
     from .states import wigner_radial  # loaded by the reconstruction already
 
-    spec = dataset.spec
+    if not isinstance(dataset, dict):
+        dataset = dataset_section(dataset, dataset_path)
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -74,21 +99,7 @@ def build_report(summary: ReconstructionSummary, dataset: HomodyneDataset,
     diagonals["rho_sum"] = sum(d.rho_nn for d in summary.diagonals)
 
     sections = {
-        "dataset": {
-            "path": dataset_path or "",
-            "rng": dataset.rng_name,
-            "seed": spec.seed,
-            "eta_true": spec.eta_true,
-            "n_vacuum": spec.n_vacuum,
-            "n_fock": spec.n_fock,
-            "scale": spec.detector.scale,
-            "offset": spec.detector.offset,
-            "dark_fraction": spec.detector.dark_fraction,
-            # names the data where path cannot (a pipe reads as /dev/fd/63); for a
-            # file read, the sha256 of its body
-            "body_sha256": hashlib.sha256(np.ascontiguousarray(dataset.raw_value, "<f8")
-                                          ).hexdigest(),
-        },
+        "dataset": dataset,
         "calibration": {
             "method": summary.calibration.method,
             "scale_hat": summary.calibration.scale_hat,

@@ -22,7 +22,8 @@ advances past n draws, where format_version=2 drew the n phases that no
 analysis reads, so every seed's raw values are those format 2 stored, bit for
 bit.  Then it draws one photon uniform per event, one standard normal per
 event, and two standard normals per photon event.  Files record this stream
-as rng=numpy-pcg64-mixture.
+as rng=numpy-pcg64-mixture.  The run's raw values are allocated once, and
+each block's draws, in that order, land straight in its slice of them.
 
 The library reads and writes one file format, format_version=3 (see
 write_dataset).  scripts/convert.py converts an earlier format to it, and
@@ -115,33 +116,45 @@ def sample_quadrature(eta: float, size: int, rng) -> np.ndarray:
     """Draw `size` dimensionless quadratures from the efficiency mixture at
     the scalar efficiency `eta`: one uniform and one standard normal per
     sample from `rng`, then two more standard normals per photon event.
-    """
+    They are drawn into the one returned array, as generate_run draws each
+    block into its slice of the run."""
     if np.ndim(eta) != 0:
         raise ValidationError(f"eta must be a scalar, got shape {np.shape(eta)}")
     eta = check_unit_interval("eta", eta)
-    size = check_count("size", size, 0)
-    photon = rng.random(size) < eta
-    z = rng.standard_normal(size)
-    x = 0.5 * z
-    z0 = z[photon]
-    extra = rng.standard_normal((z0.size, 2))
-    x[photon] = np.copysign(0.5 * np.sqrt(z0 * z0 + np.sum(extra * extra, axis=1)), z0)
+    x = np.empty(check_count("size", size, 0))
+    _sample_into(x, eta, rng)
     return x
 
 
+def _sample_into(x: np.ndarray, eta: float, rng) -> None:
+    # sample_quadrature's draws, in its order, written into the contiguous
+    # float64 array x: the uniforms land in x and leave only the photon mask,
+    # the standard normals z overwrite them, and x becomes z / 2, with the
+    # chi-3 draw at each photon event.
+    rng.random(out=x)
+    photon = x < eta
+    rng.standard_normal(out=x)
+    z0 = x[photon]
+    x *= 0.5
+    extra = rng.standard_normal((z0.size, 2))
+    x[photon] = np.copysign(0.5 * np.sqrt(z0 * z0 + np.sum(extra * extra, axis=1)), z0)
+
+
 def generate_run(spec: RunSpec) -> HomodyneDataset:
-    """Generate a full run from its spec; deterministic in spec.seed.
+    """Generate a full run from its spec; deterministic in spec.seed.  The
+    run's raw values are one array, and each block's stream draws straight
+    into its slice, so no block is held twice.
 
     Raises ValidationError if the detector map scale * X + offset overflows
     to a non-finite raw value for any event."""
     det = spec.detector
-    # Each block's stream first skips the draws format_version=2 spent on
-    # phases.  advance takes a Python int: a numpy integer overflows in it.
-    blocks = zip(np.random.SeedSequence(spec.seed).spawn(2), (spec.n_vacuum, spec.n_fock),
-                 (0.0, spec.eta_true * (1.0 - det.dark_fraction)))
-    raw = np.concatenate([
-        sample_quadrature(eta, n, np.random.Generator(np.random.PCG64(seq).advance(int(n))))
-        for seq, n, eta in blocks])
+    raw = np.empty(spec.n_vacuum + spec.n_fock)
+    blocks = (raw[:spec.n_vacuum], raw[spec.n_vacuum:])
+    etas = (0.0, spec.eta_true * (1.0 - det.dark_fraction))
+    for seq, block, eta in zip(np.random.SeedSequence(spec.seed).spawn(2), blocks, etas):
+        # Each block's stream first skips the draws format_version=2 spent on
+        # phases.  advance takes a Python int: a numpy integer overflows in it.
+        _sample_into(block, eta, np.random.Generator(np.random.PCG64(seq).advance(block.size)))
     with np.errstate(over="ignore"):
         raw *= det.scale
         raw += det.offset

@@ -36,9 +36,10 @@ PPF_BRACKET = 8.0
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
-# wigner_radial and marginal_density clip |X| and R to this: beyond |X| = 20
-# they are exactly 0 (exp(-2 X^2) underflows), and from 1.34e154 on X^2
-# overflows, where 0 * inf would give NaN.
+# wigner_radial, marginal_density and marginal_cdf clip |X| and R to this:
+# beyond |X| = 20 the densities are exactly 0 and the CDF exactly 0 or 1
+# (exp(-2 X^2) underflows), and from 1.34e154 on X^2 overflows, where 0 * inf
+# would give NaN.
 _FAR = 1e150
 
 
@@ -81,12 +82,13 @@ def marginal_cdf(eta, x):
 
     The erf term is evaluated as erfc(-sqrt(2) X) / 2, which is the same
     number but keeps full relative precision deep in the left tail, where
-    1 + erf would cancel catastrophically.
+    1 + erf would cancel catastrophically.  X is clipped to [-1e150, 1e150],
+    where the CDF is already exactly 0 or 1, so that X^2 cannot overflow.
     """
     from scipy import special
 
     eta = check_unit_interval("eta", eta)
-    x = np.asarray(x, dtype=float)
+    x = np.clip(np.asarray(x, dtype=float), -_FAR, _FAR)
     out = 0.5 * special.erfc(-np.sqrt(2.0) * x) - eta * _SQRT_2_OVER_PI * x * np.exp(-2.0 * x * x)
     return _maybe_scalar(out)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from focktomo.cli import EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from focktomo.pipeline import reconstruct_dataset
+from focktomo.reconstruction import _abel_operator
 from focktomo.report import build_report
 from focktomo.simulator import RunSpec, generate_run, read_dataset, write_dataset
 from focktomo.states import wigner_radial
@@ -383,6 +385,39 @@ def test_bandwidth_narrower_than_a_bin_is_validation_error(reference_run, tmp_pa
     assert ("too small for the grid spacing 0.005 and the bin width 0.01"
             in capsys.readouterr().err)
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("scale, share", [("50", "0.766"), ("1e300", "4.8e-299")])
+def test_bandwidth_wider_than_the_grid_is_validation_error(reference_run, tmp_path,
+                                                          capsys, scale, share):
+    # The rule's 0.0998 times the scale spreads the kernels past [-6, 6]: the
+    # grid holds too little of their sum for a renormalized remnant to mean
+    # anything.
+    outdir = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["reconstruct", str(reference_run), "--bandwidth-scale", scale,
+                     "-o", str(outdir)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "too wide for the smoothing grid [-6, 6]" in err
+    assert f"holds {share} of the kernel sum, below 0.999" in err
+    assert not outdir.exists()
+
+
+def test_cold_reconstruct_holds_the_raw_values_apart_from_the_operator(reference_run,
+                                                                      tmp_path):
+    # The raw values are released once the run is calibrated and digested, so
+    # they are not held while M is built: a cold run's traced peak is 1.38
+    # times M.nbytes.
+    _abel_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(["reconstruct", str(reference_run), "-o", str(tmp_path / "o")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * _abel_operator(6.0, 1201, 4.0, 401).nbytes
 
 
 # report.json of the seed-42 round trip with every default.

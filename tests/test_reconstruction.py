@@ -204,6 +204,24 @@ def test_rule_based_bandwidth_needs_samples():
     smooth_marginal(hist, bandwidth=0.1)  # explicit bandwidth lifts the floor
 
 
+def test_rule_based_bandwidth_must_keep_its_kernels_on_the_grid():
+    # The grid must hold 0.999 of the kernel sum: one sample at
+    # |X| = 5.99 of 12000 loses 4e-5 of it and passes; 50 rule bandwidths
+    # lose a quarter.  An explicit bandwidth lifts the floor.
+    x = _draws(0.553, 12_000, 21)
+    x[0] = 5.99
+    hist = bin_samples(x)
+    assert 2.0 * np.trapezoid(smooth_marginal(hist).density, np.linspace(0.0, 6.0, 1201)) \
+        == pytest.approx(1.0, abs=1e-12)
+    smooth_marginal(hist, bandwidth_scale=15.0)
+    with pytest.raises(ValidationError, match=r"too wide .* below 0\.999"):
+        smooth_marginal(hist, bandwidth_scale=50.0)
+    with pytest.raises(ValidationError, match=r"too wide .* below 0\.999"):
+        bootstrap_profile(x, n_boot=2, bandwidth_scale=50.0)
+    wide = smooth_marginal(hist, bandwidth=50.0 * smooth_marginal(hist).bandwidth)
+    assert np.all(np.isfinite(wide.density))
+
+
 def test_smooth_validation():
     hist = bin_samples(_draws(0.0, 2000, 6))
     with pytest.raises(ValidationError):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from focktomo.states import (
     marginal_cdf,
@@ -191,8 +191,11 @@ def test_density_bits_up_to_1e150_are_the_closed_form(eta):
     x2 = x * x
     pr = np.sqrt(2.0 / np.pi) * np.exp(-2.0 * x2) * (1.0 - eta + 4.0 * eta * x2)
     w = (2.0 / np.pi) * np.exp(-2.0 * x2) * (eta * (4.0 * x2 - 1.0) + (1.0 - eta))
+    cdf = (0.5 * special.erfc(-np.sqrt(2.0) * x)
+           - eta * np.sqrt(2.0 / np.pi) * x * np.exp(-2.0 * x * x))
     assert np.array_equal(marginal_density(eta, x), pr)
     assert np.array_equal(wigner_radial(eta, np.abs(x)), w)
+    assert np.array_equal(marginal_cdf(eta, x), cdf)
 
 
 def test_eta_validation():
@@ -213,3 +216,10 @@ def test_ppf_argument_validation():
         with pytest.raises(ValueError):
             marginal_ppf(0.5, bad)
 
+
+def test_cdf_is_zero_or_one_far_out_without_warning():
+    # x * x overflows from |x| = 1.34e154 on; there the CDF is 0 or 1, with
+    # no RuntimeWarning, as it is at +-1e100
+    for eta in ETAS:
+        assert marginal_cdf(eta, [1e100, 1e200, np.finfo(float).max, np.inf]).tolist() == [1.0] * 4
+        assert marginal_cdf(eta, [-1e100, -1e200, -np.finfo(float).max, -np.inf]).tolist() == [0.0] * 4

@@ -17,8 +17,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DatasetFormatError, ValidationError, check_unit_interval
 from .kvtext import content_lines, format_kv, parse_kv
 
@@ -56,7 +54,7 @@ class EfficiencyFactor:
             raise ValidationError(
                 f"factor {self.name!r}: value must lie in (0, 1], got {self.value}"
             )
-        if not (np.isfinite(self.uncertainty) and self.uncertainty >= 0.0):
+        if not (math.isfinite(self.uncertainty) and self.uncertainty >= 0.0):
             raise ValidationError(
                 f"factor {self.name!r}: uncertainty must be >= 0, got {self.uncertainty}"
             )
@@ -121,8 +119,12 @@ def combine(factors: Sequence[EfficiencyFactor]) -> BudgetResult:
 def check_agreement(budget: BudgetResult, eta_fitted: float,
                     eta_fitted_stderr: float) -> AgreementCheck:
     """Two-combined-sigma consistency between prediction and fit."""
+    # np.hypot, not math.hypot: the two differ in the last bit for a few
+    # pairs in a thousand, and the tolerance is a number the report keeps.
+    import numpy as np
+
     check_unit_interval("eta_fitted", eta_fitted)
-    if not (0.0 <= eta_fitted_stderr < np.inf):
+    if not (0.0 <= eta_fitted_stderr < math.inf):
         raise ValidationError(
             f"eta_fitted_stderr must be finite and >= 0, got {eta_fitted_stderr}"
         )

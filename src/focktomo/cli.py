@@ -11,6 +11,9 @@ also supplies bandwidth_scale when the flag is not given.
 
 Each subcommand imports only the modules it runs: simulate loads
 focktomo.simulator (with errors and kvtext), never the reconstruction chain.
+numpy and hashlib are loaded only by the modules that compute with them, so
+--help, a usage error, budget and report start without either; simulate,
+reconstruct and report --budget load numpy through their own modules.
 
 Exit codes: 0 success, 2 usage error, 3 invalid input or file format (a
 size too large to allocate included), 4 numerical failure.
@@ -19,7 +22,6 @@ size too large to allocate included), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -138,6 +140,8 @@ def _reject_constant(name: str):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    import json
+
     from .report import merge_reports
 
     text = Path(args.reconstruction).read_text()

@@ -10,17 +10,19 @@ key is its own decision, made where it calls parse_kv.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator, Mapping
-
-import numpy as np
 
 from .errors import DatasetFormatError
 
 
 def format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    # A numpy scalar exists only once numpy is loaded, so numpy is looked up
+    # here, never imported.
+    np = sys.modules.get("numpy")
+    if isinstance(value, bool) or (np is not None and isinstance(value, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float) or (np is not None and isinstance(value, np.floating)):
         return repr(float(value))
     return str(value)
 
@@ -69,6 +71,8 @@ def write_table(path, header: Mapping, columns) -> None:
     """Write '# key=value' header lines, then one space-separated row per
     element of the equal-length numeric columns.  tolist() makes every cell
     a Python int or float, whose repr is what format_value would write."""
+    import numpy as np
+
     lines = format_kv(header, prefix="# ")
     rows = zip(*(np.asarray(column).tolist() for column in columns))
     lines += [" ".join(map(repr, row)) for row in rows]

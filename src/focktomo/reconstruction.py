@@ -255,14 +255,14 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     about 37.6 bandwidths) counts as 0.
 
     With bandwidth=None the Silverman rule scaled by `bandwidth_scale` is
-    used, at least MIN_SMOOTH_SAMPLES in-range samples are required, and the
-    grid must hold at least MIN_GRID_SHARE (0.999) of the kernel sum before
-    it is normalized, else a wider kernel's renormalized remnant would pass
-    for the marginal (one sample at |X| = 5.99 of 12000 loses only 4e-5 on
-    the default grid); an explicit `bandwidth` lifts both floors.  grid_max,
-    bandwidth_scale and the bandwidth used must be positive and finite, and
-    at least the grid spacing and the bin width (a narrower kernel spikes on
-    the grid nodes nearest each bin centre).
+    used, and at least MIN_SMOOTH_SAMPLES in-range samples are required; an
+    explicit `bandwidth` lifts that floor.  For every bandwidth the grid must
+    hold at least MIN_GRID_SHARE (0.999) of the kernel sum before it is
+    normalized, else a wider kernel's renormalized remnant would pass for the
+    marginal (one sample at |X| = 5.99 of 12000 loses only 4e-5 on the
+    default grid).  grid_max, bandwidth_scale and the bandwidth used must be
+    positive and finite, and at least the grid spacing and the bin width (a
+    narrower kernel spikes on the grid nodes nearest each bin centre).
     """
     # On a lattice of m grid steps symmetric about 0, with every bin centre on
     # the grid, bin j mirrors to bin n - 1 - j: the even part is half the sum
@@ -286,8 +286,7 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     n_in = hist.n_in_range
     if n_in == 0:
         raise ValidationError("histogram holds no in-range samples")
-    rule = bandwidth is None
-    if rule:
+    if bandwidth is None:
         if n_in < MIN_SMOOTH_SAMPLES:
             raise ValidationError(
                 f"rule-based bandwidth needs >= {MIN_SMOOTH_SAMPLES} samples, got {n_in}; "
@@ -322,12 +321,10 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     out *= 0.5
     out /= kernel_norm
     norm = 2.0 * np.trapezoid(out, half)
-    if rule and not norm >= MIN_GRID_SHARE:
+    if not norm >= MIN_GRID_SHARE:
         raise ValidationError(f"bandwidth {bandwidth:g} too wide for the smoothing grid "
                               f"[{-half[-1]:g}, {half[-1]:g}]: it holds {norm:.3g} of the "
                               f"kernel sum, below {MIN_GRID_SHARE}")
-    if norm <= 0.0:
-        raise NumericsError("smoothed density integrates to zero")
     out /= norm
     return GridDensity(x=half, density=out, bandwidth=float(bandwidth))
 

@@ -8,14 +8,11 @@ generated_at line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from .errors import DatasetFormatError, ValidationError
@@ -51,6 +48,8 @@ class RunReport:
 
 def _config_hash(config) -> str:
     # The chain's constants are hashed by name, so editing one changes the hash.
+    import hashlib
+
     constants = {k: getattr(config, k) for k in ("bandwidth", "grid_max", "grid_points", "n_bins",
                                                  "r_max", "n_radii", "n_max")}
     payload = json.dumps({**asdict(config), **constants}, sort_keys=True)
@@ -61,6 +60,10 @@ def dataset_section(dataset: HomodyneDataset, dataset_path: str | None = None) -
     """The report's [dataset] section: the run's header fields and the sha256
     of its raw values.  Only it reads the raw values, so a caller that builds
     it first may release them before reconstructing."""
+    import hashlib
+
+    import numpy as np
+
     spec = dataset.spec
     return {
         "path": dataset_path or "",

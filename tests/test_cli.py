@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -480,6 +481,21 @@ def test_readme_names_every_report_section_and_key(reference_out):
     assert [name for name in names if f"`{name}`" not in readme] == []
 
 
+def test_readme_library_example_is_the_reconstruct_command(reference_out):
+    # The README's Python block runs, and its summary is the one `focktomo
+    # reconstruct` reports for the same seed-42 run, number for number.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block, = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace: dict = {}
+    exec(block, namespace)
+    summary = namespace["summary"]
+    report = json.loads((reference_out / "report.json").read_text())
+    assert summary.efficiency.eta_hat == report["efficiency"]["eta_hat"]
+    assert summary.diagonals[1].rho_nn == report["diagonals"]["rho_11"]
+    assert summary.wigner_origin_reconstructed == report["wigner"]["origin_reconstructed"]
+    assert summary.density.bandwidth == report["config"]["bandwidth"]
+
+
 def test_degenerate_dataset_is_numerics_error(tmp_path, capsys):
     path = _simulate(tmp_path)
     ds = read_dataset(path)
@@ -702,13 +718,14 @@ if sys.argv[1:]:
     assert main(sys.argv[1:]) == 0
 else:
     import focktomo
-print(*sorted(name for name in sys.modules if name.split(".")[0] == "focktomo"))
+print(*sorted(name for name in sys.modules
+              if name.split(".")[0] == "focktomo" or name in ("numpy", "hashlib", "_hashlib")))
 """
 
 
 def _footprint(*argv):
-    # the focktomo modules a fresh python loads to run `focktomo *argv`, or
-    # a bare `import focktomo` when argv is empty
+    # the focktomo modules, numpy and hashlib that a fresh python loads to
+    # run `focktomo *argv`, or a bare `import focktomo` when argv is empty
     out = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env=_src_env(), check=True,
                          capture_output=True, text=True).stdout
     return set(out.splitlines()[-1].split())
@@ -717,15 +734,46 @@ def _footprint(*argv):
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert _footprint() == {"focktomo"}
     data = tmp_path / "run.dat"
-    assert _footprint("simulate", "--n-vacuum", "5000", "--n-fock", "2000", "-o", str(data)) == {
-        "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.simulator"}
+    simulate = _footprint("simulate", "--n-vacuum", "5000", "--n-fock", "2000", "-o", str(data))
+    # numpy.random loads hashlib of its own accord
+    assert simulate - {"hashlib", "_hashlib"} == {
+        "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.simulator",
+        "numpy"}
     reconstruct = _footprint("reconstruct", str(data), "-o", str(tmp_path / "out"))
-    assert "focktomo.reconstruction" in reconstruct and "focktomo.budget" not in reconstruct
-    assert _footprint("budget") == {
+    assert {"focktomo.reconstruction", "numpy", "hashlib"} <= reconstruct
+    assert "focktomo.budget" not in reconstruct
+    assert _footprint("budget", "-o", str(tmp_path / "budget.txt")) == {
         "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.budget"}
-    assert _footprint("report", "--reconstruction", str(tmp_path / "out" / "report.json"),
-                      "-o", str(tmp_path / "merged")) == {
+    report = ("report", "--reconstruction", str(tmp_path / "out" / "report.json"),
+              "-o", str(tmp_path / "merged"))
+    assert _footprint(*report) == {
         "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.report"}
+    # the agreement check's np.hypot
+    assert _footprint(*report, "--budget", str(tmp_path / "budget.txt")) == {
+        "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.report",
+        "focktomo.budget", "numpy"}
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from focktomo.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_help_usage_budget_and_report_run_without_numpy(tmp_path):
+    recon = tmp_path / "report.json"
+    recon.write_text(json.dumps({"report_version": 1,
+                                 "efficiency": {"eta_hat": 0.55, "eta_stderr": 0.01}}))
+    for argv, code in [(["--help"], EXIT_OK), (["simulate"], EXIT_USAGE),
+                       (["budget", "-o", str(tmp_path / "budget.txt")], EXIT_OK),
+                       (["report", "--reconstruction", str(recon), "-o", str(tmp_path)], EXIT_OK)]:
+        result = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv], env=_src_env(),
+                                capture_output=True, text=True)
+        assert result.returncode == code, (argv, result.stderr)
+    assert "eta_predicted=" in (tmp_path / "budget.txt").read_text()
+    assert "[efficiency]" in (tmp_path / "merged_report.txt").read_text()
 
 
 # The package namespace, name for name and in order.

@@ -207,7 +207,7 @@ def test_rule_based_bandwidth_needs_samples():
 def test_rule_based_bandwidth_must_keep_its_kernels_on_the_grid():
     # The grid must hold 0.999 of the kernel sum: one sample at
     # |X| = 5.99 of 12000 loses 4e-5 of it and passes; 50 rule bandwidths
-    # lose a quarter.  An explicit bandwidth lifts the floor.
+    # lose a quarter.
     x = _draws(0.553, 12_000, 21)
     x[0] = 5.99
     hist = bin_samples(x)
@@ -218,8 +218,20 @@ def test_rule_based_bandwidth_must_keep_its_kernels_on_the_grid():
         smooth_marginal(hist, bandwidth_scale=50.0)
     with pytest.raises(ValidationError, match=r"too wide .* below 0\.999"):
         bootstrap_profile(x, n_boot=2, bandwidth_scale=50.0)
-    wide = smooth_marginal(hist, bandwidth=50.0 * smooth_marginal(hist).bandwidth)
-    assert np.all(np.isfinite(wide.density))
+
+
+def test_explicit_bandwidth_must_keep_its_kernels_on_the_grid():
+    # An explicit bandwidth lifts the sample floor only: at 50 rule
+    # bandwidths the grid holds about 0.77 of the kernel sum, which is no
+    # marginal once renormalized; at 15 it holds 0.9997 and passes.
+    x = _draws(0.553, 12_000, 21)
+    hist = bin_samples(x)
+    rule = smooth_marginal(hist).bandwidth
+    assert smooth_marginal(hist, bandwidth=15.0 * rule).bandwidth == 15.0 * rule
+    with pytest.raises(ValidationError, match=r"holds 0\.768 of the kernel sum, below 0\.999"):
+        smooth_marginal(hist, bandwidth=50.0 * rule)
+    with pytest.raises(ValidationError, match=r"too wide .* below 0\.999"):
+        bootstrap_profile(x, n_boot=2, bandwidth=50.0 * rule)
 
 
 def test_smooth_validation():
@@ -322,12 +334,23 @@ def test_smoothing_matches_dense_kernel_sum(bins, grid_points, lattice):
     bandwidth = max(0.03, hist.bin_width)
     cases = [(hist, None), (hist, bandwidth)]
     # The sum runs over the occupied bins only: one occupied bin at the
-    # first, the middle and the last bin, and both end bins with a gap.
+    # first, the middle and the last bin whose kernel lies on the grid (4
+    # bandwidths inside it, the grid's 0.999 floor), and both such end bins
+    # with a gap.  Where the bins reach the grid's end, the end bin itself
+    # keeps only about half its kernel and is rejected.
     n = hist.counts.size
-    for occupied in ([0], [n // 2], [n - 1], [0, n - 1]):
+    inside = np.flatnonzero(np.abs(hist.centers) <= 6.0 - 4.0 * bandwidth)
+    first, last = inside[0], inside[-1]
+    for occupied in ([first], [n // 2], [last], [first, last]):
         counts = np.zeros_like(hist.counts)
         counts[occupied] = 1000
         cases.append((replace(hist, counts=counts), bandwidth))
+    if first > 0:
+        counts = np.zeros_like(hist.counts)
+        counts[0] = 1000
+        with pytest.raises(ValidationError, match=r"too wide .* below 0\.999"):
+            smooth_marginal(replace(hist, counts=counts), bandwidth=bandwidth,
+                            grid_points=grid_points)
     for case, h in cases:
         dens = smooth_marginal(case, bandwidth=h, grid_points=grid_points)
         reference = _dense_smooth_marginal(case, dens.bandwidth, grid_points=grid_points)

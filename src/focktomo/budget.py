@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .errors import DatasetFormatError, ValidationError, check_unit_interval
+from .errors import DatasetFormatError, ValidationError
 from .kvtext import content_lines, format_kv, parse_kv
 
 KINDS = ("direct", "visibility_squared")
@@ -119,17 +119,14 @@ def combine(factors: Sequence[EfficiencyFactor]) -> BudgetResult:
 def check_agreement(budget: BudgetResult, eta_fitted: float,
                     eta_fitted_stderr: float) -> AgreementCheck:
     """Two-combined-sigma consistency between prediction and fit."""
-    # np.hypot, not math.hypot: the two differ in the last bit for a few
-    # pairs in a thousand, and the tolerance is a number the report keeps.
-    import numpy as np
-
-    check_unit_interval("eta_fitted", eta_fitted)
+    if not 0.0 <= eta_fitted <= 1.0:  # also rejects NaN
+        raise ValidationError(f"eta_fitted must lie in [0, 1], got {eta_fitted}")
     if not (0.0 <= eta_fitted_stderr < math.inf):
         raise ValidationError(
             f"eta_fitted_stderr must be finite and >= 0, got {eta_fitted_stderr}"
         )
     diff = abs(budget.eta_predicted - eta_fitted)
-    tol = 2.0 * float(np.hypot(budget.eta_uncertainty, eta_fitted_stderr))
+    tol = 2.0 * math.hypot(budget.eta_uncertainty, eta_fitted_stderr)
     if not math.isfinite(tol):
         raise ValidationError(f"agreement tolerance 2 * hypot({budget.eta_uncertainty!r}, "
                               f"{eta_fitted_stderr!r}) overflows float64")

@@ -43,11 +43,14 @@ built analytically (Simpson weights, the cubic's Hermite derivative weights
 and the slope stencil's transpose), in one pass over blocks of 32 radii
 into one buffer of M's size, and kept read-only in a module cache of the
 ABEL_CACHED_GRIDS most recently used keys, four numbers: the grid's reach,
-its knot count, r_max and n_radii.  On the default grid (2401 points, 401
-radii) M holds 401 x 1200 doubles, about 3.9 MB, and a cold build's
-scratch beside it is 1.3 MB (a tracemalloc peak of 1.34 M.nbytes).
+its knot count, r_max and n_radii.  The blocks change no bit of M.  On the
+default grid (2401 points, 401 radii) M holds 401 x 1200 doubles, 3.9 MB; a
+cold build peaks at 5.2 MB under tracemalloc (6.4 MB in blocks of 64 radii,
+which took a fresh `focktomo reconstruct` of the reference run from 40.7 to
+42.6 MB resident: ru_maxrss medians of 10, 2-core Linux, numpy 2.4.6).
 wigner_to_marginal evaluates its cubic on the chord nodes directly, once
-per distinct |X|, in blocks of 64 chords that stay in cache.
+per distinct |X|, in blocks of 64 chords that stay in cache.  The histogram
+is the chain's only two-sided array.
 
 The module needs numpy alone: the efficiency likelihood is maximized by a
 safeguarded Newton iteration and the histogram fit has a closed form.
@@ -98,10 +101,7 @@ _SIMPSON_WEIGHTS = np.ones(_SIMPSON_NODES)
 _SIMPSON_WEIGHTS[1:-1:2] = 4.0
 _SIMPSON_WEIGHTS[2:-2:2] = 2.0
 _CHORD_BLOCK = 64  # wigner_to_marginal's chords at a time: 200 kB node arrays
-# _abel_operator's radii at a time: 1.3 MB of scratch beside the default M
-# (3.9 MB), against 2.5 MB in blocks of 64, which raised the peak resident
-# memory of a fresh `focktomo reconstruct`.
-_ABEL_BLOCK = 32
+_ABEL_BLOCK = 32  # _abel_operator's radii at a time: 1.3 MB of scratch
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +245,15 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     + 1 knots j * step of [0, grid_max] (grid_points odd, >= 101), the half
     of the grid_points nodes on [-grid_max, grid_max] that the even estimate
     needs, and normalized to 1 over the whole grid: twice its trapezoid
-    integral on the knots is 1.  The bin edges must lie on a lattice of m >=
-    1 whole grid steps, symmetric about 0, with every bin centre on the grid
-    (the pipeline's (grid_points - 1) / 2 bins over [-grid_max, grid_max],
-    m = 2, as the default 1200 bins over [-6, 6] on 2401 points); any other
-    bins raise ValidationError.  It sums the folded counts counts + counts[::-1], one
-    convolution with the kernel's polyphase slice per m-th knot.  A kernel
-    term below the smallest normal double (2.2e-308, |x - c| more than
-    about 37.6 bandwidths) counts as 0.
+    integral on the knots is 1.  The one rule for the bins: they are the
+    grid's own, (grid_points - 1) / 2 of two grid steps over [-grid_max,
+    grid_max], hist.bin_edges being np.linspace(-grid_max, grid_max,
+    grid_points // 2 + 1) to 8 ulps of grid_max (bin_samples' defaults on the
+    default grid); any other bins raise ValidationError.  It sums the folded
+    counts counts + counts[::-1], one convolution with the kernel's polyphase
+    slice kernel[p::2] per parity p of the knots.  A kernel term below the
+    smallest normal double (2.2e-308, |x - c| more than about 37.6
+    bandwidths) counts as 0.
 
     With bandwidth=None the Silverman rule scaled by `bandwidth_scale` is
     used, and at least MIN_SMOOTH_SAMPLES in-range samples are required; an
@@ -261,27 +262,20 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
     normalized, else a wider kernel's renormalized remnant would pass for the
     marginal (one sample at |X| = 5.99 of 12000 loses only 4e-5 on the
     default grid).  grid_max, bandwidth_scale and the bandwidth used must be
-    positive and finite, and at least the grid spacing and the bin width (a
+    positive and finite, and at least the bin width, two grid steps (a
     narrower kernel spikes on the grid nodes nearest each bin centre).
     """
-    # On a lattice of m grid steps symmetric about 0, with every bin centre on
-    # the grid, bin j mirrors to bin n - 1 - j: the even part is half the sum
-    # over the folded counts counts + counts[::-1], and x_i - c_j depends only
-    # on the lag i - m*j, counted in steps from the grid's first node
-    # -half[-1].
+    # On the grid's own bins the even part is half the sum over the folded
+    # counts, and x_i - c_j depends only on the lag i - 2j, counted in steps
+    # from the grid's first node -half[-1].
     half = _smoothing_grid(grid_max, grid_points)
     edges = hist.bin_edges
-    step = half[-1] / (half.size - 1)
-    ratio = float(edges[1] - edges[0]) / step
-    m = round(ratio) if math.isfinite(ratio) else 0
-    n, k = edges.size - 1, half.size - 1
-    lattice = edges[0] + m * step * np.arange(edges.size)
-    atol = 8.0 * np.finfo(float).eps * np.abs(edges).max()
-    if not (m >= 1 and m * (n - 1) <= 2 * k and abs(edges[0] + edges[-1]) <= atol
-            and np.abs(edges - lattice).max() <= atol):
-        raise ValidationError(f"bin edges must lie on a lattice of whole grid steps "
-                              f"{step:g}, symmetric about 0, with every bin centre on the "
-                              f"smoothing grid [{-half[-1]:g}, {half[-1]:g}]")
+    own = np.linspace(-half[-1], half[-1], half.size)
+    if not (edges.shape == own.shape
+            and np.abs(edges - own).max() <= 8.0 * np.finfo(float).eps * half[-1]):
+        raise ValidationError(f"bin edges must be the smoothing grid's own bins: "
+                              f"np.linspace({-half[-1]:g}, {half[-1]:g}, {half.size}), "
+                              f"{half.size - 1} bins of two grid steps")
 
     n_in = hist.n_in_range
     if n_in == 0:
@@ -296,7 +290,7 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
         # Python floats: a product that overflows is inf, without a warning.
         bandwidth = float(bandwidth_scale) * silverman_bandwidth(hist)
     check_positive("bandwidth", bandwidth)
-    if bandwidth < max(half[1], hist.bin_width):
+    if bandwidth < hist.bin_width:
         raise ValidationError(f"bandwidth {bandwidth:g} too small for the grid spacing "
                               f"{half[1]:g} and the bin width {hist.bin_width:g}")
     kernel_norm = n_in * float(bandwidth) * math.sqrt(2.0 * math.pi)
@@ -305,19 +299,21 @@ def smooth_marginal(hist: MarginalHistogram, *, bandwidth: float | None = None,
                               f"n * bandwidth * sqrt(2 pi) overflows")
 
     # The even part of sum_j counts_j exp(-((x - c_j) / bandwidth)^2 / 2) on
-    # the knots x = half, half the folded counts' sum: the knots i = p (mod m)
+    # the knots x = half, half the folded counts' sum: the knots i = p (mod 2)
     # are one short convolution of the occupied folded counts with the
-    # polyphase slice kernel[p::m], from the lag of knot 0 to the last
+    # polyphase slice kernel[p::2], from the lag of knot 0 to the last
     # occupied bin.  The kernel holds x - c_first at those lags.
     folded = hist.counts + hist.counts[::-1]
-    first = int(np.flatnonzero(folded)[0])  # the last is n - 1 - first
+    first = int(np.flatnonzero(folded)[0])  # the last is k - 1 - first
     c = folded[first:folded.size - first]
     first_center = 0.5 * (edges[0] + edges[1])
-    lags = np.arange(k - m * (n - 1 - first), 2 * k + 1 - m * first)
+    k = half.size - 1
+    step = half[-1] / k
+    lags = np.arange(2 * (first + 1) - k, 2 * (k - first) + 1)
     kernel = _gaussian(((-half[-1] - first_center) + step * lags) / bandwidth)
     out = np.empty(half.size)
-    for p in range(min(m, out.size)):  # one bin may be wider than the grid
-        out[p::m] = np.convolve(c, kernel[p::m][:out[p::m].size + c.size - 1], mode="valid")
+    for p in (0, 1):
+        out[p::2] = np.convolve(c, kernel[p::2][:out[p::2].size + c.size - 1], mode="valid")
     out *= 0.5
     out /= kernel_norm
     norm = 2.0 * np.trapezoid(out, half)
@@ -615,22 +611,20 @@ def bootstrap_profile(values, n_boot: int = 32, seed: int = 0, *, n_bins: int | 
     binning n_total values resampled with replacement.  With
     bandwidth=None each replicate re-estimates its Silverman bandwidth, so
     the band includes bandwidth variability; an explicit bandwidth makes the
-    band conditional on it (Silverman 1986).  By default the bins follow the
-    grid as the pipeline's do: (grid_points - 1) / 2 over [-grid_max, grid_max].
+    band conditional on it (Silverman 1986).  The bins are the grid's own, by
+    smooth_marginal's rule: (grid_points - 1) / 2 over [-grid_max, grid_max],
+    so n_bins, lo and hi can only repeat them (they go once the stages take
+    the chain's grid alone, ROADMAP.md item 25).
     """
     check_count("n_boot", n_boot, 2)
     check_count("seed", seed, 0)
-    if n_bins is None:  # grid_points checked here, before it sets the bins
-        n_bins = (check_count("grid_points", grid_points, 101) - 1) // 2
-    check_positive("grid_max", grid_max)  # named here, before it sets the range
-    lo = -grid_max if lo is None else lo
-    hi = grid_max if hi is None else hi
-    hist = bin_samples(values, n_bins=n_bins, lo=lo, hi=hi)
+    half = _smoothing_grid(grid_max, grid_points)  # checked before it sets the bins
+    hist = bin_samples(values, n_bins=half.size - 1 if n_bins is None else n_bins,
+                       lo=-grid_max if lo is None else lo, hi=grid_max if hi is None else hi)
+    _check_abel_reach(half)  # before smoothing, whose bandwidth rule can overflow
     smooth = functools.partial(smooth_marginal, bandwidth=bandwidth,
                                bandwidth_scale=bandwidth_scale, grid_max=grid_max,
                                grid_points=grid_points)
-    # before smoothing, whose bandwidth rule can overflow
-    _check_abel_reach(_smoothing_grid(grid_max, grid_points))
     fs, radii, matrix = _abel_grid(smooth(hist), None, r_max, n_radii)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     tally = np.concatenate(([hist.underflow], hist.counts, [hist.overflow]))

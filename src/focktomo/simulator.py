@@ -54,7 +54,7 @@ RNG_NAME = "numpy-pcg64-mixture"
 @dataclass(frozen=True)
 class DetectorModel:
     """Affine detector response with an optional false-trigger rate: scale
-    positive and finite, offset finite, dark_fraction in [0, 1)."""
+    positive and finite, offset finite, dark_fraction in [0, 1); floats."""
 
     scale: float = 1.0
     offset: float = 0.0
@@ -68,12 +68,15 @@ class DetectorModel:
             raise ValidationError(
                 f"dark_fraction must lie in [0, 1), got {self.dark_fraction}"
             )
+        for name in ("scale", "offset", "dark_fraction"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
 class RunSpec:
     """Complete description of one synthetic run: eta_true in [0, 1], and
-    n_vacuum, n_fock and seed integers >= 0 (not bool), not both counts 0."""
+    n_vacuum, n_fock and seed integers >= 0 (not bool), not both counts 0,
+    kept as a Python float and ints (so a report can be written as JSON)."""
 
     eta_true: float
     n_vacuum: int
@@ -82,9 +85,9 @@ class RunSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_unit_interval("eta_true", self.eta_true)
+        object.__setattr__(self, "eta_true", float(check_unit_interval("eta_true", self.eta_true)))
         for name in ("n_vacuum", "n_fock", "seed"):
-            check_count(name, getattr(self, name), 0)
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 0))
         if self.n_vacuum == 0 and self.n_fock == 0:
             raise ValidationError("run must contain at least one sample")
 

@@ -472,12 +472,17 @@ def test_reference_round_trip_is_frozen(reference_out):
     assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == _REFERENCE_COUNTS_SHA256
 
 
-def test_readme_names_every_report_section_and_key(reference_out):
+def test_readme_names_every_report_section_and_key(reference_out, tmp_path):
+    # report.json's and the merged report's, [budget] and [agreement] included
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    report = json.loads((reference_out / "report.json").read_text())
+    budget = str(tmp_path / "budget.txt")
+    assert main(["budget", "-o", budget]) == EXIT_OK
+    assert main(["report", "--reconstruction", str(reference_out / "report.json"),
+                 "--budget", budget, "-o", str(tmp_path)]) == EXIT_OK
     names = []  # each section as `[name]`, each key and top-level value as `name`
-    for name, body in report.items():
-        names += [f"[{name}]", *body] if isinstance(body, dict) else [name]
+    for path in (reference_out / "report.json", tmp_path / "merged_report.json"):
+        for name, body in json.loads(path.read_text()).items():
+            names += [f"[{name}]", *body] if isinstance(body, dict) else [name]
     assert [name for name in names if f"`{name}`" not in readme] == []
 
 
@@ -748,10 +753,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
               "-o", str(tmp_path / "merged"))
     assert _footprint(*report) == {
         "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.report"}
-    # the agreement check's np.hypot
     assert _footprint(*report, "--budget", str(tmp_path / "budget.txt")) == {
         "focktomo", "focktomo.cli", "focktomo.errors", "focktomo.kvtext", "focktomo.report",
-        "focktomo.budget", "numpy"}
+        "focktomo.budget"}
 
 
 _WITHOUT_NUMPY = """

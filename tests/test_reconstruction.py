@@ -42,6 +42,9 @@ from focktomo.simulator import RunSpec, generate_run, sample_quadrature
 from focktomo.states import marginal_cdf, marginal_density, wigner_radial
 
 
+_NOT_OWN = "must be the smoothing grid's own bins"
+
+
 def _draws(eta, n, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     return sample_quadrature(eta, n, rng)
@@ -258,23 +261,22 @@ def test_bandwidth_below_the_bin_width_or_grid_spacing_is_rejected():
     with pytest.raises(ValidationError, match="grid spacing 0.005 and the bin width 0.01"):
         smooth_marginal(hist, bandwidth=np.nextafter(width, 0.0))
     assert smooth_marginal(hist, bandwidth=width).bandwidth == width
-    # bins finer than the grid are off the lattice, whatever the bandwidth
-    with pytest.raises(ValidationError, match="lattice of whole grid steps 0.005"):
+    # bins finer than the grid's own are refused, whatever the bandwidth
+    with pytest.raises(ValidationError, match=_NOT_OWN):
         smooth_marginal(bin_samples(x, n_bins=4000), bandwidth=0.004)
 
 
 def test_samples_off_the_smoothing_grid_are_named_as_such():
-    # Bins whose centres leave the grid are rejected before any kernel sum;
-    # a bin centre on the grid lies within half a step of a knot, where its
-    # kernel term is at least exp(-1/8) for a bandwidth of a step or more.
+    # Bins that leave the grid are rejected before any kernel sum, with the
+    # bins the grid takes; on those every bin centre is a knot, where its
+    # kernel term is 1.
     for values, lo, hi, bandwidth in [
         (28.0 + np.linspace(0.0, 1.0, 2000), 20.0, 30.0, 0.5),
         # 38.35 bandwidths from the grid's end
         (np.full(2000, 9.83), 0.0, 12.0, 0.1),
     ]:
         hist = bin_samples(values, n_bins=1200, lo=lo, hi=hi)
-        with pytest.raises(ValidationError, match=r"every bin centre on the smoothing grid "
-                           r"\[-6, 6\]"):
+        with pytest.raises(ValidationError, match=r"own bins: np\.linspace\(-6, 6, 1201\)"):
             smooth_marginal(hist, bandwidth=bandwidth)
 
 
@@ -302,33 +304,32 @@ def _dense_smooth_marginal(hist, bandwidth, grid_max=6.0, grid_points=2401):
     return (f / np.trapezoid(f, grid))[half.size - 1:]
 
 
-_OFF_LATTICE = "must lie on a lattice of whole grid steps"
-
-
-@pytest.mark.parametrize("bins,grid_points,lattice", [
-    (dict(n_bins=1200), 2401, True),                 # the default: m = 2
-    (dict(n_bins=1200), 1201, True),                 # m = 1
-    (dict(n_bins=800), 2401, True),                  # m = 3
-    (dict(n_bins=600, lo=-3.0, hi=3.0), 2401, True),  # bins narrower than the grid
+@pytest.mark.parametrize("bins,grid_points,own", [
+    (dict(n_bins=1200), 2401, True),                 # the default: two steps each
+    (dict(n_bins=1200), 1201, False),                # one step each
+    (dict(n_bins=800), 2401, False),                 # three steps each
+    (dict(n_bins=600, lo=-3.0, hi=3.0), 2401, False),  # bins narrower than the grid
     (dict(n_bins=1200), 2001, False),                # width not a whole number of steps
     (dict(n_bins=4000), 2401, False),                # bins finer than the grid
     (dict(n_bins=1200, lo=-12.0, hi=12.0), 2401, False),  # bins span more than the grid
-    (dict(n_bins=900, lo=-3.0, hi=6.0), 2401, False),  # m = 2, lattice not symmetric about 0
-    (dict(n_bins=301, lo=-3.01, hi=3.01), 2401, True),  # m = 4, a bin centred on 0
-    (dict(n_bins=300), 601, True),                   # (grid_points - 1) / 2 bins, m = 2
+    (dict(n_bins=900, lo=-3.0, hi=6.0), 2401, False),  # two steps, not symmetric about 0
+    (dict(n_bins=301, lo=-3.01, hi=3.01), 2401, False),  # four steps, a bin centred on 0
+    (dict(n_bins=300), 601, True),                   # (grid_points - 1) / 2 bins
     (dict(n_bins=600), 1201, True),
     (dict(n_bins=1000), 2001, True),
     (dict(n_bins=2400), 4801, True),
 ])
-def test_smoothing_matches_dense_kernel_sum(bins, grid_points, lattice):
+def test_smoothing_matches_dense_kernel_sum(bins, grid_points, own):
     draws = _draws(0.553, 12_000, 21)
     hist = bin_samples(draws, **bins)
-    if not lattice:
-        # Bins off the lattice are rejected, in the bootstrap too; the same
-        # samples on the grid's own bins, two steps each, are summed instead.
-        with pytest.raises(ValidationError, match=_OFF_LATTICE):
+    if not own:
+        # Other bins, whole grid steps or not, are rejected with the edges the
+        # grid takes, in the bootstrap too; the same samples on the grid's own
+        # bins, two steps each, are summed instead.
+        edges = rf"own bins: np\.linspace\(-6, 6, {grid_points // 2 + 1}\)"
+        with pytest.raises(ValidationError, match=edges):
             smooth_marginal(hist, grid_points=grid_points)
-        with pytest.raises(ValidationError, match=_OFF_LATTICE):
+        with pytest.raises(ValidationError, match=edges):
             bootstrap_profile(draws, n_boot=2, grid_points=grid_points, **bins)
         hist = bin_samples(draws, n_bins=(grid_points - 1) // 2)
     bandwidth = max(0.03, hist.bin_width)
@@ -368,7 +369,7 @@ def test_smoothing_rejects_non_uniform_edges(edges):
     rng = np.random.Generator(np.random.PCG64(22))
     hist = MarginalHistogram(bin_edges=edges, counts=rng.integers(0, 50, edges.size - 1),
                              n_total=0, underflow=0, overflow=0)
-    with pytest.raises(ValidationError, match=_OFF_LATTICE):
+    with pytest.raises(ValidationError, match=_NOT_OWN):
         smooth_marginal(hist, bandwidth=max(0.2, hist.bin_width))
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 import tracemalloc
 
@@ -10,6 +11,8 @@ from scipy import stats
 
 from focktomo import simulator
 from focktomo.errors import DatasetFormatError, ValidationError
+from focktomo.pipeline import prepare_run
+from focktomo.report import build_report
 from focktomo.simulator import (
     DetectorModel,
     HomodyneDataset,
@@ -178,6 +181,31 @@ def test_roundtrip_of_numpy_scalar_spec(tmp_path):
     write_dataset(generate_run(spec), path)
     assert read_dataset(path).spec == spec
     assert b"# eta_true=0.553\n" in path.read_bytes()
+
+
+@pytest.mark.parametrize("spec", [
+    RunSpec(0.553, np.int64(20_000), np.int64(2_000), seed=np.int64(7)),
+    RunSpec(np.float32(0.553), 20_000, 2_000, seed=7),
+    RunSpec(0.553, 20_000, 2_000, detector=DetectorModel(scale=np.float32(1.25)), seed=7),
+])
+def test_numpy_scalar_spec_is_kept_as_python_numbers(spec):
+    # A run spec keeps the checked Python numbers, so its run's report is
+    # written as JSON whatever scalar types it was given.
+    numbers = [spec.eta_true, spec.n_vacuum, spec.n_fock, spec.seed, spec.detector.scale,
+               spec.detector.offset, spec.detector.dark_fraction]
+    assert [type(v) for v in numbers] == [float, int, int, int, float, float, float]
+    ds = generate_run(spec)
+    report = json.loads(build_report(prepare_run(ds).reconstruct(), ds).to_json())
+    assert report["dataset"]["n_vacuum"] == 20_000
+
+
+def test_an_int_efficiency_reads_back_as_written(tmp_path):
+    spec = RunSpec(eta_true=1, n_vacuum=30, n_fock=20, seed=9)
+    assert type(spec.eta_true) is float
+    path = tmp_path / "run.dat"
+    write_dataset(generate_run(spec), path)
+    assert b"# eta_true=1.0\n" in path.read_bytes()
+    assert read_dataset(path).spec == spec
 
 
 def _write_and_edit(tmp_path, edit):

@@ -91,7 +91,9 @@ def _check_result(result: BudgetResult, error) -> BudgetResult:
 
 @dataclass(frozen=True)
 class AgreementCheck:
-    """Comparison of the budget prediction against a fitted efficiency."""
+    """Comparison of the budget prediction against a fitted efficiency:
+    difference = |eta_predicted - eta_hat| and tolerance = 2 hypot(sigmas),
+    so 2 difference / tolerance is the difference in combined sigmas."""
 
     difference: float
     tolerance: float
@@ -118,7 +120,8 @@ def combine(factors: Sequence[EfficiencyFactor]) -> BudgetResult:
 
 def check_agreement(budget: BudgetResult, eta_fitted: float,
                     eta_fitted_stderr: float) -> AgreementCheck:
-    """Two-combined-sigma consistency between prediction and fit."""
+    """Two-combined-sigma consistency between prediction and fit; a
+    tolerance that overflows float64 raises ValidationError."""
     if not 0.0 <= eta_fitted <= 1.0:  # also rejects NaN
         raise ValidationError(f"eta_fitted must lie in [0, 1], got {eta_fitted}")
     if not (0.0 <= eta_fitted_stderr < math.inf):

@@ -59,11 +59,12 @@ def fit_vacuum(values, method: str = "moments") -> CalibrationResult:
 
     `values` must be a 1-d array of at least MIN_CALIBRATION_SAMPLES finite
     raw values whose mean and spread are finite, and whose spread is non-zero,
-    in float64 (else NumericsError).  "moments" takes the mean and sample
-    standard deviation and bins nothing; "histogram" starts there and takes
-    Gauss-Newton steps on the binned density until both are at most 1e-15
-    (scale + |offset|), raising NumericsError if the scale leaves (0, inf) or
-    after MAX_GAUSS_NEWTON_STEPS steps.
+    in float64 (else NumericsError, whose message names a spread that
+    underflows to 0 although the values differ).  "moments" takes the mean
+    and sample standard deviation and bins nothing; "histogram" starts there
+    and takes Gauss-Newton steps on the binned density until both are at
+    most 1e-15 (scale + |offset|), raising NumericsError if the scale leaves
+    (0, inf) or after MAX_GAUSS_NEWTON_STEPS steps.
     """
     if method not in ("moments", "histogram"):
         raise ValidationError(f"unknown calibration method {method!r}")

@@ -41,6 +41,20 @@ def check_samples(values, what: str, min_size: int = 0) -> np.ndarray:
     return values
 
 
+def check_real(name: str, value) -> float:
+    """`value` as a Python float: an int, a float or a numpy scalar of
+    either, not a bool, a string, None or an array."""
+    import numpy as np
+
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past float64's range
+        raise ValidationError(f"{name} must be a real number within float64, "
+                              f"got {value!r}") from None
+
+
 def check_unit_interval(name: str, value) -> np.ndarray:
     """`value` (a scalar or an array) as floats, each finite and in [0, 1]."""
     import numpy as np

@@ -4,8 +4,9 @@ A key=value line is split once at its first '=', with key and value
 stripped; an empty key is an error.  In budget and factor files '#' starts
 a comment that runs to the end of the line, and blank lines are skipped.
 Floats are written with repr, the shortest string that reads back to the
-same double, and booleans as true/false.  What a reader does with an unknown
-key is its own decision, made where it calls parse_kv.
+same double, numpy scalars as the plain numbers they hold, and booleans as
+true/false.  What a reader does with an unknown key is its own decision,
+made where it calls parse_kv.
 """
 
 from __future__ import annotations

@@ -104,9 +104,11 @@ def _scaled_kernels(x: np.ndarray, n_max: int) -> list[np.ndarray]:
 
 
 def pattern_function(n: int, x):
-    """Sampling kernel f_nn(X) for the diagonal element rho_nn, n <= MAX_ORDER:
-    within 1e-10 absolute for |X| <= 6.  Beyond, f_33's relative error grows
-    (2e-7 at X = 8, 8e-4 at X = 20, 0.19 at X = 50)."""
+    """Sampling kernel f_nn(X) for the diagonal element rho_nn, n <= MAX_ORDER.
+    For |X| <= 6 it is within 1.1e-15, 8.5e-14, 3.1e-12 and 1.7e-10 absolute
+    for n = 0, 1, 2 and 3 (against 40-digit mpmath on the points j / 200,
+    largest at X = 4.1, 4.4, 4.4 and 5.9).  Beyond, f_33's relative error
+    grows (2e-7 at X = 8, 8e-4 at X = 20, 0.19 at X = 50)."""
     n = check_count("pattern order", n, 0, MAX_ORDER)
     x = np.asarray(x, dtype=float)
     q = np.sqrt(2.0) * x

@@ -47,7 +47,9 @@ class RunReport:
 
 
 def _config_hash(config) -> str:
-    # The chain's constants are hashed by name, so editing one changes the hash.
+    """The first 12 hex digits of the sha256 of the config's settings and
+    constants as sorted JSON.  The constants are hashed by name, so editing
+    one changes the hash."""
     import hashlib
 
     constants = {k: getattr(config, k) for k in ("bandwidth", "grid_max", "grid_points", "n_bins",
@@ -175,7 +177,10 @@ def merge_reports(recon: dict, budget: BudgetResult | None,
     """Consolidate a reconstruction report and an optional budget result.
 
     When both are present the budget prediction is compared with the fitted
-    efficiency at two combined standard deviations.
+    efficiency at two combined standard deviations.  report_version must be
+    the integer 1 (true and 1.0 are refused), and with a budget [efficiency]
+    eta_hat and eta_stderr must be JSON numbers a double holds (true and
+    "0.01" are refused); else DatasetFormatError.
     """
     if not isinstance(recon, dict):
         raise ValidationError(

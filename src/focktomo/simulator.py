@@ -43,6 +43,7 @@ from .errors import (
     ValidationError,
     check_count,
     check_positive,
+    check_real,
     check_unit_interval,
 )
 from .kvtext import format_kv, parse_kv
@@ -54,13 +55,16 @@ RNG_NAME = "numpy-pcg64-mixture"
 @dataclass(frozen=True)
 class DetectorModel:
     """Affine detector response with an optional false-trigger rate: scale
-    positive and finite, offset finite, dark_fraction in [0, 1); floats."""
+    positive and finite, offset finite, dark_fraction in [0, 1); each a real
+    scalar (check_real), kept as a Python float."""
 
     scale: float = 1.0
     offset: float = 0.0
     dark_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("scale", "offset", "dark_fraction"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         check_positive("detector scale", self.scale)
         if not np.isfinite(self.offset):
             raise ValidationError("detector offset must be finite")
@@ -68,15 +72,14 @@ class DetectorModel:
             raise ValidationError(
                 f"dark_fraction must lie in [0, 1), got {self.dark_fraction}"
             )
-        for name in ("scale", "offset", "dark_fraction"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Complete description of one synthetic run: eta_true in [0, 1], and
-    n_vacuum, n_fock and seed integers >= 0 (not bool), not both counts 0,
-    kept as a Python float and ints (so a report can be written as JSON)."""
+    """Complete description of one synthetic run: eta_true a real scalar
+    (check_real) in [0, 1], and n_vacuum, n_fock and seed integers >= 0 (not
+    bool), not both counts 0, kept as a Python float and ints (so a report
+    can be written as JSON)."""
 
     eta_true: float
     n_vacuum: int
@@ -85,7 +88,9 @@ class RunSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eta_true", float(check_unit_interval("eta_true", self.eta_true)))
+        eta_true = check_real("eta_true", self.eta_true)
+        check_unit_interval("eta_true", eta_true)
+        object.__setattr__(self, "eta_true", eta_true)
         for name in ("n_vacuum", "n_fock", "seed"):
             object.__setattr__(self, name, check_count(name, getattr(self, name), 0))
         if self.n_vacuum == 0 and self.n_fock == 0:

@@ -1,6 +1,12 @@
 """Acceptance gate: each test prints one [PASS]/[FAIL] line (visible with
 pytest -s) and then asserts, so a red run still shows every criterion's
-outcome in the captured output."""
+outcome in the captured output.
+
+The eight criteria: the analytic origin value, the Abel inverter against
+closed forms, full synthetic runs at the reference scale, vacuum controls,
+the sign of W(0) recovered above and below eta = 1/2, error bars
+calibrated over 200 repetitions, pattern-function orthonormality, and the
+budget."""
 
 import time
 

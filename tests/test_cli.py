@@ -472,18 +472,64 @@ def test_reference_round_trip_is_frozen(reference_out):
     assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == _REFERENCE_COUNTS_SHA256
 
 
-def test_readme_names_every_report_section_and_key(reference_out, tmp_path):
-    # report.json's and the merged report's, [budget] and [agreement] included
+def _readme_section(title: str) -> str:
+    # the README's text under the heading "## <title>", up to the next one
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_report_keys() -> dict:
+    # The README's key list: a bullet "- `[section]`: ..." opens a section and
+    # "- `key`: ..." is a top-level key; each sub-bullet "  - `a`, `b`: ..."
+    # names the current section's keys a and b.
+    keys: dict = {}
+    section = None
+    for line in _readme_section("Reports").splitlines():
+        top = re.match(r"- `(\[?\w+\]?)`", line)
+        sub = re.match(r"  - ((?:`\w+`, )*`\w+`): ", line)
+        if top and top[1].startswith("["):
+            section = top[1][1:-1]
+            keys[section] = set()
+        elif top:
+            keys[top[1]] = None
+        elif sub:
+            keys[section] |= set(re.findall(r"`(\w+)`", sub[1]))
+    return keys
+
+
+def test_readme_names_every_report_section_and_key(reference_out, tmp_path):
+    # The README's key list is exactly the keys of report.json and of the
+    # merged report, [budget] and [agreement] included: it names every one,
+    # and none that neither report has.
     budget = str(tmp_path / "budget.txt")
     assert main(["budget", "-o", budget]) == EXIT_OK
     assert main(["report", "--reconstruction", str(reference_out / "report.json"),
                  "--budget", budget, "-o", str(tmp_path)]) == EXIT_OK
-    names = []  # each section as `[name]`, each key and top-level value as `name`
+    keys: dict = {}
     for path in (reference_out / "report.json", tmp_path / "merged_report.json"):
         for name, body in json.loads(path.read_text()).items():
-            names += [f"[{name}]", *body] if isinstance(body, dict) else [name]
-    assert [name for name in names if f"`{name}`" not in readme] == []
+            keys[name] = set(body) if isinstance(body, dict) else None
+    assert _readme_report_keys() == keys
+
+
+def test_readme_command_line_matches_the_parser():
+    # The Command line section names every flag of every subcommand and every
+    # exit code, one table row each, and no --flag that the parser lacks.
+    import argparse
+
+    from focktomo import cli
+
+    text = _readme_section("Command line")
+    parser = cli._build_parser()
+    commands, = (action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for sub in commands.values() for action in sub._actions
+             for flag in action.option_strings}
+    assert sorted(flag for flag in flags
+                  if not re.search(rf"(?<![\w-]){flag}(?![\w-])", text)) == []
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) <= flags
+    codes = {getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")}
+    assert {int(code) for code in re.findall(r"^\| (\d+) \|", text, re.M)} == codes
 
 
 def test_readme_library_example_is_the_reconstruct_command(reference_out):
@@ -862,6 +908,24 @@ def test_simulate_and_reconstruct_load_no_scipy(tmp_path, mode):
     assert read_dataset(data).n_samples == 22_000
     for name in ("report.txt", "report.json", "wigner_profile.txt", "marginal_histogram.txt"):
         assert (outdir / name).stat().st_size > 0
+
+
+def test_reconstruct_bytes_do_not_depend_on_the_blas_thread_count(reference_run, tmp_path):
+    # The seed-42 run reconstructed in two children, one BLAS thread and two:
+    # every output byte agrees but the generated_at line.  A BLAS gemv for
+    # the profile wrote other last digits at R = 2.0 and 4.0.
+    outputs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"threads{threads}"
+        env = {**_src_env(), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "focktomo.cli", "reconstruct", str(reference_run),
+                        "-o", str(outdir)], env=env, check=True, capture_output=True)
+        outputs.append({path.name: re.sub(rb'"?generated_at"?[=:][^\n]*', b"",
+                                          path.read_bytes())
+                        for path in sorted(outdir.iterdir())})
+    assert sorted(outputs[0]) == ["marginal_histogram.txt", "report.json", "report.txt",
+                                  "wigner_profile.txt"]
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_too_large_to_allocate_is_validation_error(tmp_path, capsys):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from focktomo.errors import ValidationError
-from focktomo.patterns import MAX_ORDER, _dawson, fock_marginal, pattern_function
+from focktomo.patterns import (MAX_ORDER, _dawson, _scaled_kernels, fock_marginal,
+                               pattern_function)
 from focktomo.states import marginal_density
 
 
@@ -108,6 +109,36 @@ def test_dawson_dense_grid_and_extremes():
     ends = _dawson(np.array([np.inf, -np.inf, np.nan, 1e300, -1e300]))
     assert ends[0] == 0.0 and ends[1] == 0.0 and np.isnan(ends[2])
     assert ends[3] == 0.5e-300 and ends[4] == -0.5e-300
+
+
+def _mp_scaled_kernels(x: float) -> list:
+    # pi f_nn(x) for n = 0..3 in 40-digit arithmetic, on one Dawson value
+    with mpmath.workdps(40):
+        q = mpmath.sqrt(2) * mpmath.mpf(x)
+        d = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-q * q) * mpmath.erfi(q)
+        q2 = q * q
+        return [2 * (1 - 2 * q * d),
+                8 * q * (1 - q2) * d + 4 * q2 - 2,
+                2 * q * (2 * q2 - 1) * (5 - 2 * q2) * d + 4 * q2 ** 2 - 10 * q2 + 2,
+                (2 * q * (2 * q2 - 3) * (9 * q2 - 2 * q2 ** 2 - 3) * d
+                 + 4 * q2 ** 3 - 22 * q2 ** 2 + 24 * q2 - 3) * 2 / 3]
+
+
+def test_kernels_match_mpmath_at_their_stated_bounds():
+    # The absolute error bounds pattern_function's docstring states for f_nn,
+    # and sample_diagonals' for its terms pi f_nn, on the 1201 points j / 200
+    # of [0, 6]; the kernels are even.  The largest errors lie at X = 4.115,
+    # 4.385, 4.385 and 5.94.
+    x = np.linspace(0.0, 6.0, 1201)
+    reference = [_mp_scaled_kernels(v) for v in x.tolist()]
+    scaled = _scaled_kernels(x, MAX_ORDER)
+    bounds = [(1.1e-15, 3.5e-15), (8.5e-14, 2.7e-13), (3.1e-12, 9.8e-12), (1.7e-10, 5.3e-10)]
+    with mpmath.workdps(40):
+        for n, (f_bound, term_bound) in enumerate(bounds):
+            f = pattern_function(n, x).tolist()
+            term = scaled[n].tolist()
+            assert max(abs(term[i] - r[n]) for i, r in enumerate(reference)) <= term_bound, n
+            assert max(abs(f[i] - r[n] / mpmath.pi) for i, r in enumerate(reference)) <= f_bound, n
 
 
 @pytest.mark.parametrize("bad", [1.5, True, -1, MAX_ORDER + 1])

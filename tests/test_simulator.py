@@ -159,6 +159,19 @@ def test_run_spec_validation():
                 RunSpec(**{"eta_true": 0.5, "n_vacuum": 2000, "n_fock": 200, name: flag})
 
 
+@pytest.mark.parametrize("value", ["0.5", True, None, np.array([0.5])],
+                         ids=["str", "bool", "None", "array"])
+@pytest.mark.parametrize("name", ["eta_true", "scale", "offset", "dark_fraction"])
+def test_a_float_field_takes_only_a_real_scalar(name, value):
+    # a string is not read as its number, and an array or None is refused
+    # with a ValidationError naming the field, not a TypeError
+    with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+        if name == "eta_true":
+            RunSpec(value, 10, 10)
+        else:
+            DetectorModel(**{name: value})
+
+
 def test_roundtrip(tmp_path):
     det = DetectorModel(scale=1.5, offset=0.3, dark_fraction=0.02)
     spec = RunSpec(eta_true=0.553, n_vacuum=50, n_fock=40, detector=det, seed=77)
